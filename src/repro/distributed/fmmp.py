@@ -3,8 +3,9 @@
 Stage structure (block size ``B = N/R``, ranks indexed by the high bits):
 
 * **local stages** — span ``h < B``: both members of every butterfly
-  pair live in the same block; every rank runs the ordinary in-situ
-  stage on its own data, no communication;
+  pair live in the same block; every rank runs them as one fused plan
+  (:func:`repro.transforms.batched.batched_butterfly_transform`) on its
+  own data, no communication;
 * **cross stages** — span ``h = B·2^d`` for hypercube dimension
   ``d = 0 … r−1``: the pair partner of every element sits in the block
   of the partner rank ``k ^ 2^d``.  Both ranks exchange their full
@@ -18,8 +19,8 @@ Stage structure (block size ``B = N/R``, ranks indexed by the high bits):
 
 Communication per matvec: ``r = log₂R`` exchanges of ``8·B`` bytes.
 Compute per rank: the full ν stages over ``B`` elements.  The numerics
-are executed for real and must match the serial butterfly bit for bit
-(same operation order), which the tests assert.
+are executed for real and must match the serial butterfly to rounding,
+which the tests assert.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from repro.distributed.cluster import ClusterProfile
 from repro.distributed.partition import PartitionedVector, split_stages
 from repro.exceptions import ValidationError
-from repro.transforms.butterfly import apply_stage
+from repro.transforms.batched import batched_butterfly_transform
 
 __all__ = ["DistributedFmmp"]
 
@@ -73,10 +74,9 @@ class DistributedFmmp:
         if v.ranks != self.cluster.ranks or v.n != self.n:
             raise ValidationError("partitioned vector does not match this operator")
         # Local stages: span 1 .. B/2 inside every block.
-        for s in range(self.local_stages):
-            m = self.factors[s]
-            for block in v.blocks:
-                apply_stage(block, 1 << s, m, out=block)
+        local = self.factors[: self.local_stages]
+        for k, block in enumerate(v.blocks):
+            v.blocks[k] = batched_butterfly_transform(block.reshape(-1, 1), local).reshape(-1)
         # Cross stages: hypercube dimension d pairs rank k with k ^ 2^d.
         for d in range(self.cross_stages):
             m = self.factors[self.local_stages + d]

@@ -175,9 +175,9 @@ class QuasispeciesModel:
         ``Pi(Fmmp)``, in that order of preference.
 
         ``threads`` turns on the panel-parallel butterfly for the
-        iterative ``fmmp`` routes (reductions stay deterministic via the
-        operator's panel reducer); the structural routes (kronecker /
-        reduced / dense) are unaffected.
+        iterative ``fmmp`` routes; it changes wall time, never the bits
+        of the result.  The structural routes (kronecker / reduced /
+        dense) are unaffected.
         """
         if method not in _METHODS:
             raise ValidationError(f"method must be one of {_METHODS}, got {method!r}")

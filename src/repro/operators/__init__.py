@@ -10,7 +10,8 @@ experiments:
   ``Xmvp(ν) ≡ Smvp`` numerically, ``Θ(N·Σ_{k≤dmax} C(ν,k))`` time,
   ``Θ(N)`` memory,
 * :class:`~repro.operators.fmmp.Fmmp` — the paper's fast mutation matrix
-  product, exact, ``Θ(N log₂ N)`` time, in-situ.
+  product, exact, ``Θ(N log₂ N)`` time, ``Θ(N)`` memory (one stage-fused
+  plan shared with :class:`~repro.operators.batched.BatchedFmmp`).
 
 All operate on any of the three equivalent eigenproblem forms (Eqs. 3–5):
 ``right`` (``Q·F``), ``symmetric`` (``F^½·Q·F^½``), ``left`` (``F·Q``).

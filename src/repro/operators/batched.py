@@ -42,10 +42,68 @@ from repro.mutation.uniform import UniformMutation
 from repro.operators.base import FORMS, ImplicitOperator, OperatorCosts
 from repro.transforms.batched import batched_butterfly_transform
 from repro.transforms.kronecker import kron_matvec
+from repro.transforms.parallel import (
+    get_engine,
+    parallel_butterfly_transform,
+    resolve_threads,
+)
 
 __all__ = ["BatchedFmmp"]
 
 _VARIANTS = ("eq9", "eq10")
+
+
+def form_scales(form: str, f, sqrt_f):
+    """``(pre, post)`` diagonal scales of ``W = form(Q, F)`` (Eqs. 3–5)."""
+    if form == "right":
+        return f, None
+    if form == "symmetric":
+        return sqrt_f, sqrt_f
+    return None, f  # left
+
+
+def panel_engine(nu: int, batch: int, threads: int):
+    """``(panels, engine)`` for :func:`fused_product`: ``(1, None)`` at
+    ``threads == 1``, else the roofline
+    :func:`~repro.perf.parallel.auto_panels` pick and the shared
+    :class:`~repro.transforms.parallel.PanelEngine`."""
+    if threads == 1:
+        return 1, None
+    # Lazy: repro.perf imports this package, and serial runs never need it.
+    from repro.perf.parallel import auto_panels
+
+    return auto_panels(nu, batch, threads=threads), get_engine(threads)
+
+
+def fused_product(
+    block, factors, variant, pre, post, *, panels=1, engine=None, out=None, scratch=None
+):
+    """The one butterfly call behind :meth:`BatchedFmmp.matmat` and
+    :meth:`~repro.operators.fmmp.Fmmp.matvec`: the fused plan of
+    :func:`~repro.transforms.batched.batched_butterfly_transform`, run
+    serially or — given an engine — split into row panels with the same
+    bits."""
+    if engine is None:
+        return batched_butterfly_transform(
+            block,
+            factors,
+            variant=variant,
+            pre_scale=pre,
+            post_scale=post,
+            out=out,
+            scratch=scratch,
+        )
+    return parallel_butterfly_transform(
+        block,
+        factors,
+        variant=variant,
+        pre_scale=pre,
+        post_scale=post,
+        panels=panels,
+        engine=engine,
+        out=out,
+        scratch=scratch,
+    )
 
 
 class BatchedFmmp(ImplicitOperator):
@@ -64,13 +122,11 @@ class BatchedFmmp(ImplicitOperator):
         Stage traversal order, ``"eq9"`` or ``"eq10"``.
     threads:
         Panel-engine thread count (``None`` reads ``REPRO_NUM_THREADS``,
-        default 1).  With ``threads > 1`` (or explicit ``panels``)
-        :meth:`matmat` runs the panel-parallel fused kernel — output
-        bit-identical to the serial kernel for every ``(threads,
-        panels)``; grouped models keep their serial per-column fallback.
-    panels:
-        Panel count ``R``; defaults to the roofline
-        :func:`repro.perf.parallel.auto_panels` pick.
+        default 1).  With ``threads > 1`` :meth:`matmat` splits the same
+        fused plan into :func:`repro.perf.parallel.auto_panels` row
+        panels on the panel engine; the output is bit-identical to the
+        serial kernel, so ``threads`` changes only wall time.  Grouped
+        models keep their serial per-column fallback.
 
     Examples
     --------
@@ -90,7 +146,6 @@ class BatchedFmmp(ImplicitOperator):
         variant: str = "eq9",
         *,
         threads: int | None = None,
-        panels: int | None = None,
     ):
         if form not in FORMS:
             raise ValidationError(f"form must be one of {FORMS}, got {form!r}")
@@ -128,42 +183,18 @@ class BatchedFmmp(ImplicitOperator):
             )
         self._sqrt_f = np.sqrt(self._f) if form == "symmetric" else None
 
+        self.threads = resolve_threads(threads)
+        self.panels, self._engine = 1, None
         if isinstance(mutation, (UniformMutation, PerSiteMutation)):
             self._bit_factors = mutation.factors_per_bit()
             self._blocks = None
+            self.panels, self._engine = panel_engine(mutation.nu, self.batch, self.threads)
         elif isinstance(mutation, GroupedMutation):
             self._bit_factors = None
             self._blocks = mutation.blocks()
         else:  # pragma: no cover - future models fall back to .apply
             self._bit_factors = None
             self._blocks = None
-
-        # Lazy imports: repro.transforms.parallel touches the distributed
-        # package, which imports the solver stack above this module.
-        from repro.transforms.parallel import resolve_threads
-
-        self.threads = resolve_threads(threads)
-        parallel_requested = self.threads > 1 or panels is not None
-        self.panels = 1
-        self.panel_reducer = None
-        self._engine = None
-        if parallel_requested and self._bit_factors is not None:
-            from repro.perf.parallel import auto_panels
-            from repro.transforms.parallel import (
-                PanelReducer,
-                get_engine,
-                resolve_panels,
-            )
-
-            if panels is None:
-                self.panels = auto_panels(
-                    mutation.nu, self.batch, threads=self.threads
-                )
-            else:
-                self.panels = resolve_panels(panels, mutation.nu, threads=self.threads)
-            self._engine = get_engine(self.threads)
-            self.panel_reducer = PanelReducer(self.panels, engine=self._engine)
-        self._parallel = parallel_requested and self._bit_factors is not None
 
     # --------------------------------------------------------------- state
     @property
@@ -188,11 +219,7 @@ class BatchedFmmp(ImplicitOperator):
             idx = np.asarray(columns, dtype=np.intp)
             f = np.ascontiguousarray(f[:, idx])
             sf = np.ascontiguousarray(sf[:, idx]) if sf is not None else None
-        if self.form == "right":
-            return f, None
-        if self.form == "symmetric":
-            return sf, sf
-        return None, f  # left
+        return form_scales(self.form, f, sf)
 
     def _check_columns(self, b: int, columns: Sequence[int] | None) -> None:
         if not self.per_column:
@@ -243,26 +270,14 @@ class BatchedFmmp(ImplicitOperator):
             return np.empty((self.n, 0), dtype=np.float64)
         pre, post = self._scales(columns)
         if self._bit_factors is not None:
-            if self._parallel:
-                from repro.transforms.parallel import parallel_butterfly_transform
-
-                return parallel_butterfly_transform(
-                    arr,
-                    self._bit_factors,
-                    variant=self.variant,
-                    pre_scale=pre,
-                    post_scale=post,
-                    panels=self.panels,
-                    engine=self._engine,
-                    out=out,
-                    scratch=scratch,
-                )
-            return batched_butterfly_transform(
+            return fused_product(
                 arr,
                 self._bit_factors,
-                variant=self.variant,
-                pre_scale=pre,
-                post_scale=post,
+                self.variant,
+                pre,
+                post,
+                panels=self.panels,
+                engine=self._engine,
                 out=out,
                 scratch=scratch,
             )

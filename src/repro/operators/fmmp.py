@@ -29,7 +29,9 @@ from repro.mutation.grouped import GroupedMutation
 from repro.mutation.persite import PerSiteMutation
 from repro.mutation.uniform import UniformMutation
 from repro.operators.base import FormMixin, ImplicitOperator, OperatorCosts
+from repro.operators.batched import form_scales, fused_product, panel_engine
 from repro.transforms.kronecker import kron_matvec
+from repro.transforms.parallel import resolve_threads
 from repro.util.scratch import ScratchPool
 
 __all__ = ["Fmmp"]
@@ -39,6 +41,13 @@ _VARIANTS = ("eq9", "eq10")
 
 class Fmmp(ImplicitOperator, FormMixin):
     """Fast mutation matrix product operator for ``W`` (Eqs. 3–5 forms).
+
+    For 2×2-factored models (uniform, per-site) :meth:`matvec` is the
+    one-column case of :meth:`repro.operators.batched.BatchedFmmp.matmat`:
+    the fused stage plan of
+    :func:`repro.transforms.batched.batched_butterfly_transform` on an
+    ``(N, 1)`` view, with the ``F``/``F^{1/2}`` scalings folded in as
+    pre/post scales.  Grouped models run the Kronecker contraction.
 
     Parameters
     ----------
@@ -54,21 +63,12 @@ class Fmmp(ImplicitOperator, FormMixin):
         (descending spans).
     threads:
         Panel-engine thread count (``None`` reads ``REPRO_NUM_THREADS``,
-        default 1).  With ``threads > 1`` (or an explicit ``panels``)
-        2×2-factored models route :meth:`matvec` through the
-        panel-parallel stage-fused kernel
-        (:func:`repro.transforms.parallel.parallel_butterfly_transform`);
-        the output is **bit-identical** for every ``(threads, panels)``
-        combination, including the ``panels=1`` serial fused engine (it
-        differs from the legacy 7-pass scalar path only at rounding
-        level, which the verification grids bound at 1e−12).  Grouped
-        models have no butterfly to parallelize and silently stay on
-        their serial contraction.
-    panels:
-        Panel count ``R`` (power of two) for the parallel kernel;
-        defaults to the roofline model's
-        :func:`repro.perf.parallel.auto_panels` pick for
-        ``(ν, 1, threads)``.
+        default 1).  With ``threads > 1`` the same fused plan is split
+        into :func:`repro.perf.parallel.auto_panels` row panels on the
+        panel engine (:mod:`repro.transforms.parallel`); the output is
+        bit-identical to ``threads=1``, so ``threads`` changes only wall
+        time.  Grouped models have no butterfly to parallelize and stay
+        on their serial contraction.
 
     Examples
     --------
@@ -88,7 +88,6 @@ class Fmmp(ImplicitOperator, FormMixin):
         variant: str = "eq9",
         *,
         threads: int | None = None,
-        panels: int | None = None,
     ):
         if mutation.nu != landscape.nu:
             raise ValidationError(
@@ -100,115 +99,41 @@ class Fmmp(ImplicitOperator, FormMixin):
         self.variant = variant
         self.n = mutation.n
         self._init_form(landscape, form)
-
-        # Lazy import: repro.transforms.parallel reaches into the
-        # distributed package (shared stage-split math), which imports
-        # the solvers, which import this module.
-        from repro.transforms.parallel import resolve_threads
-
         self.threads = resolve_threads(threads)
-        parallel_requested = self.threads > 1 or panels is not None
-        self.panels = 1
-        self.panel_reducer = None
-        self._engine = None
+        self.panels, self._engine = 1, None
 
         if isinstance(mutation, (UniformMutation, PerSiteMutation)):
             self._bit_factors = mutation.factors_per_bit()
             self._blocks = None
-            # Scratch for the allocation-free sweeps.  Acquired per call
+            self.panels, self._engine = panel_engine(mutation.nu, 1, self.threads)
+            # The fused kernel's (N, 1) scratch block, acquired per call
             # from a bounded keyed pool so concurrent workers can share
-            # one operator instance; the parallel engine's (N, B) blocks
-            # ride the same pool.
+            # one operator instance.
             self._scratch_pool = ScratchPool()
-            if parallel_requested:
-                from repro.perf.parallel import auto_panels
-                from repro.transforms.parallel import (
-                    PanelReducer,
-                    get_engine,
-                    resolve_panels,
-                )
-
-                if panels is None:
-                    self.panels = auto_panels(
-                        mutation.nu, 1, threads=self.threads
-                    )
-                else:
-                    self.panels = resolve_panels(
-                        panels, mutation.nu, threads=self.threads
-                    )
-                self._engine = get_engine(self.threads)
-                self.panel_reducer = PanelReducer(self.panels, engine=self._engine)
         elif isinstance(mutation, GroupedMutation):
             self._bit_factors = None
             self._blocks = mutation.blocks()
         else:  # pragma: no cover - future models fall back to .apply
             self._bit_factors = None
             self._blocks = None
-        self._parallel = parallel_requested and self._bit_factors is not None
 
     # ------------------------------------------------------------- product
-    def _q_fast(self, w: np.ndarray) -> np.ndarray:
-        """In-situ butterfly (or Kronecker contraction) for ``Q·w``.
-
-        ``w`` is always a fresh temporary created by ``_apply_form``
-        (the diagonal scaling copies), so in-place stages are safe.
-        """
-        if self._bit_factors is not None:
-            nu = self.mutation.nu
-            stages = range(nu) if self.variant == "eq9" else range(nu - 1, -1, -1)
-            half = (self.n // 2,)
-            s1, s2 = self._scratch_pool.acquire(half), self._scratch_pool.acquire(half)
-            try:
-                for s in stages:
-                    span = 1 << s
-                    m = self._bit_factors[s]
-                    src = w.reshape(-1, 2, span)
-                    lo = src[:, 0, :]
-                    hi = src[:, 1, :]
-                    # Allocation-free butterfly: 7 streaming passes over N/2
-                    # elements via the reusable scratch halves (the in-situ
-                    # property of Eq. 9/10 — no Θ(N) temporaries per stage).
-                    a = s1.reshape(lo.shape)
-                    b = s2.reshape(lo.shape)
-                    np.multiply(hi, m[1, 1], out=b)
-                    np.multiply(lo, m[1, 0], out=a)
-                    a += b  # new_hi
-                    np.multiply(hi, m[0, 1], out=b)
-                    lo *= m[0, 0]
-                    lo += b  # new_lo, written in place
-                    hi[:] = a
-            finally:
-                self._scratch_pool.release(s1, s2)
-            return w
-        if self._blocks is not None:
-            return kron_matvec(self._blocks, w)
-        return self.mutation.apply(w)
-
-    def _matvec_parallel(self, v: np.ndarray) -> np.ndarray:
-        """Panel-parallel fused product (``threads``/``panels`` engaged).
-
-        Bit-identical to the serial stage-fused kernel for every panel
-        and thread count — the diagonal ``F``/``F^{1/2}`` scalings fold
-        into the sweep schedule exactly as in
-        :meth:`repro.operators.batched.BatchedFmmp.matmat`.
-        """
-        from repro.transforms.parallel import parallel_butterfly_transform
-
-        if self.form == "right":
-            pre, post = self._f, None
-        elif self.form == "symmetric":
-            pre, post = self._sqrt_f, self._sqrt_f
-        else:  # left
-            pre, post = None, self._f
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        v = self.check(v)
+        if self._bit_factors is None:
+            if self._blocks is not None:
+                return self._apply_form(v, lambda w: kron_matvec(self._blocks, w))
+            return self._apply_form(v, self.mutation.apply)
+        pre, post = form_scales(self.form, self._f, self._sqrt_f)
         shape = (self.n, 1)
         scratch = self._scratch_pool.acquire(shape)
         try:
-            out = parallel_butterfly_transform(
+            out = fused_product(
                 v.reshape(shape),
                 self._bit_factors,
-                variant=self.variant,
-                pre_scale=pre,
-                post_scale=post,
+                self.variant,
+                pre,
+                post,
                 panels=self.panels,
                 engine=self._engine,
                 scratch=scratch,
@@ -216,16 +141,6 @@ class Fmmp(ImplicitOperator, FormMixin):
         finally:
             self._scratch_pool.release(scratch)
         return out.reshape(self.n)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = self.check(v)
-        if self._parallel:
-            return self._matvec_parallel(v)
-        if self.form == "left":
-            # _apply_form would hand the original v to q_apply; the
-            # in-situ butterfly must not clobber the caller's vector.
-            return self._f * self._q_fast(v.copy())
-        return self._apply_form(v, self._q_fast)
 
     @property
     def is_symmetric(self) -> bool:

@@ -49,13 +49,6 @@ class ShiftedOperator(ImplicitOperator):
     def is_symmetric(self) -> bool:
         return self.base.is_symmetric
 
-    @property
-    def panel_reducer(self):
-        """Forward the wrapped operator's deterministic panel reducer (if
-        any) so threaded solves keep panel-ordered reductions through the
-        shift wrapper."""
-        return getattr(self.base, "panel_reducer", None)
-
     def costs(self) -> OperatorCosts:
         inner = self.base.costs()
         n = float(self.n)

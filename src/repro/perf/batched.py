@@ -1,26 +1,25 @@
 """Roofline cost model + crossover bench for the batched Fmmp kernel.
 
-The scalar ``Fmmp._q_fast`` streams 7 elementwise passes over ``N/2``
-items per stage × ν stages.  The stage-fused batched kernel
-(:mod:`repro.transforms.batched`) replaces this with ``⌈ν/2⌉`` radix-4
-``matmul`` sweeps over an ``(N, B)`` block — one read stream and one
-write stream each — with the diagonal ``F`` scalings folded into the
-ping-pong schedule.  Both kernels are bandwidth-bound (the paper's
-Sec. 4 premise), so the B-dependent *bytes-moved* model below is the
-whole performance story:
+The stage-fused kernel (:mod:`repro.transforms.batched`) runs
+``⌈ν/2⌉`` radix-4 ``matmul`` sweeps over an ``(N, B)`` block — one read
+stream and one write stream each — with the diagonal ``F`` scalings
+folded into the ping-pong schedule.  ``Fmmp.matvec`` is its ``B = 1``
+case.  The kernel is bandwidth-bound (the paper's Sec. 4 premise), so
+the B-dependent *bytes-moved* model below is its performance model:
 
 ======================= ==========================================
 path                    bytes moved for B vectors
 ======================= ==========================================
-scalar × B              ``B · 8 · (4·(N/2)·ν + 3·s·N)``
+Algorithm 1 × B         ``B · 8 · (4·(N/2)·ν + 3·s·N)``
 fused (radix-4)         ``16·N·B·⌈ν/2⌉ + pre/post passes``
 ======================= ==========================================
 
-(``s`` = diagonal scale passes of the form.)  The per-vector ratio of
-the two is :func:`modeled_speedup`; it rises quickly with ν because the
-fused path's sweep count halves and its 7 passes collapse to 2.  The
+(``s`` = diagonal scale passes of the form.)  :func:`modeled_speedup`
+is the per-vector ratio of the two — the fused plan against the paper's
+stage-by-stage model (:func:`repro.perf.costs.fmmp_costs`).  The
 measured counterpart (:func:`measure_batched_matmat`,
-:func:`measured_crossover`) backs the model with wall-clock numbers —
+:func:`measured_crossover`) times one fused ``B``-column product against
+``B`` fused single-vector products (``Fmmp.matvec``) —
 ``benchmarks/bench_batched.py`` records both into ``BENCH_fmmp.json``.
 """
 
@@ -82,9 +81,9 @@ def batched_fmmp_costs(
     * a post-scale epilogue (read + read diagonal + write, in place on
       the output block) when it needs a trailing one.
 
-    With ``batch=1`` this still describes the fused kernel (which now
-    also backs the scalar path), *not* the legacy 7-pass sweep — use
-    :func:`repro.perf.costs.fmmp_costs` for that model.
+    With ``batch=1`` this describes ``Fmmp.matvec``, which runs the
+    same fused kernel on an ``(N, 1)`` block; the paper's stage-by-stage
+    model is :func:`repro.perf.costs.fmmp_costs`.
     """
     nu = _check_nu(nu)
     if not isinstance(batch, int) or batch < 1:
@@ -123,10 +122,10 @@ def modeled_speedup(
     form: str = "right",
     radix4: bool = True,
 ) -> float:
-    """Modeled per-vector speedup of the fused kernel over the scalar path.
+    """Modeled per-vector speedup of the fused kernel over Algorithm 1.
 
-    Both kernels are memory-bound, so the speedup is the ratio of
-    per-vector *bytes moved*: scalar 7-pass model
+    Both are memory-bound, so the speedup is the ratio of per-vector
+    *bytes moved*: the paper's stage-by-stage model
     (:func:`~repro.perf.costs.fmmp_costs`) over the fused model's
     amortized column cost.
     """
@@ -171,8 +170,8 @@ class BatchedMeasurement:
     nu, batch:
         Problem size and block width.
     single_s:
-        Median wall-clock of one scalar ``matvec`` (so ``batch`` solves
-        cost ``batch · single_s``).
+        Median wall-clock of one ``Fmmp.matvec`` — the fused kernel on
+        one column — so ``batch`` products cost ``batch · single_s``.
     batched_s:
         Median wall-clock of one fused ``matmat`` over the whole block.
     """
@@ -184,13 +183,14 @@ class BatchedMeasurement:
 
     @property
     def per_vector_speedup(self) -> float:
-        """Scalar time per vector over batched time per vector."""
+        """Single-vector time over batched time per vector."""
         return self.single_s / (self.batched_s / self.batch)
 
     @property
     def single_gbs(self) -> float:
-        """Effective scalar bandwidth (7-pass model bytes / measured s)."""
-        return fmmp_costs(self.nu).bytes_moved / self.single_s / 1e9
+        """Effective single-vector bandwidth (fused B=1 model bytes /
+        measured s)."""
+        return batched_fmmp_costs(self.nu, 1).bytes_moved / self.single_s / 1e9
 
     @property
     def batched_gbs(self) -> float:
@@ -219,7 +219,7 @@ def measure_batched_matmat(
     repeats: int = 3,
     min_time: float = 0.01,
 ) -> BatchedMeasurement:
-    """Time scalar ``Fmmp.matvec`` vs fused ``BatchedFmmp.matmat``.
+    """Time single-vector ``Fmmp.matvec`` vs ``BatchedFmmp.matmat``.
 
     Uses a uniform mutation model and a single-peak landscape (the
     bench's canonical workload); the block columns are independent

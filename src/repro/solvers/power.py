@@ -49,13 +49,6 @@ class PowerIteration:
         ``raise_on_fail=False``.
     record_history:
         Keep a per-iteration (λ, residual) trace.
-    reducer:
-        Optional :class:`~repro.transforms.parallel.PanelReducer` used for
-        the iteration's reductions (1-norm estimate and residual).
-        Defaults to the operator's own ``panel_reducer`` attribute when it
-        has one (set by ``Fmmp(threads=...)``), so threaded operators get
-        panel-ordered, run-to-run deterministic reductions automatically;
-        serial operators keep the plain NumPy reductions.
 
     Notes
     -----
@@ -74,7 +67,6 @@ class PowerIteration:
         tol: float = 1e-12,
         max_iterations: int = 100_000,
         record_history: bool = False,
-        reducer=None,
     ):
         if tol <= 0.0:
             raise ValidationError(f"tol must be positive, got {tol}")
@@ -84,9 +76,6 @@ class PowerIteration:
         self.tol = float(tol)
         self.max_iterations = int(max_iterations)
         self.record_history = bool(record_history)
-        self.reducer = reducer if reducer is not None else getattr(
-            operator, "panel_reducer", None
-        )
 
     # --------------------------------------------------------------- solve
     def solve(
@@ -132,13 +121,9 @@ class PowerIteration:
         lam = 0.0
         residual = np.inf
         iterations = 0
-        red = self.reducer
         for iterations in range(1, self.max_iterations + 1):
             y = op.matvec(x)
-            # 1-norm estimate; y > 0 near the fixed point.  With a panel
-            # reducer the sum is panel-partitioned and combined in fixed
-            # panel order — byte-identical across runs and thread counts.
-            lam = red.abs_sum(y) if red is not None else float(np.abs(y).sum())
+            lam = float(np.abs(y).sum())  # 1-norm estimate; y > 0 near the fixed point
             if lam <= 0.0:
                 raise ConvergenceError(
                     "iterate collapsed to zero — W is not acting as a positive operator",
@@ -147,10 +132,7 @@ class PowerIteration:
                 )
             y /= lam
             # Residual of the *normalized* pair: ‖W x − λ x‖₂ = λ‖y − x‖₂.
-            if red is not None:
-                residual = lam * red.diff_norm(y, x)
-            else:
-                residual = lam * float(np.linalg.norm(y - x))
+            residual = lam * float(np.linalg.norm(y - x))
             x = y
             if self.record_history:
                 history.append(IterationRecord(iterations, lam + mu, residual))
@@ -252,12 +234,6 @@ class BlockPowerIteration:
     tol, max_iterations, record_history:
         As for :class:`PowerIteration`; the residual criterion
         ``‖W_j x_j − λ_j x_j‖₂ < τ`` is applied per column.
-    reducer:
-        Optional :class:`~repro.transforms.parallel.PanelReducer`; the
-        per-column 1-norms and residuals become panel-partitioned partial
-        sums combined in fixed panel order (axis-0 reductions per column).
-        Defaults to the operator's ``panel_reducer`` attribute (set by
-        ``BatchedFmmp(threads=...)``).
     """
 
     def __init__(
@@ -268,7 +244,6 @@ class BlockPowerIteration:
         tol: float = 1e-12,
         max_iterations: int = 100_000,
         record_history: bool = False,
-        reducer=None,
     ):
         if tol <= 0.0:
             raise ValidationError(f"tol must be positive, got {tol}")
@@ -279,9 +254,6 @@ class BlockPowerIteration:
         self.tol = float(tol)
         self.max_iterations = int(max_iterations)
         self.record_history = bool(record_history)
-        self.reducer = reducer if reducer is not None else getattr(
-            operator, "panel_reducer", None
-        )
 
     # ------------------------------------------------------------ plumbing
     def _resolve_batch(self, starts: np.ndarray | None) -> int:
@@ -395,7 +367,6 @@ class BlockPowerIteration:
         histories: list[list[IterationRecord]] = [[] for _ in range(b)]
         sweeps = 0
 
-        red = self.reducer
         while active and sweeps < self.max_iterations:
             sweeps += 1
             kwargs = {"columns": active} if per_column else {}
@@ -403,9 +374,7 @@ class BlockPowerIteration:
             mu_act = mu[active]
             if np.any(mu_act != 0.0):
                 y = y - x * mu_act[None, :]
-            # Panel-ordered per-column 1-norms when a reducer is present
-            # (byte-identical across runs and thread counts at fixed R).
-            lam_act = red.abs_sum(y) if red is not None else np.abs(y).sum(axis=0)
+            lam_act = np.abs(y).sum(axis=0)
             if np.any(lam_act <= 0.0):
                 bad = active[int(np.argmin(lam_act))]
                 raise ConvergenceError(
@@ -415,10 +384,7 @@ class BlockPowerIteration:
                     residual=float("nan"),
                 )
             y = y / lam_act[None, :]
-            if red is not None:
-                res_act = lam_act * red.diff_norm(y, x)
-            else:
-                res_act = lam_act * np.linalg.norm(y - x, axis=0)
+            res_act = lam_act * np.linalg.norm(y - x, axis=0)
 
             if self.record_history:
                 for k, j in enumerate(active):

@@ -6,22 +6,23 @@ FFT/FWHT-like butterfly transform with ``Θ(N log₂ N)`` cost.  This package
 holds the transform machinery itself, independent of the quasispecies
 semantics:
 
-* :mod:`repro.transforms.butterfly` — in-place 2×2-stage butterfly engine
-  (vectorized NumPy plus a literal scalar transcription of the paper's
-  Algorithm 1 for validation),
+* :mod:`repro.transforms.butterfly` — the full ν-stage butterfly on one
+  vector (run by the fused kernel below) plus a literal scalar
+  transcription of the paper's Algorithm 1 as its executable spec,
 * :mod:`repro.transforms.fwht` — the fast Walsh–Hadamard transform used to
   diagonalize ``Q``,
 * :mod:`repro.transforms.kronecker` — matvec with an arbitrary Kronecker
   product of small dense factors (Eq. 11 generality),
 * :mod:`repro.transforms.batched` — the stage-fused, cache-blocked
   multi-vector butterfly kernel (radix-4 stage fusion, folded diagonal
-  scalings, one scratch block) that backs both the scalar
-  ``butterfly_transform``/``fwht`` paths and the batched
-  ``matmat`` operators.
+  scalings, one scratch block) that backs every product built from 2×2
+  factors: ``butterfly_transform``, ``fwht``, ``Fmmp.matvec`` and the
+  batched ``matmat`` operators,
+* :mod:`repro.transforms.parallel` — the same fused plan split into row
+  panels across threads, bit-identical to the serial kernel.
 """
 
 from repro.transforms.butterfly import (
-    apply_stage,
     butterfly_transform,
     butterfly_transform_reference,
 )
@@ -33,7 +34,6 @@ from repro.transforms.batched import (
 )
 from repro.transforms.parallel import (
     PanelEngine,
-    PanelReducer,
     parallel_butterfly_transform,
     resolve_threads,
     resolve_panels,
@@ -45,7 +45,6 @@ from repro.transforms.fwht import fwht, fwht_inverse, fwht_matrix
 from repro.transforms.kronecker import kron_matvec, kron_vector, kron_diagonal
 
 __all__ = [
-    "apply_stage",
     "butterfly_transform",
     "butterfly_transform_reference",
     "FusedStage",
@@ -53,7 +52,6 @@ __all__ = [
     "fused_stage_count",
     "batched_butterfly_transform",
     "PanelEngine",
-    "PanelReducer",
     "parallel_butterfly_transform",
     "resolve_threads",
     "resolve_panels",

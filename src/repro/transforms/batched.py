@@ -1,10 +1,12 @@
 """Stage-fused, cache-blocked butterfly kernels for multi-vector blocks.
 
-The scalar butterfly of :mod:`repro.transforms.butterfly` streams seven
-elementwise passes over ``N/2`` elements per 2×2 stage.  When ``B``
-right-hand sides share the same Kronecker factors (the batched sweeps of
-the service layer; the ``B`` columns of a Walsh-spectrum block), the same
-mathematics admits a far better memory schedule:
+A literal butterfly (Algorithm 1) streams ν stages over the vector,
+each a handful of elementwise passes over ``N/2`` pairs.  The same
+mathematics admits a far better memory schedule, for one vector (a
+``B = 1`` block: ``Fmmp.matvec``, ``butterfly_transform``, ``fwht``) and
+for ``B`` right-hand sides sharing the same Kronecker factors (the
+batched sweeps of the service layer; the ``B`` columns of a
+Walsh-spectrum block):
 
 * **block layout** — vectors are the *columns* of an ``(N, B)`` C-order
   block, so the two butterfly partners of a stage with span ``h`` are
@@ -13,7 +15,7 @@ mathematics admits a far better memory schedule:
   scalars: the batch dimension is the cache block.
 * **stage fusion** — each stage is one fused ``matmul``/``einsum`` call
   (a single read stream and a single write stream, ≤ 3 passes counting a
-  folded diagonal scale) instead of the scalar path's 7 passes.
+  folded diagonal scale) instead of several elementwise passes.
 * **radix-4 fusion** — two adjacent 2×2 stages acting on bits ``s`` and
   ``s+1`` commute and combine into one 4×4 factor
   ``kron(M_{s+1}, M_s)`` applied to groups of 4, halving the number of
@@ -30,7 +32,9 @@ mathematics admits a far better memory schedule:
 Stages acting on distinct bits commute (see
 :mod:`repro.transforms.butterfly`), so every fusion above is *exact* up
 to floating-point rounding; the differential-verification grids compare
-this kernel against the scalar 7-pass path on every spec.
+this kernel against the Algorithm-2 device kernels, the distributed
+butterfly (explicit cross-rank stages), Xmvp, the spectral product and
+the dense matrix on every spec.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""In-place butterfly transforms with per-stage 2×2 factors.
+"""Butterfly transforms with per-stage 2×2 factors.
 
 A Kronecker product of ν 2×2 matrices applied to a vector of length
 ``N = 2**ν`` factors into ν *stages*.  The stage with span ``h = 2**s``
@@ -25,9 +25,9 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.util.validation import check_power_of_two, check_vector
+from repro.util.validation import check_vector
 
-__all__ = ["apply_stage", "butterfly_transform", "butterfly_transform_reference"]
+__all__ = ["butterfly_transform", "butterfly_transform_reference"]
 
 
 def _check_2x2(m: np.ndarray, what: str = "factor") -> np.ndarray:
@@ -35,59 +35,6 @@ def _check_2x2(m: np.ndarray, what: str = "factor") -> np.ndarray:
     if arr.shape != (2, 2):
         raise ValidationError(f"{what} must be a 2x2 matrix, got shape {arr.shape}")
     return arr
-
-
-def apply_stage(v: np.ndarray, span: int, m: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
-    """Apply one butterfly stage of span ``span`` with 2×2 matrix ``m``.
-
-    Parameters
-    ----------
-    v:
-        Input vector, length a power of two, ``len(v) >= 2 * span``.
-    span:
-        Pair distance ``h`` (a power of two).  Elements ``j`` and
-        ``j + span`` are mixed whenever bit ``log2(span)`` of ``j`` is 0.
-    m:
-        The 2×2 mixing matrix applied as a matvec to each pair
-        ``(v[j], v[j + span])``.
-    out:
-        Optional output vector.  May alias ``v`` (the update is computed
-        through temporaries per pair, as in Algorithm 1 lines 4–7).
-
-    Returns
-    -------
-    numpy.ndarray
-        The transformed vector (``out`` if given, else a new array).
-
-    Notes
-    -----
-    Vectorization: viewing ``v`` as an array of shape
-    ``(N / (2·span), 2, span)`` puts the two pair members on axis 1, so
-    the whole stage is four scaled adds on contiguous blocks — the NumPy
-    equivalent of the ``Θ(N)`` stage cost.
-    """
-    n = len(v)
-    check_power_of_two(n, "len(v)")
-    span = check_power_of_two(span, "span")
-    if 2 * span > n:
-        raise ValidationError(f"span {span} too large for vector of length {n}")
-    m = _check_2x2(m)
-    v = np.ascontiguousarray(v, dtype=np.float64)
-    if out is None:
-        out = np.empty_like(v)
-    elif out.shape != v.shape:
-        raise ValidationError("out must have the same shape as v")
-
-    src = v.reshape(-1, 2, span)
-    dst = out.reshape(-1, 2, span)
-    lo = src[:, 0, :]
-    hi = src[:, 1, :]
-    # Temporaries are required when out aliases v (in-situ operation).
-    new_lo = m[0, 0] * lo + m[0, 1] * hi
-    new_hi = m[1, 0] * lo + m[1, 1] * hi
-    dst[:, 0, :] = new_lo
-    dst[:, 1, :] = new_hi
-    return out
 
 
 def butterfly_transform(

@@ -55,7 +55,6 @@ from repro.transforms.batched import (
 
 __all__ = [
     "PanelEngine",
-    "PanelReducer",
     "parallel_butterfly_transform",
     "resolve_threads",
     "resolve_panels",
@@ -463,127 +462,3 @@ def parallel_butterfly_transform(
     eng.run(participant)
     return out
 
-
-# -------------------------------------------------------------- reducers
-class PanelReducer:
-    """Deterministic panel-partitioned reductions for the solver loop.
-
-    Norms, Rayleigh quotients and residuals of the power iteration are
-    computed as **per-panel partial sums combined in fixed panel order**
-    (left to right), so a threaded solve produces byte-identical
-    reductions on every run and for every thread count: each panel's
-    partial is an ordinary NumPy reduction over a fixed slice, and the
-    cross-panel combination is an explicit ordered loop.
-
-    2-D inputs reduce along axis 0 (per column), matching the block
-    power iteration's lock-step quantities.
-    """
-
-    def __init__(self, panels: int, *, engine: PanelEngine | None = None):
-        if isinstance(panels, bool) or not isinstance(panels, (int, np.integer)):
-            raise ValidationError(f"panels must be an integer, got {panels!r}")
-        panels = int(panels)
-        if panels < 1 or (panels & (panels - 1)) != 0:
-            raise ValidationError(
-                f"panels must be a positive power of two, got {panels}"
-            )
-        self.panels = panels
-        self.engine = engine
-
-    # ----------------------------------------------------------- plumbing
-    def _bounds(self, n: int, p: int) -> tuple[int, int]:
-        if n % self.panels != 0:
-            raise ValidationError(
-                f"array of {n} rows is not divisible into {self.panels} panels"
-            )
-        return panel_bounds(n, self.panels, p)
-
-    def _partials(self, arrays: tuple[np.ndarray, ...], unit) -> list:
-        """Per-panel partials ``unit(p, *panel_slices)`` — optionally
-        computed by the engine's workers, always *combined* by the
-        caller in panel order."""
-        n = arrays[0].shape[0]
-        slots: list = [None] * self.panels
-        eng = self.engine
-
-        def fill(p: int) -> None:
-            r0, r1 = self._bounds(n, p)
-            slots[p] = unit(*(a[r0:r1] for a in arrays))
-
-        if eng is not None and eng.threads > 1:
-            nt = eng.threads
-
-            def participant(t: int) -> None:
-                for p in range(t * self.panels // nt, (t + 1) * self.panels // nt):
-                    fill(p)
-
-            eng.run(participant)
-        else:
-            for p in range(self.panels):
-                fill(p)
-        return slots
-
-    @staticmethod
-    def _combine(slots: list):
-        total = slots[0]
-        for part in slots[1:]:
-            total = total + part
-        return total
-
-    # ---------------------------------------------------------- reductions
-    def abs_sum(self, x: np.ndarray):
-        """``‖x‖₁`` (1-D) or per-column 1-norms (2-D, axis 0)."""
-        x = np.asarray(x)
-        if x.ndim == 1:
-            slots = self._partials((x,), lambda a: float(np.abs(a).sum()))
-            return float(self._combine(slots))
-        slots = self._partials((x,), lambda a: np.abs(a).sum(axis=0))
-        return self._combine(slots)
-
-    def sq_sum(self, x: np.ndarray):
-        """``‖x‖₂²`` (1-D) or per-column squared 2-norms (2-D)."""
-        x = np.asarray(x)
-        if x.ndim == 1:
-            slots = self._partials((x,), lambda a: float(np.dot(a, a)))
-            return float(self._combine(slots))
-        slots = self._partials((x,), lambda a: (a * a).sum(axis=0))
-        return self._combine(slots)
-
-    def norm(self, x: np.ndarray):
-        """``‖x‖₂`` (per column for 2-D input)."""
-        s = self.sq_sum(x)
-        return float(np.sqrt(s)) if np.isscalar(s) else np.sqrt(s)
-
-    def diff_norm(self, x: np.ndarray, y: np.ndarray):
-        """``‖x − y‖₂`` without materializing the full difference
-        (per column for 2-D inputs) — the residual kernel."""
-        x, y = np.asarray(x), np.asarray(y)
-        if x.shape != y.shape:
-            raise ValidationError(
-                f"diff_norm operands disagree: {x.shape} vs {y.shape}"
-            )
-        if x.ndim == 1:
-            slots = self._partials(
-                (x, y), lambda a, b: float(((a - b) ** 2).sum())
-            )
-            return float(np.sqrt(self._combine(slots)))
-        slots = self._partials((x, y), lambda a, b: ((a - b) ** 2).sum(axis=0))
-        return np.sqrt(self._combine(slots))
-
-    def dot(self, x: np.ndarray, y: np.ndarray):
-        """``xᵀy`` (per column for 2-D inputs) — the Rayleigh-quotient
-        numerator."""
-        x, y = np.asarray(x), np.asarray(y)
-        if x.shape != y.shape:
-            raise ValidationError(f"dot operands disagree: {x.shape} vs {y.shape}")
-        if x.ndim == 1:
-            slots = self._partials((x, y), lambda a, b: float(np.dot(a, b)))
-            return float(self._combine(slots))
-        slots = self._partials((x, y), lambda a, b: (a * b).sum(axis=0))
-        return self._combine(slots)
-
-    def rayleigh(self, x: np.ndarray, y: np.ndarray):
-        """Rayleigh quotient ``xᵀy / xᵀx`` (``y = W·x``), panel-ordered."""
-        num = self.dot(x, y)
-        den = self.sq_sum(x)
-        return num / den

@@ -7,21 +7,28 @@ claims:
 product ``W·v`` (right form).  These are mathematically identical, so
 every pair must agree to machine precision on arbitrary probe vectors:
 
-* ``fmmp-eq9`` / ``fmmp-eq10`` — the butterfly, both stage orders,
+* ``fmmp-eq9`` / ``fmmp-eq10`` — the butterfly (one column of the fused
+  plan), both stage orders,
 * ``fmmp-batched`` — the stage-fused multi-vector kernel
   (:class:`~repro.operators.batched.BatchedFmmp`): the probe rides one
   column of a genuine multi-column block, so column isolation and the
   folded diagonal scalings are checked per probe,
 * ``fmmp-parallel`` — the panel-partitioned shared-memory butterfly
-  (:mod:`repro.transforms.parallel`), exercised with an explicit panel
-  split (and, with ``threads > 1``, real engine workers): the panel
-  engine's contract is *bitwise* identity with the fused serial kernel,
-  so the oracle must also sit inside the machine-precision tier,
+  (:func:`~repro.transforms.parallel.parallel_butterfly_transform`),
+  exercised with a 4-panel split (and, with ``threads > 1``, real engine
+  workers): the panel engine's contract is *bitwise* identity with the
+  fused serial kernel, so the oracle must also sit inside the
+  machine-precision tier,
 * ``xmvp`` — the XOR-based product of [10] with ``dmax = ν``,
 * ``smvp`` — the dense ``Θ(N²)`` baseline (small ν),
 * ``spectral`` — ``Q·v = V Λ V v`` via the FWHT (uniform model),
 * ``device`` — the Algorithm-2 stage kernels on the simulated device,
 * ``distributed`` — the hypercube butterfly over partitioned blocks.
+
+Every ``fmmp-*`` oracle runs the one fused stage plan, so the ``device``
+oracle (one launch per radix-2 stage) and the ``distributed`` oracle
+(explicit cross-rank stages) are the butterfly references that do not
+run it end to end.
 
 **Solver oracles** — full eigenpair routes.  Direct routes (dense,
 reduced, Kronecker) agree to eigendecomposition accuracy; any pair
@@ -49,6 +56,7 @@ from repro.operators.fmmp import Fmmp
 from repro.operators.smvp import Smvp
 from repro.operators.xmvp import Xmvp
 from repro.solvers.kron_solver import KroneckerSolveResult
+from repro.transforms.parallel import get_engine, parallel_butterfly_transform
 from repro.verify.invariants import DENSE_NU, relative_error
 from repro.verify.report import CheckResult
 from repro.verify.spec import ProblemSpec
@@ -161,22 +169,25 @@ def _parallel_matvec(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Probe the panel-parallel butterfly engine.
 
-    An explicit panel count (clamped for tiny ν) forces the
-    panel-partitioned sweep schedule even at ``threads = 1``; with more
-    threads the same schedule runs on real barrier-synchronized workers.
-    Either way the result must match the serial kernels to machine
-    precision (the engine's own contract is stronger: bitwise).
+    A 4-panel split (clamped for tiny ν) forces the panel-partitioned
+    sweep schedule even at ``threads = 1``; with more threads the same
+    schedule runs on real barrier-synchronized workers.  Either way the
+    result must match the serial kernels to machine precision (the
+    engine's own contract is stronger: bitwise).
     """
-    op = Fmmp(
-        mutation,
-        landscape,
-        form="right",
-        threads=threads,
-        panels=4 if threads <= 1 else None,
-    )
+    if not hasattr(mutation, "factors_per_bit"):
+        # Grouped models have no 2x2 butterfly to split into panels.
+        return Fmmp(mutation, landscape, form="right").matvec
+    factors = mutation.factors_per_bit()
+    f = landscape.values()
+    engine = get_engine(threads)
 
     def matvec(v: np.ndarray) -> np.ndarray:
-        return op.matvec(np.asarray(v, dtype=np.float64))
+        block = np.asarray(v, dtype=np.float64).reshape(-1, 1)
+        out = parallel_butterfly_transform(
+            block, factors, pre_scale=f, panels=4, engine=engine
+        )
+        return out.reshape(-1)
 
     return matvec
 

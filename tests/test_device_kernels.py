@@ -21,7 +21,6 @@ from repro.device.kernels import (
 )
 from repro.exceptions import DeviceError
 from repro.mutation import UniformMutation
-from repro.transforms.butterfly import apply_stage
 
 
 class TestAlgorithm2IndexFormula:
@@ -76,7 +75,10 @@ class TestFmmpStageKernel:
             16,
             {"span": 4, "m00": m[0, 0], "m01": m[0, 1], "m10": m[1, 0], "m11": m[1, 1]},
         )
-        np.testing.assert_allclose(dev.from_device("v"), apply_stage(v0, 4, m), atol=1e-14)
+        # The span-4 stage as explicit pair updates (Algorithm 1, lines 4-7).
+        lo, hi = v0.reshape(-1, 2, 4)[:, 0], v0.reshape(-1, 2, 4)[:, 1]
+        want = np.stack([m[0, 0] * lo + m[0, 1] * hi, m[1, 0] * lo + m[1, 1] * hi], axis=1)
+        np.testing.assert_allclose(dev.from_device("v"), want.reshape(-1), atol=1e-14)
 
     def test_missing_param_rejected(self):
         dev = Device(TESLA_C2050)

@@ -13,7 +13,17 @@ from hypothesis import strategies as st
 from repro.exceptions import ValidationError
 from repro.landscapes import RandomLandscape, SinglePeakLandscape, TabulatedLandscape
 from repro.mutation import GroupedMutation, PerSiteMutation, UniformMutation, site_factor
-from repro.operators import Fmmp, ShiftedOperator, Smvp, Xmvp, dense_w, convert_eigenvector
+import repro.operators.batched as batched_module
+import repro.operators.fmmp as fmmp_module
+from repro.operators import (
+    BatchedFmmp,
+    Fmmp,
+    ShiftedOperator,
+    Smvp,
+    Xmvp,
+    dense_w,
+    convert_eigenvector,
+)
 from repro.operators.shifted import conservative_shift
 
 
@@ -126,6 +136,51 @@ class TestFmmpGeneralizedMutation:
         w = dense_w(mut, ls)
         v = rng.standard_normal(8)
         np.testing.assert_allclose(Fmmp(mut, ls).matvec(v), w @ v, atol=1e-12)
+
+
+def _spy(monkeypatch, module, name):
+    """Count the calls made through ``module.name``."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestOneEngine:
+    """``Fmmp.matvec`` is the one-column case of ``BatchedFmmp.matmat``:
+    one call of the fused kernel, the same bits."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "persite"])
+    @pytest.mark.parametrize("form", ["right", "symmetric", "left"])
+    @pytest.mark.parametrize("variant", ["eq9", "eq10"])
+    def test_matvec_is_one_fused_call(self, monkeypatch, kind, form, variant):
+        nu = 7
+        if kind == "uniform":
+            mut = UniformMutation(nu, 0.03)
+        else:
+            mut = PerSiteMutation.from_error_rates(np.linspace(0.01, 0.2, nu))
+        ls = RandomLandscape(nu, seed=5)
+        v = np.random.default_rng(2).random(1 << nu)
+        want = BatchedFmmp(mut, ls, form=form, variant=variant).matmat(v.reshape(-1, 1))
+        op = Fmmp(mut, ls, form=form, variant=variant)
+        calls = _spy(monkeypatch, batched_module, "batched_butterfly_transform")
+        got = op.matvec(v)
+        assert len(calls) == 1
+        assert np.array_equal(got, want[:, 0])
+
+    def test_grouped_model_runs_the_kronecker_contraction(self, monkeypatch):
+        nu = 4
+        mut = GroupedMutation([site_factor(0.1) for _ in range(nu)])
+        op = Fmmp(mut, RandomLandscape(nu, seed=1))
+        fused = _spy(monkeypatch, batched_module, "batched_butterfly_transform")
+        kron = _spy(monkeypatch, fmmp_module, "kron_matvec")
+        op.matvec(np.ones(1 << nu))
+        assert (len(fused), len(kron)) == (0, 1)
 
 
 class TestXmvpTruncation:

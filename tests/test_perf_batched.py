@@ -152,5 +152,5 @@ class TestMeasurement:
         assert d["single_gbs"] > 0.0 and d["batched_gbs"] > 0.0
 
     def test_scalar_model_still_available(self):
-        # the legacy 7-pass model stays the scalar reference
+        # Algorithm 1's stage-by-stage bytes model stays available
         assert fmmp_costs(8).bytes_moved > 0.0

@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.exceptions import ValidationError
 from repro.transforms.butterfly import (
-    apply_stage,
     butterfly_transform,
     butterfly_transform_reference,
 )
@@ -25,47 +24,6 @@ def kron_from_bit_factors(factors):
 finite_vec = lambda n: hnp.arrays(
     np.float64, n, elements=st.floats(-10, 10, allow_nan=False)
 )
-
-
-class TestApplyStage:
-    def test_identity_factor_is_noop(self):
-        v = np.arange(8, dtype=float)
-        out = apply_stage(v.copy(), 2, np.eye(2))
-        np.testing.assert_array_equal(out, v)
-
-    def test_span1_pairs(self):
-        v = np.array([1.0, 2.0, 3.0, 4.0])
-        m = np.array([[0.9, 0.1], [0.1, 0.9]])
-        out = apply_stage(v, 1, m)
-        np.testing.assert_allclose(out[:2], m @ v[:2])
-        np.testing.assert_allclose(out[2:], m @ v[2:])
-
-    def test_span2_pairs(self):
-        v = np.array([1.0, 2.0, 3.0, 4.0])
-        m = np.array([[0.7, 0.3], [0.3, 0.7]])
-        out = apply_stage(v, 2, m)
-        # pairs are (0,2) and (1,3)
-        np.testing.assert_allclose(out[[0, 2]], m @ v[[0, 2]])
-        np.testing.assert_allclose(out[[1, 3]], m @ v[[1, 3]])
-
-    def test_in_situ(self):
-        v = np.arange(8, dtype=float)
-        expected = apply_stage(v.copy(), 2, np.array([[0.5, 0.5], [0.25, 0.75]]))
-        out = apply_stage(v, 2, np.array([[0.5, 0.5], [0.25, 0.75]]), out=v)
-        assert out is v
-        np.testing.assert_allclose(v, expected)
-
-    def test_span_too_large(self):
-        with pytest.raises(ValidationError):
-            apply_stage(np.zeros(4), 4, np.eye(2))
-
-    def test_non_power_of_two_length(self):
-        with pytest.raises(ValidationError):
-            apply_stage(np.zeros(6), 1, np.eye(2))
-
-    def test_bad_factor_shape(self):
-        with pytest.raises(ValidationError):
-            apply_stage(np.zeros(4), 1, np.eye(3))
 
 
 class TestButterflyTransform:
