@@ -26,6 +26,62 @@ finite_vec = lambda n: hnp.arrays(
 )
 
 
+def one_stage(v, span, m, **kwargs):
+    """One butterfly stage of span ``span`` with 2×2 matrix ``m``: the
+    full transform with ``m`` on bit ``log2(span)`` and the identity on
+    every other bit of ``v``'s index."""
+    nu = max(len(v).bit_length() - 1, span.bit_length())
+    factors = [np.eye(2)] * nu
+    factors[span.bit_length() - 1] = m
+    return butterfly_transform(v, factors, **kwargs)
+
+
+class TestApplyStage:
+    """Single-stage semantics of the engine: Algorithm 1 lines 4–7 for
+    one span, pairs ``(j, j + span)`` with bit ``log2(span)`` of ``j``
+    clear."""
+
+    def test_identity_factor_is_noop(self):
+        v = np.arange(8, dtype=float)
+        out = one_stage(v.copy(), 2, np.eye(2))
+        np.testing.assert_array_equal(out, v)
+
+    def test_span1_pairs(self):
+        v = np.array([1.0, 2.0, 3.0, 4.0])
+        m = np.array([[0.9, 0.1], [0.1, 0.9]])
+        out = one_stage(v, 1, m)
+        np.testing.assert_allclose(out[:2], m @ v[:2])
+        np.testing.assert_allclose(out[2:], m @ v[2:])
+
+    def test_span2_pairs(self):
+        v = np.array([1.0, 2.0, 3.0, 4.0])
+        m = np.array([[0.7, 0.3], [0.3, 0.7]])
+        out = one_stage(v, 2, m)
+        # pairs are (0,2) and (1,3)
+        np.testing.assert_allclose(out[[0, 2]], m @ v[[0, 2]])
+        np.testing.assert_allclose(out[[1, 3]], m @ v[[1, 3]])
+
+    def test_in_situ(self):
+        v = np.arange(8, dtype=float)
+        m = np.array([[0.5, 0.5], [0.25, 0.75]])
+        expected = one_stage(v.copy(), 2, m)
+        out = one_stage(v, 2, m, in_place=True)
+        assert out is v
+        np.testing.assert_allclose(v, expected)
+
+    def test_span_too_large(self):
+        with pytest.raises(ValidationError):
+            one_stage(np.zeros(4), 4, np.eye(2))
+
+    def test_non_power_of_two_length(self):
+        with pytest.raises(ValidationError):
+            one_stage(np.zeros(6), 1, np.eye(2))
+
+    def test_bad_factor_shape(self):
+        with pytest.raises(ValidationError):
+            one_stage(np.zeros(4), 1, np.eye(3))
+
+
 class TestButterflyTransform:
     @pytest.mark.parametrize("nu", [1, 2, 3, 5])
     def test_matches_dense_kronecker_uniform(self, nu):

@@ -273,6 +273,41 @@ class TestPanelEngine:
         assert get_engine(3) is not a
 
 
+class TestPanelReducer:
+    """Row-panel contract of the panel engine: power-of-two panel counts
+    only, whole ``2**ν``-row blocks only, and the same bytes whether the
+    worker threads or the caller alone fill the panels."""
+
+    def test_engine_and_serial_fill_are_byte_identical(self):
+        nu = 12
+        factors = UniformMutation(nu, 0.02).factors_per_bit()
+        rng = np.random.default_rng(7)
+        block = np.ascontiguousarray(rng.standard_normal((1 << nu, 1)))
+        pre = rng.uniform(0.5, 2.0, 1 << nu)
+        serial = parallel_butterfly_transform(
+            block, factors, pre_scale=pre, panels=4, engine=get_engine(1)
+        )
+        threaded = parallel_butterfly_transform(
+            block, factors, pre_scale=pre, panels=4, engine=get_engine(2)
+        )
+        assert serial.tobytes() == threaded.tobytes()
+
+    def test_indivisible_length_rejected(self):
+        factors = UniformMutation(2, 0.02).factors_per_bit()
+        with pytest.raises(ValidationError, match="rows"):
+            parallel_butterfly_transform(
+                np.zeros((6, 1)), factors, panels=4, engine=get_engine(2)
+            )
+
+    def test_bad_panel_counts_rejected(self):
+        factors = UniformMutation(6, 0.02).factors_per_bit()
+        block = np.zeros((1 << 6, 1))
+        with pytest.raises(ValidationError):
+            parallel_butterfly_transform(block, factors, panels=3)
+        with pytest.raises(ValidationError):
+            parallel_butterfly_transform(block, factors, panels=0)
+
+
 class TestScratchPoolLRU:
     def test_keys_are_shape_and_dtype(self):
         pool = ScratchPool()
