@@ -10,9 +10,11 @@ Walsh-spectrum block):
 
 * **block layout** — vectors are the *columns* of an ``(N, B)`` C-order
   block, so the two butterfly partners of a stage with span ``h`` are
-  contiguous runs of ``h·B`` doubles.  Even the worst stage (``h = 1``)
-  touches memory in ``B``-element cache lines instead of stride-2
-  scalars: the batch dimension is the cache block.
+  contiguous runs of ``h·B`` doubles.  For ``h·B = 1`` (the span-1
+  sweep of a one-column block) those runs are single doubles, so that
+  sweep runs as one 2-D GEMM over the ``(N/r, r)`` rows of the block
+  instead of ``N/r`` separate matrix–vector products (about 10× faster
+  at ν = 20 on a 2-core host, see ``docs/performance.md``).
 * **stage fusion** — each stage is one fused ``matmul``/``einsum`` call
   (a single read stream and a single write stream, ≤ 3 passes counting a
   folded diagonal scale) instead of several elementwise passes.
@@ -156,16 +158,32 @@ def _check_scale(scale, n: int, b: int, name: str) -> np.ndarray | None:
 def _apply_fused(src: np.ndarray, dst: np.ndarray, stage: FusedStage) -> None:
     """One fused sweep ``dst = M · src`` on every butterfly group.
 
-    The hot path of the kernel: a single strided ``matmul`` — one read
-    stream and one write stream over the whole block.  The inner
-    ``span·B`` axis is contiguous, so even the worst stage (span 1)
-    moves whole cache lines (the batch dimension is the cache block).
+    The hot path of the kernel: a single ``matmul`` — one read stream
+    and one write stream over the whole block.  With ``z = span·B``
+    contiguous doubles per group row, the general case is a stack of
+    ``g`` small ``(r, r) × (r, z)`` products.  When ``z == 1`` (the
+    span-1 sweep of a one-column block) that stack would be ``g``
+    separate matrix–vector products, so the sweep instead runs as one
+    2-D GEMM ``(g, r) × Mᵀ`` over the rows of the block.
+
+    NumPy sends a one-row product to its matrix–vector path, whose
+    summation order differs from the GEMM kernel's; the single group of
+    a ``ν <= 2`` vector is therefore padded to two rows.  A column
+    transformed alone is then bitwise the same column of a wider block
+    (the tests compare against ``B = 16`` for every ``ν >= 1``).
     """
     n, b = src.shape
     r, h = stage.radix, stage.span
     g = n // (r * h)
     z = h * b
-    np.matmul(stage.matrix, src.reshape(g, r, z), out=dst.reshape(g, r, z))
+    if z == 1 and g >= 2:
+        np.matmul(src.reshape(g, r), stage.matrix.T, out=dst.reshape(g, r))
+    elif z == 1:
+        rows = np.zeros((2, r))
+        rows[0] = src.reshape(r)
+        dst.reshape(r)[:] = (rows @ stage.matrix.T)[0]
+    else:
+        np.matmul(stage.matrix, src.reshape(g, r, z), out=dst.reshape(g, r, z))
 
 
 def _scale_into(dst: np.ndarray, src: np.ndarray, scale: np.ndarray) -> None:

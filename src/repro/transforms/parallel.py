@@ -11,24 +11,27 @@ Per fused sweep with group view ``(g, r, z)`` (``g`` butterfly groups of
 ``r`` rows of ``z = span·B`` contiguous doubles):
 
 * **local sweeps** (``g >= R``, i.e. span ``r·h <= N/R``): every
-  butterfly group lives inside one panel; panel ``p`` applies the fused
-  ``matmul`` to its own contiguous run of groups — no sharing at all;
+  butterfly group lives inside one panel; panel ``p`` runs the serial
+  kernel's own sweep (``_apply_fused``) on its contiguous rows — no
+  sharing at all;
 * **cross sweeps** (``g < R``): a butterfly group spans ``R/g`` panels;
   the group's ``z`` axis is cut into ``R/g`` whole-row chunks
   (``N/(r·R)`` rows each) and each work unit applies the full ``r×r``
   mix to its chunk, reading the partner panels' rows in place.
 
-Both cuts slice :func:`numpy.matmul` along the *stacking* axis (local)
-or the *column* axis in whole-row units (cross) — partitions NumPy/BLAS
+Both cuts slice :func:`numpy.matmul` along the group axis (local; for
+a one-column span-1 sweep these are the rows of one 2-D GEMM) or along
+the column axis in whole-row units (cross) — partitions NumPy/BLAS
 evaluates with the very same per-element operation order as the
-unsliced call.  Together with barrier synchronization between sweeps
-and the fixed ping-pong buffer parity of the serial kernel, the result
-is **bit-identical** to :func:`~repro.transforms.batched.batched_butterfly_transform`
-for every panel count and thread count (asserted across the whole
-model/form grid in the tests).  Slicing the *output rows* of a single
-``matmul`` would *not* have this property (BLAS may pick a different
-micro-kernel per shape), which is why the cross sweeps cut ``z`` and
-not the mix rows.
+unsliced call, as long as every unit keeps the serial call's kernel
+(see :func:`_stage_units`).  Together with barrier synchronization
+between sweeps and the fixed ping-pong buffer parity of the serial
+kernel, the result is **bit-identical** to
+:func:`~repro.transforms.batched.batched_butterfly_transform` for every
+panel count and thread count (asserted across the whole model/form grid
+in the tests).  Slicing the *mix rows* of a single ``matmul`` would
+*not* have this property (BLAS may pick a different micro-kernel per
+shape), which is why the cross sweeps cut ``z`` and not the mix rows.
 
 NumPy releases the GIL inside the large slice kernels, so the panels
 genuinely overlap on multicore hosts; see ``docs/performance.md`` for
@@ -47,6 +50,7 @@ from repro.bitops.panels import panel_bounds, stage_is_local
 from repro.exceptions import ValidationError
 from repro.transforms.batched import (
     FusedStage,
+    _apply_fused,
     _check_block,
     _check_scale,
     batched_butterfly_transform,
@@ -310,19 +314,27 @@ def _post_unit(out: np.ndarray, post: np.ndarray, p: int, panels: int) -> None:
 def _stage_units(n: int, b: int, stage: FusedStage, panels: int) -> int:
     """Effective work-unit count for one fused sweep.
 
-    A cross-sweep ``z`` chunk must stay **at least two columns wide**:
-    a single-column ``matmul`` operand drops BLAS onto the matrix-vector
-    path, whose summation order differs from the matrix-matrix kernel's
-    and would break bitwise identity with the serial sweep (probed
-    empirically; width >= 2 chunks match the unsliced call exactly).
-    Narrow sweeps (tiny ``span·B``) therefore run with fewer, wider
-    units — still a power of two, still independent of the thread
-    count, so the bits never depend on parallelism parameters.
+    Every unit must run the same BLAS kernel as the unsliced serial
+    sweep, or its summation order (and so its bits) would differ:
+
+    * a cross-sweep ``z`` chunk stays **at least two columns wide** — a
+      single-column ``matmul`` operand drops BLAS onto the
+      matrix-vector path;
+    * a local unit of a ``z == 1`` sweep keeps **at least two groups**,
+      so its rows stay on the one-column GEMM branch of the serial
+      kernel instead of a single padded row.
+
+    Narrow sweeps therefore run with fewer, wider units — still a power
+    of two, still independent of the thread count, so the bits never
+    depend on parallelism parameters.
     """
     r, h = stage.radix, stage.span
     g = n // (r * h)
+    z = h * b
     u = panels
     while u > g and (h // (u // g)) * b < 2:
+        u //= 2
+    while u > 1 and z == 1 and g // u < 2:
         u //= 2
     return u
 
@@ -330,21 +342,21 @@ def _stage_units(n: int, b: int, stage: FusedStage, panels: int) -> int:
 def _stage_unit(
     src: np.ndarray, dst: np.ndarray, stage: FusedStage, p: int, panels: int
 ) -> None:
-    """Work unit ``p`` of a fused sweep: the group-axis slice (local) or
-    the partner-reading whole-row ``z`` chunk (cross)."""
+    """Work unit ``p`` of a fused sweep: the serial sweep on the unit's
+    own rows (local) or the partner-reading whole-row ``z`` chunk
+    (cross)."""
     n, b = src.shape
     r, h = stage.radix, stage.span
-    g = n // (r * h)
-    z = h * b
-    src3 = src.reshape(g, r, z)
-    dst3 = dst.reshape(g, r, z)
     if stage_is_local(h, r, n, panels):  # ⇔ g >= panels
-        # Local sweep: panel p owns groups [p·g/R, (p+1)·g/R).
-        g0, g1 = p * g // panels, (p + 1) * g // panels
-        np.matmul(stage.matrix, src3[g0:g1], out=dst3[g0:g1])
+        # Local sweep: unit p owns a contiguous run of whole groups.
+        r0, r1 = panel_bounds(n, panels, p)
+        _apply_fused(src[r0:r1], dst[r0:r1], stage)
     else:
         # Cross sweep: R/g work units per group, each mixing the full
         # r×r factor over a whole-row z-chunk of N/(r·R) rows.
+        g = n // (r * h)
+        src3 = src.reshape(g, r, h * b)
+        dst3 = dst.reshape(g, r, h * b)
         cpg = panels // g
         q, c = p // cpg, p % cpg
         zc = (h // cpg) * b

@@ -85,6 +85,26 @@ class TestBatchedMatchesScalar:
             )
 
 
+class TestBatchWidthBits:
+    """``Fmmp.matvec`` is bitwise the same column of a per-column
+    ``BatchedFmmp``: batch width changes wall time, never bits."""
+
+    @pytest.mark.parametrize("nu", range(1, 11))
+    @pytest.mark.parametrize("kind", ["uniform", "persite"])
+    @pytest.mark.parametrize("variant", ["eq9", "eq10"])
+    @pytest.mark.parametrize("form", ["right", "symmetric", "left"])
+    def test_matvec_equals_column_of_b16_matmat(self, nu, kind, variant, form):
+        mutation = build_mutation(kind, nu, 0.05, seed=nu)
+        lands = [
+            RandomLandscape(nu, c=4.0, sigma=1.0, seed=nu + j) for j in range(16)
+        ]
+        block = np.random.default_rng(nu).standard_normal((1 << nu, 16))
+        got = BatchedFmmp(mutation, lands, form=form, variant=variant).matmat(block)
+        for j in range(16):
+            scalar = Fmmp(mutation, lands[j], form=form, variant=variant)
+            assert np.array_equal(scalar.matvec(block[:, j]), got[:, j]), f"column {j}"
+
+
 class TestPerColumnMode:
     def setup_method(self):
         self.nu = 5

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
+from repro.mutation import PerSiteMutation, UniformMutation
 from repro.transforms import (
     batched_butterfly_transform,
     butterfly_transform,
@@ -108,6 +109,46 @@ class TestBatchedButterflyCorrectness:
             axis=1,
         )
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+
+
+class TestBatchWidthInvariance:
+    """A column's bits never depend on the width of the block it rides
+    in: column ``j`` transformed alone equals column ``j`` of a 16-column
+    block, bitwise.  This holds down to ``ν = 1``: the one-column span-1
+    sweep runs as a 2-D GEMM, and the single group of a ``ν <= 2``
+    vector is padded onto that GEMM too (see ``_apply_fused``)."""
+
+    @pytest.mark.parametrize("nu", range(1, 11))
+    @pytest.mark.parametrize("kind", ["uniform", "persite"])
+    @pytest.mark.parametrize("variant", ["eq9", "eq10"])
+    @pytest.mark.parametrize("form", ["right", "symmetric", "left"])
+    def test_single_column_equals_column_of_b16_block(self, nu, kind, variant, form):
+        rng = np.random.default_rng(nu)
+        if kind == "uniform":
+            mutation = UniformMutation(nu, float(rng.uniform(1e-3, 0.4)))
+        else:
+            mutation = PerSiteMutation.from_error_rates(rng.uniform(0.0, 0.4, nu))
+        factors = mutation.factors_per_bit()
+        n = 1 << nu
+        block = rng.standard_normal((n, 16))
+        f = rng.uniform(0.5, 2.0, (n, 16))
+        pre, post = {
+            "right": (f, None),
+            "symmetric": (np.sqrt(f), np.sqrt(f)),
+            "left": (None, f),
+        }[form]
+        full = batched_butterfly_transform(
+            block, factors, variant=variant, pre_scale=pre, post_scale=post
+        )
+        for j in range(16):
+            one = batched_butterfly_transform(
+                block[:, j : j + 1],
+                factors,
+                variant=variant,
+                pre_scale=None if pre is None else pre[:, j],
+                post_scale=None if post is None else post[:, j],
+            )
+            assert np.array_equal(one[:, 0], full[:, j]), f"column {j}"
 
 
 class TestBufferContract:

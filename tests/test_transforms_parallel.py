@@ -5,7 +5,7 @@ The load-bearing contract: :func:`parallel_butterfly_transform` is
 count ``R`` and thread count ``T`` — the partitioned schedule reorders
 *which participant* touches which rows, never the arithmetic each row
 sees.  A Hypothesis sweep drives the property over ``ν ∈ [2, 10]``,
-all three eigenproblem forms and ``R ∈ {1, 2, 4}``; deterministic
+all three eigenproblem forms and ``R ∈ {1, 2, 4, 8}``; deterministic
 tests pin down engine error handling and the keyed-LRU scratch pool
 under thread pressure.
 """
@@ -74,7 +74,7 @@ class TestBitIdentity:
         st.floats(1e-4, 0.45),
         st.sampled_from(["uniform", "persite"]),
         st.sampled_from(["right", "symmetric", "left"]),
-        st.sampled_from([1, 2, 4]),
+        st.sampled_from([1, 2, 4, 8]),
         st.integers(0, 1_000),
     )
     def test_kernel_matches_serial_bitwise(self, nu, p, kind, form, panels, seed):
@@ -139,6 +139,37 @@ class TestBitIdentity:
                 engine=get_engine(threads),
             )
             assert np.array_equal(got, engine.reshape(-1))
+
+    @pytest.mark.parametrize("nu", [3, 4, 5])
+    @pytest.mark.parametrize("panels", [2, 4, 8])
+    @pytest.mark.parametrize("variant", ["eq9", "eq10"])
+    @pytest.mark.parametrize("form", [None, "right", "symmetric", "left"])
+    def test_one_column_local_sweeps_match_serial_bitwise(
+        self, nu, panels, variant, form
+    ):
+        """B = 1 at small ν: the span-1 sweep's local units are runs of
+        only a few GEMM rows, so each must keep at least two groups to
+        stay on the serial kernel's GEMM branch."""
+        factors = PerSiteMutation.from_error_rates(
+            np.random.default_rng(nu).uniform(0.0, 0.4, nu)
+        ).factors_per_bit()
+        rng = np.random.default_rng(panels)
+        block = rng.standard_normal((1 << nu, 1))
+        pre, post = (None, None) if form is None else form_scales(form, 1 << nu, rng)
+        want = batched_butterfly_transform(
+            block, factors, variant=variant, pre_scale=pre, post_scale=post
+        )
+        for threads in (1, 2):
+            got = parallel_butterfly_transform(
+                block,
+                factors,
+                variant=variant,
+                pre_scale=pre,
+                post_scale=post,
+                panels=panels,
+                engine=get_engine(threads),
+            )
+            assert np.array_equal(want, got), f"T={threads}"
 
     def test_eq10_variant_matches_serial_bitwise(self):
         nu = 7
