@@ -3,10 +3,13 @@
 Measures ``B`` single-vector ``Fmmp.matvec`` products (the fused kernel
 on an ``(N, 1)`` block) against one stage-fused multi-vector
 ``BatchedFmmp.matmat`` at ν = 18 for block widths B ∈ {4, 16, 64},
-records effective bandwidths and per-vector speedups (next to the
-bytes model's predictions against Algorithm 1) into ``BENCH_fmmp.json``
-at the repository root, and **fails** if the B = 16 per-vector
-throughput does not clear the 1.5× acceptance bar over fused B = 1.
+records per-vector speedups, the bytes each product moves
+(:func:`repro.operators.batched.plan_costs` of the operator's plan) and
+effective bandwidths into ``BENCH_fmmp.json`` at the repository root,
+and **fails** if the B = 16 per-vector throughput does not clear the
+1.5× acceptance bar over fused B = 1.  Pin BLAS to one thread
+(``OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1``) when recording: an
+unpinned single-vector time varies about 3× run to run.
 
 Run it as part of the perf gate tier::
 
@@ -22,13 +25,8 @@ import os
 import pytest
 
 from conftest import report
-from repro.perf import (
-    batched_fmmp_costs,
-    fmmp_costs,
-    measure_batched_matmat,
-    modeled_crossover_batch,
-    modeled_speedup,
-)
+from repro.perf import fmmp_costs, measure_batched_matmat
+from repro.util.blas import blas_thread_info
 
 NU = 18
 BATCHES = (4, 16, 64)
@@ -50,33 +48,32 @@ def test_batched_crossover_and_record(measurements):
     lines = [
         f"Batched Fmmp crossover, nu={NU} (N={1 << NU})",
         f"{'B':>4} {'single ms':>10} {'batched ms':>11} {'single GB/s':>12} "
-        f"{'batched GB/s':>13} {'speedup/vec':>12} {'modeled':>8}",
+        f"{'batched GB/s':>13} {'speedup/vec':>12}",
     ]
     for b in BATCHES:
         m = measurements[b]
-        model = modeled_speedup(NU, b)
-        points.append({**m.to_dict(), "modeled_speedup": model})
+        points.append(m.to_dict())
         lines.append(
             f"{b:>4} {m.single_s * 1e3:>10.3f} {m.batched_s * 1e3:>11.3f} "
             f"{m.single_gbs:>12.2f} {m.batched_gbs:>13.2f} "
-            f"{m.per_vector_speedup:>12.2f} {model:>8.2f}"
+            f"{m.per_vector_speedup:>12.2f}"
         )
-    crossover = modeled_crossover_batch(NU, target_speedup=ACCEPT_SPEEDUP)
     payload = {
         "kind": "repro.BENCH_fmmp.v1",
         "nu": NU,
         "n": 1 << NU,
         "accept": {"batch": ACCEPT_BATCH, "per_vector_speedup": ACCEPT_SPEEDUP},
-        "scalar_model_bytes": fmmp_costs(NU).bytes_moved,
-        "single_model_bytes": batched_fmmp_costs(NU, 1).bytes_moved,
-        "fused_model_bytes_b16": batched_fmmp_costs(NU, 16).bytes_moved,
-        "modeled_crossover_batch": crossover,
+        "host": {"cpu_count": os.cpu_count(), "blas": blas_thread_info()},
+        "paper_plan_bytes": fmmp_costs(NU).bytes_moved,
+        "plan_bytes": {
+            "1": measurements[BATCHES[0]].single_bytes,
+            **{str(b): measurements[b].batched_bytes for b in BATCHES},
+        },
         "points": points,
     }
     with open(OUT_PATH, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    lines.append(f"modeled crossover batch (>= {ACCEPT_SPEEDUP}x): {crossover}")
     lines.append(f"recorded: {os.path.abspath(OUT_PATH)}")
     report("bench_batched", "\n".join(lines))
 

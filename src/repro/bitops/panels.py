@@ -1,6 +1,6 @@
 """Panel/stage-split index math shared by every partitioned butterfly.
 
-One layout, three consumers: the global vector of length ``N = 2^ν`` is
+One layout, two consumers: the global vector of length ``N = 2^ν`` is
 split into ``R = 2^r`` contiguous blocks whose *high* ``r`` index bits
 select the block.  Under it, butterfly stages whose footprint fits one
 block are embarrassingly parallel and the top stages pair data across
@@ -9,8 +9,7 @@ blocks:
 * :class:`repro.distributed.partition.PartitionedVector` uses it for
   simulated ranks (cross stages = hypercube exchanges);
 * :mod:`repro.transforms.parallel` uses it for shared-memory worker
-  panels (cross stages = partner-panel reads);
-* the perf models count local vs cross stages with the same arithmetic.
+  panels (cross stages = partner-panel reads).
 
 Kept in :mod:`repro.bitops` because it is pure index math with no
 dependencies — both the distributed and the transforms layer import it

@@ -3,8 +3,9 @@
 Stage structure (block size ``B = N/R``, ranks indexed by the high bits):
 
 * **local stages** — span ``h < B``: both members of every butterfly
-  pair live in the same block; every rank runs them as one fused plan
-  (:func:`repro.transforms.batched.batched_butterfly_transform`) on its
+  pair live in the same block; every rank runs them as one fused plan,
+  built once per operator
+  (:func:`repro.transforms.batched.batched_butterfly_transform`), on its
   own data, no communication;
 * **cross stages** — span ``h = B·2^d`` for hypercube dimension
   ``d = 0 … r−1``: the pair partner of every element sits in the block
@@ -18,9 +19,10 @@ Stage structure (block size ``B = N/R``, ranks indexed by the high bits):
   exactly the distributed-FFT pattern.
 
 Communication per matvec: ``r = log₂R`` exchanges of ``8·B`` bytes.
-Compute per rank: the full ν stages over ``B`` elements.  The numerics
-are executed for real and must match the serial butterfly to rounding,
-which the tests assert.
+Compute per rank: the full ν stages over ``B`` elements, costed by
+:func:`repro.operators.batched.plan_costs` as the paper's radix-2 plan.
+The numerics are executed for real and must match the serial butterfly
+to rounding, which the tests assert.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import numpy as np
 from repro.distributed.cluster import ClusterProfile
 from repro.distributed.partition import PartitionedVector, split_stages
 from repro.exceptions import ValidationError
-from repro.transforms.batched import batched_butterfly_transform
+from repro.operators.batched import plan_costs
+from repro.transforms.batched import batched_butterfly_transform, fused_stage_plan
 
 __all__ = ["DistributedFmmp"]
 
@@ -67,6 +70,7 @@ class DistributedFmmp:
         # top log2(R) pair across ranks (same helper the shared-memory
         # panel engine classifies its sweeps with).
         self.local_stages, self.cross_stages = split_stages(self.nu, cluster.ranks)
+        self._local_plan = fused_stage_plan(self.factors[: self.local_stages])
 
     # ------------------------------------------------------------- numerics
     def apply(self, v: PartitionedVector) -> PartitionedVector:
@@ -74,9 +78,10 @@ class DistributedFmmp:
         if v.ranks != self.cluster.ranks or v.n != self.n:
             raise ValidationError("partitioned vector does not match this operator")
         # Local stages: span 1 .. B/2 inside every block.
-        local = self.factors[: self.local_stages]
         for k, block in enumerate(v.blocks):
-            v.blocks[k] = batched_butterfly_transform(block.reshape(-1, 1), local).reshape(-1)
+            v.blocks[k] = batched_butterfly_transform(
+                block.reshape(-1, 1), self._local_plan
+            ).reshape(-1)
         # Cross stages: hypercube dimension d pairs rank k with k ^ 2^d.
         for d in range(self.cross_stages):
             m = self.factors[self.local_stages + d]
@@ -95,14 +100,13 @@ class DistributedFmmp:
 
     # ------------------------------------------------------------- modeling
     def compute_time_per_matvec(self) -> float:
-        """Per-rank roofline time: ν stages over B elements (every stage
-        — local or cross — touches each local element once)."""
-        b = float(self.block_size)
-        bytes_moved = 32.0 * (b / 2.0) * self.local_stages + 32.0 * b * self.cross_stages / 2.0
-        flops = 6.0 * (b / 2.0) * self.local_stages + 6.0 * b * self.cross_stages / 2.0
-        # Each stage also costs a launch on the node profile.
-        t = self.cluster.node.kernel_time(bytes_moved, flops)
-        t += (self.local_stages + self.cross_stages - 1) * self.cluster.node.launch_overhead_s
+        """Per-rank roofline time of the paper's radix-2 plan: each of
+        the ν stages — local or cross — sweeps the rank's ``B`` elements
+        once, and each costs a launch on the node profile."""
+        plan = fused_stage_plan(self.factors, radix4=False)
+        costs = plan_costs(plan, self.block_size)
+        t = self.cluster.node.kernel_time(costs.bytes_moved, costs.flops)
+        t += (len(plan) - 1) * self.cluster.node.launch_overhead_s
         return t
 
     def comm_time_per_matvec(self) -> float:

@@ -25,10 +25,21 @@ Two modes:
 Grouped mutation models have no 2×2 butterfly; they fall back to a
 per-column Kronecker contraction (still one operator instance, same
 interface).
+
+The module also holds what every butterfly operator shares: the plan
+runner :func:`fused_product` and the one cost function
+:func:`plan_costs`, which counts bytes and flops from the same
+:class:`~repro.transforms.batched.FusedStage` list the kernel runs.
+``Fmmp``, ``BatchedFmmp`` and ``TransposedFmmp`` build that list once,
+at construction, and cost it with :func:`plan_costs`; the paper's
+stage-by-stage model (:func:`repro.perf.costs.fmmp_costs`) and the
+distributed model (:class:`repro.distributed.fmmp.DistributedFmmp`)
+cost the radix-2 plan.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -40,15 +51,16 @@ from repro.mutation.grouped import GroupedMutation
 from repro.mutation.persite import PerSiteMutation
 from repro.mutation.uniform import UniformMutation
 from repro.operators.base import FORMS, ImplicitOperator, OperatorCosts
-from repro.transforms.batched import batched_butterfly_transform
+from repro.transforms.batched import FusedStage, batched_butterfly_transform, fused_stage_plan
 from repro.transforms.kronecker import kron_matvec
 from repro.transforms.parallel import (
+    auto_panels,
     get_engine,
     parallel_butterfly_transform,
     resolve_threads,
 )
 
-__all__ = ["BatchedFmmp"]
+__all__ = ["BatchedFmmp", "plan_costs", "kron_costs"]
 
 _VARIANTS = ("eq9", "eq10")
 
@@ -64,45 +76,99 @@ def form_scales(form: str, f, sqrt_f):
 
 def panel_engine(nu: int, batch: int, threads: int):
     """``(panels, engine)`` for :func:`fused_product`: ``(1, None)`` at
-    ``threads == 1``, else the roofline
-    :func:`~repro.perf.parallel.auto_panels` pick and the shared
-    :class:`~repro.transforms.parallel.PanelEngine`."""
+    ``threads == 1``, else the :func:`~repro.transforms.parallel.auto_panels`
+    pick and the shared :class:`~repro.transforms.parallel.PanelEngine`."""
     if threads == 1:
         return 1, None
-    # Lazy: repro.perf imports this package, and serial runs never need it.
-    from repro.perf.parallel import auto_panels
-
     return auto_panels(nu, batch, threads=threads), get_engine(threads)
 
 
-def fused_product(
-    block, factors, variant, pre, post, *, panels=1, engine=None, out=None, scratch=None
-):
+def fused_product(block, plan, pre, post, *, panels=1, engine=None, out=None, scratch=None):
     """The one butterfly call behind :meth:`BatchedFmmp.matmat` and
-    :meth:`~repro.operators.fmmp.Fmmp.matvec`: the fused plan of
-    :func:`~repro.transforms.batched.batched_butterfly_transform`, run
+    :meth:`~repro.operators.fmmp.Fmmp.matvec`: the operator's fused plan
+    run by :func:`~repro.transforms.batched.batched_butterfly_transform`,
     serially or — given an engine — split into row panels with the same
     bits."""
     if engine is None:
         return batched_butterfly_transform(
-            block,
-            factors,
-            variant=variant,
-            pre_scale=pre,
-            post_scale=post,
-            out=out,
-            scratch=scratch,
+            block, plan, pre_scale=pre, post_scale=post, out=out, scratch=scratch
         )
     return parallel_butterfly_transform(
         block,
-        factors,
-        variant=variant,
+        plan,
         pre_scale=pre,
         post_scale=post,
         panels=panels,
         engine=engine,
         out=out,
         scratch=scratch,
+    )
+
+
+def plan_costs(
+    plan: Sequence[FusedStage],
+    n: int,
+    batch: int = 1,
+    pre: tuple[int, ...] | None = None,
+    post: tuple[int, ...] | None = None,
+) -> OperatorCosts:
+    """Bytes and flops of one fused product, counted from its plan.
+
+    The kernel is bandwidth-bound (the paper's Sec. 4 premise), so these
+    counts are its performance model.  Every sweep of ``plan`` reads and
+    writes the ``(n, batch)`` block once (``16·n·batch`` bytes) and
+    spends ``2r − 1`` flops per element (``r`` multiplies and ``r − 1``
+    adds, ``r`` the stage's radix).  ``pre`` and ``post`` are the shapes
+    of the diagonal scales (``None`` when absent): ``(n,)`` shared by all
+    columns or ``(n, batch)`` per column.  Each scale pass reads the
+    block and the scale and writes the block, one flop per element.
+    ``storage_bytes`` is the larger scale.
+    """
+    if batch < 1:
+        raise ValidationError(f"batch must be >= 1, got {batch}")
+    nb = float(n) * batch
+    bytes_moved = flops = 0.0
+    for stage in plan:
+        bytes_moved += 16.0 * nb
+        flops += (2.0 * stage.radix - 1.0) * nb
+    sizes = []
+    for name, shape in (("pre", pre), ("post", post)):
+        if shape is None:
+            continue
+        if tuple(shape) not in ((n,), (n, batch)):
+            raise ValidationError(
+                f"{name} scale must have shape ({n},) or ({n}, {batch}), got {shape}"
+            )
+        sizes.append(math.prod(shape))
+        bytes_moved += 8.0 * (2.0 * nb + sizes[-1])
+        flops += nb
+    return OperatorCosts(
+        flops=flops,
+        bytes_moved=bytes_moved,
+        storage_bytes=8.0 * max(sizes, default=0),
+        batch=batch,
+    )
+
+
+def kron_costs(
+    mutation: GroupedMutation, form: str, batch: int, f_size: int
+) -> OperatorCosts:
+    """Costs of ``batch`` Kronecker-contraction products (grouped models).
+
+    Per column: ``N·2^{g_i}`` multiply-adds and one read and one write of
+    the vector per group, plus the form's diagonal passes (read vector
+    and diagonal, write vector).  ``f_size`` is the number of stored
+    fitness values.
+    """
+    n = float(mutation.n)
+    groups = mutation.group_sizes
+    contraction = sum(2.0 * n * (1 << g) for g in groups)
+    scale_passes = 2.0 if form == "symmetric" else 1.0
+    return OperatorCosts(
+        flops=batch * (contraction + scale_passes * n),
+        bytes_moved=batch * 8.0 * (2.0 * n * len(groups) + 3.0 * scale_passes * n),
+        storage_bytes=8.0 * f_size,
+        batch=batch,
     )
 
 
@@ -119,11 +185,12 @@ class BatchedFmmp(ImplicitOperator):
     form:
         ``right``/``symmetric``/``left`` (Eqs. 3–5), applied per column.
     variant:
-        Stage traversal order, ``"eq9"`` or ``"eq10"``.
+        Stage traversal order, ``"eq9"`` or ``"eq10"``; the fused plan
+        is built in that order once, here.
     threads:
         Panel-engine thread count (``None`` reads ``REPRO_NUM_THREADS``,
         default 1).  With ``threads > 1`` :meth:`matmat` splits the same
-        fused plan into :func:`repro.perf.parallel.auto_panels` row
+        fused plan into :func:`repro.transforms.parallel.auto_panels` row
         panels on the panel engine; the output is bit-identical to the
         serial kernel, so ``threads`` changes only wall time.  Grouped
         models keep their serial per-column fallback.
@@ -185,16 +252,12 @@ class BatchedFmmp(ImplicitOperator):
 
         self.threads = resolve_threads(threads)
         self.panels, self._engine = 1, None
+        self._plan = self._blocks = None
         if isinstance(mutation, (UniformMutation, PerSiteMutation)):
-            self._bit_factors = mutation.factors_per_bit()
-            self._blocks = None
+            self._plan = fused_stage_plan(mutation.factors_per_bit(), variant=variant)
             self.panels, self._engine = panel_engine(mutation.nu, self.batch, self.threads)
         elif isinstance(mutation, GroupedMutation):
-            self._bit_factors = None
             self._blocks = mutation.blocks()
-        else:  # pragma: no cover - future models fall back to .apply
-            self._bit_factors = None
-            self._blocks = None
 
     # --------------------------------------------------------------- state
     @property
@@ -269,11 +332,10 @@ class BatchedFmmp(ImplicitOperator):
         if b == 0:
             return np.empty((self.n, 0), dtype=np.float64)
         pre, post = self._scales(columns)
-        if self._bit_factors is not None:
+        if self._plan is not None:
             return fused_product(
                 arr,
-                self._bit_factors,
-                self.variant,
+                self._plan,
                 pre,
                 post,
                 panels=self.panels,
@@ -308,21 +370,13 @@ class BatchedFmmp(ImplicitOperator):
 
     # --------------------------------------------------------------- costs
     def costs(self, *, batch: int | None = None) -> OperatorCosts:
-        """Fused-kernel costs for a ``(N, batch)`` product (defaults to
-        this operator's own column count)."""
+        """Costs of one ``(N, batch)`` product (defaults to this
+        operator's own column count): :func:`plan_costs` of its fused
+        plan, or :func:`kron_costs` for grouped models."""
         b = self.batch if batch is None else batch
         if b < 1:
             raise ValidationError(f"batch must be >= 1, got {b}")
-        if self._blocks is not None:
-            n = float(self.n)
-            contraction = sum(2.0 * n * (1 << g) for g in self.mutation.group_sizes)
-            scale_passes = 2.0 if self.form == "symmetric" else 1.0
-            return OperatorCosts(
-                flops=b * (contraction + scale_passes * n),
-                bytes_moved=b * 8.0 * (2.0 * n * len(self._blocks) + 3.0 * scale_passes * n),
-                storage_bytes=8.0 * n * len(self.landscapes),
-                batch=b,
-            )
-        from repro.perf.batched import batched_fmmp_costs
-
-        return batched_fmmp_costs(self.mutation.nu, b, form=self.form)
+        if self._plan is None:
+            return kron_costs(self.mutation, self.form, b, self._f.size)
+        shape = (self.n, b) if self.per_column else (self.n,)
+        return plan_costs(self._plan, self.n, b, *form_scales(self.form, shape, shape))

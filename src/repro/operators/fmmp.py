@@ -29,7 +29,14 @@ from repro.mutation.grouped import GroupedMutation
 from repro.mutation.persite import PerSiteMutation
 from repro.mutation.uniform import UniformMutation
 from repro.operators.base import FormMixin, ImplicitOperator, OperatorCosts
-from repro.operators.batched import form_scales, fused_product, panel_engine
+from repro.operators.batched import (
+    form_scales,
+    fused_product,
+    kron_costs,
+    panel_engine,
+    plan_costs,
+)
+from repro.transforms.batched import fused_stage_plan
 from repro.transforms.kronecker import kron_matvec
 from repro.transforms.parallel import resolve_threads
 from repro.util.scratch import ScratchPool
@@ -44,7 +51,7 @@ class Fmmp(ImplicitOperator, FormMixin):
 
     For 2×2-factored models (uniform, per-site) :meth:`matvec` is the
     one-column case of :meth:`repro.operators.batched.BatchedFmmp.matmat`:
-    the fused stage plan of
+    the fused stage plan, built once at construction, run by
     :func:`repro.transforms.batched.batched_butterfly_transform` on an
     ``(N, 1)`` view, with the ``F``/``F^{1/2}`` scalings folded in as
     pre/post scales.  Grouped models run the Kronecker contraction.
@@ -64,7 +71,7 @@ class Fmmp(ImplicitOperator, FormMixin):
     threads:
         Panel-engine thread count (``None`` reads ``REPRO_NUM_THREADS``,
         default 1).  With ``threads > 1`` the same fused plan is split
-        into :func:`repro.perf.parallel.auto_panels` row panels on the
+        into :func:`repro.transforms.parallel.auto_panels` row panels on the
         panel engine (:mod:`repro.transforms.parallel`); the output is
         bit-identical to ``threads=1``, so ``threads`` changes only wall
         time.  Grouped models have no butterfly to parallelize and stay
@@ -102,25 +109,21 @@ class Fmmp(ImplicitOperator, FormMixin):
         self.threads = resolve_threads(threads)
         self.panels, self._engine = 1, None
 
+        self._plan = self._blocks = None
         if isinstance(mutation, (UniformMutation, PerSiteMutation)):
-            self._bit_factors = mutation.factors_per_bit()
-            self._blocks = None
+            self._plan = fused_stage_plan(mutation.factors_per_bit(), variant=variant)
             self.panels, self._engine = panel_engine(mutation.nu, 1, self.threads)
             # The fused kernel's (N, 1) scratch block, acquired per call
             # from a bounded keyed pool so concurrent workers can share
             # one operator instance.
             self._scratch_pool = ScratchPool()
         elif isinstance(mutation, GroupedMutation):
-            self._bit_factors = None
             self._blocks = mutation.blocks()
-        else:  # pragma: no cover - future models fall back to .apply
-            self._bit_factors = None
-            self._blocks = None
 
     # ------------------------------------------------------------- product
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = self.check(v)
-        if self._bit_factors is None:
+        if self._plan is None:
             if self._blocks is not None:
                 return self._apply_form(v, lambda w: kron_matvec(self._blocks, w))
             return self._apply_form(v, self.mutation.apply)
@@ -130,8 +133,7 @@ class Fmmp(ImplicitOperator, FormMixin):
         try:
             out = fused_product(
                 v.reshape(shape),
-                self._bit_factors,
-                self.variant,
+                self._plan,
                 pre,
                 post,
                 panels=self.panels,
@@ -147,36 +149,14 @@ class Fmmp(ImplicitOperator, FormMixin):
         return self.form == "symmetric" and self.mutation.is_symmetric
 
     def costs(self, *, batch: int = 1) -> OperatorCosts:
-        """Per stage: N/2 butterflies × (4 mem ops + 6 flops), ν stages,
-        plus the diagonal scaling — the paper's ``Θ(N log₂ N)``.
-
-        With ``batch > 1`` the costs describe the stage-fused batched
-        kernel (:mod:`repro.transforms.batched`) applied to a
-        ``(N, batch)`` block: ``⌈ν/2⌉`` radix-4 sweeps with the diagonal
-        scalings folded into the ping-pong schedule, modeled by
-        :func:`repro.perf.batched.batched_fmmp_costs`.
-        """
+        """Costs of one product on ``batch`` columns: :func:`plan_costs`
+        of the fused plan :meth:`matvec` runs (``⌈ν/2⌉`` radix-4 sweeps
+        plus the form's diagonal passes), or :func:`kron_costs` for
+        grouped models.  The paper's stage-by-stage count is
+        :func:`repro.perf.costs.fmmp_costs`."""
         if batch < 1:
             raise ValidationError(f"batch must be >= 1, got {batch}")
-        n = float(self.n)
-        nu = float(self.mutation.nu)
-        scale_passes = 2.0 if self.form == "symmetric" else 1.0
-        if batch > 1 and self._blocks is None:
-            # Lazy import: repro.perf pulls in modules that import the
-            # operators package.
-            from repro.perf.batched import batched_fmmp_costs
-
-            return batched_fmmp_costs(self.mutation.nu, batch, form=self.form)
-        if self._blocks is not None:
-            # Σ per-group contraction cost: N * 2^{g_i} mults/adds each.
-            contraction = sum(2.0 * n * (1 << b) for b in self.mutation.group_sizes)
-            flops = contraction + scale_passes * n
-            bytes_moved = 8.0 * (2.0 * n * len(self._blocks) + 3.0 * scale_passes * n)
-            flops *= batch
-            bytes_moved *= batch
-        else:
-            flops = 6.0 * (n / 2.0) * nu + scale_passes * n
-            bytes_moved = 8.0 * (4.0 * (n / 2.0) * nu + 3.0 * scale_passes * n)
-        return OperatorCosts(
-            flops=flops, bytes_moved=bytes_moved, storage_bytes=8.0 * n, batch=batch
-        )
+        if self._plan is None:
+            return kron_costs(self.mutation, self.form, batch, self._f.size)
+        shape = (self.n,)
+        return plan_costs(self._plan, self.n, batch, *form_scales(self.form, shape, shape))

@@ -2,14 +2,21 @@
 
 Reproduces the paper's Sec. 4 methodology:
 
-* :mod:`~repro.perf.costs` — closed-form per-matvec operation counts for
+* :mod:`~repro.perf.costs` — per-matvec operation counts for
   ``Smvp``/``Xmvp(dmax)``/``Fmmp`` (the complexity expressions of
-  Secs. 1.2 and 2.1, made concrete);
+  Secs. 1.2 and 2.1, made concrete).  Every Fmmp byte and flop count —
+  the paper's radix-2 model here, the operators' own fused plans, the
+  distributed model — comes from one function,
+  :func:`~repro.operators.batched.plan_costs`, applied to the
+  :class:`~repro.transforms.batched.FusedStage` plan being costed
+  (re-exported here);
 * :mod:`~repro.perf.model` — roofline time predictions on a
   :class:`~repro.device.profile.HardwareProfile`, including the full
   power-iteration pipeline with transfers (Fig. 3's quantity);
 * :mod:`~repro.perf.measure` — wall-clock measurement of the real NumPy
-  operators (Fig. 2's quantity);
+  operators (Fig. 2's quantity); :mod:`~repro.perf.batched` and
+  :mod:`~repro.perf.parallel` measure batch-width and thread scaling of
+  the fused kernel (measured only — no model stands in for them);
 * :mod:`~repro.perf.extrapolate` — complexity-law fits used exactly the
   way the paper extrapolated ``Pi(Xmvp(ν))`` beyond ν = 22;
 * :mod:`~repro.perf.speedup` — assembling Fig. 4's speedup series.
@@ -22,22 +29,13 @@ from repro.perf.costs import (
     xmvp_mask_count,
     operator_costs,
 )
+from repro.operators.batched import plan_costs
 from repro.perf.batched import (
-    batched_fmmp_costs,
-    modeled_speedup,
-    modeled_crossover_batch,
     BatchedMeasurement,
     measure_batched_matmat,
     measured_crossover,
 )
 from repro.perf.parallel import (
-    HostModel,
-    DEFAULT_HOST,
-    ParallelCosts,
-    parallel_fmmp_costs,
-    modeled_thread_speedup,
-    modeled_thread_crossover,
-    auto_panels,
     ParallelMeasurement,
     measure_parallel_matmat,
     measured_thread_scaling,
@@ -54,19 +52,10 @@ from repro.perf.speedup import speedup_series, SpeedupTable
 
 __all__ = [
     "fmmp_costs",
-    "batched_fmmp_costs",
-    "modeled_speedup",
-    "modeled_crossover_batch",
+    "plan_costs",
     "BatchedMeasurement",
     "measure_batched_matmat",
     "measured_crossover",
-    "HostModel",
-    "DEFAULT_HOST",
-    "ParallelCosts",
-    "parallel_fmmp_costs",
-    "modeled_thread_speedup",
-    "modeled_thread_crossover",
-    "auto_panels",
     "ParallelMeasurement",
     "measure_parallel_matmat",
     "measured_thread_scaling",

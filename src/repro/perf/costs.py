@@ -15,14 +15,23 @@ operator    flops                                      complexity class
 ``Xmvp``    ``2N·Σ_{k≤dmax}C(ν,k) + 2N``               ``Θ(N·Σ C(ν,k))``
 ``Fmmp``    ``3N·ν + N``                               ``Θ(N log₂ N)``
 ========== ========================================== =====================
+
+The ``Fmmp`` row is not a formula of its own: it is
+:func:`repro.operators.batched.plan_costs` of the paper's radix-2 plan
+(ν stages of Algorithm 1, no radix-4 fusion), the same cost function the
+operators apply to the fused plans they run.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.exceptions import ValidationError
 from repro.operators.base import OperatorCosts
+from repro.operators.batched import plan_costs
+from repro.transforms.batched import fused_stage_plan
 
 __all__ = ["fmmp_costs", "xmvp_costs", "smvp_costs", "xmvp_mask_count", "operator_costs"]
 
@@ -41,15 +50,20 @@ def xmvp_mask_count(nu: int, dmax: int) -> int:
     return sum(math.comb(nu, k) for k in range(dmax + 1))
 
 
-def fmmp_costs(nu: int, *, scale_passes: float = 1.0) -> OperatorCosts:
-    """Fmmp per-matvec costs: ν butterfly stages of N/2 items each."""
+def fmmp_costs(nu: int, *, scale_passes: int = 1) -> OperatorCosts:
+    """Fmmp per-matvec costs of the paper's stage-by-stage butterfly.
+
+    :func:`~repro.operators.batched.plan_costs` of the radix-2 plan: ν
+    sweeps of the N-vector plus ``scale_passes`` (1 or 2) diagonal
+    passes.  Costs depend only on the plan's shape, so identity factors
+    stand in for the mutation factors.
+    """
     nu = _check(nu)
-    n = float(1 << nu)
-    return OperatorCosts(
-        flops=6.0 * (n / 2.0) * nu + scale_passes * n,
-        bytes_moved=8.0 * (4.0 * (n / 2.0) * nu + 3.0 * scale_passes * n),
-        storage_bytes=8.0 * n,
-    )
+    if scale_passes not in (1, 2):
+        raise ValidationError(f"scale_passes must be 1 or 2, got {scale_passes!r}")
+    n = 1 << nu
+    plan = fused_stage_plan([np.eye(2)] * nu, radix4=False)
+    return plan_costs(plan, n, 1, (n,), (n,) if scale_passes == 2 else None)
 
 
 def xmvp_costs(nu: int, dmax: int, *, scale_passes: float = 1.0) -> OperatorCosts:

@@ -1,31 +1,13 @@
-"""Threaded roofline model + scaling measurement for the panel engine.
+"""Measured thread scaling for the panel engine.
 
 The panel-parallel kernel (:mod:`repro.transforms.parallel`) runs the
-same fused sweep schedule as the serial batched kernel, so its *byte
-count* is unchanged — what threading buys is **aggregate bandwidth**,
-and what it costs is **per-sweep synchronization** plus load imbalance
-when the panel count doesn't divide evenly across participants.  The
-model here is the serial bytes model of
-:func:`repro.perf.batched.batched_fmmp_costs` plus three host knobs:
-
-* ``single_core_gbs`` — one streaming core's effective bandwidth;
-* ``contention`` — memory-bus saturation: ``T`` streaming threads
-  sustain ``T / (1 + contention·(T−1))`` times one core's bandwidth
-  (``contention=0`` is perfect scaling, ``1`` is a fully serialized
-  bus);
-* ``barrier_s`` — one barrier rendezvous, paid once per sweep.
-
-With those, the modeled wall-clock of a ``(ν, B, R, T)`` transform is
-
-    t(R, T) = bytes · ⌈R/T⌉/R / (BW₁ · sat(T)/T) + sweeps · barrier_s
-
-— ``⌈R/T⌉/R`` is the critical-path share of the busiest participant and
-``BW₁·sat(T)/T`` the per-thread slice of the saturated aggregate
-bandwidth (so at ``R = T`` the speedup tends to ``sat(T)``).  :func:`modeled_thread_speedup` is ``t(serial)/t(R,T)``;
-:func:`auto_panels` picks the ``R`` that maximizes it (falling back to
-``R = 1``, i.e. the serial kernel, whenever threading cannot win — tiny
-ν is all barrier, no bandwidth).  The measured counterparts back the
-model with wall-clock numbers for ``benchmarks/bench_parallel.py``.
+same fused plan as the serial kernel, so it moves the same bytes
+(:func:`repro.operators.batched.plan_costs` of that plan); threading can
+only buy aggregate bandwidth, and it pays one barrier per sweep.  Which
+wins on a host is measured here, not modeled:
+:func:`measure_parallel_matmat` times the serial kernel against the
+panel engine on one block, and ``benchmarks/bench_parallel.py`` records
+the series into ``BENCH_parallel.json``.
 """
 
 from __future__ import annotations
@@ -34,20 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.exceptions import ValidationError
-from repro.perf.batched import batched_fmmp_costs, _form_passes
-from repro.transforms.batched import fused_stage_count
-from repro.transforms.parallel import max_panels, resolve_panels, resolve_threads
+from repro.mutation.uniform import UniformMutation
+from repro.operators.batched import plan_costs
+from repro.transforms.batched import batched_butterfly_transform, fused_stage_plan
+from repro.transforms.parallel import (
+    auto_panels,
+    get_engine,
+    parallel_butterfly_transform,
+    resolve_panels,
+    resolve_threads,
+)
+from repro.util.blas import blas_limit
 from repro.util.timing import TimingResult, median_time
 
 __all__ = [
-    "HostModel",
-    "DEFAULT_HOST",
-    "ParallelCosts",
-    "parallel_fmmp_costs",
-    "modeled_thread_speedup",
-    "modeled_thread_crossover",
-    "auto_panels",
     "ParallelMeasurement",
     "measure_parallel_matmat",
     "measured_thread_scaling",
@@ -55,187 +37,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HostModel:
-    """The three knobs of the threaded roofline (see module docstring)."""
-
-    single_core_gbs: float = 12.0
-    contention: float = 0.15
-    barrier_s: float = 5e-6
-
-    def saturation(self, threads: int) -> float:
-        """Aggregate-bandwidth multiplier of ``threads`` streaming cores."""
-        if threads < 1:
-            raise ValidationError(f"threads must be >= 1, got {threads}")
-        return threads / (1.0 + self.contention * (threads - 1))
-
-
-DEFAULT_HOST = HostModel()
-
-
-@dataclass(frozen=True)
-class ParallelCosts:
-    """Modeled execution of one panel-parallel ``(N, B)`` product.
-
-    Attributes
-    ----------
-    nu, batch, threads, panels:
-        The configuration (``panels`` resolved, power of two).
-    bytes_moved:
-        Total block traffic — identical to the serial fused kernel's
-        (the partition moves no extra bytes).
-    bytes_critical:
-        The busiest participant's share (load imbalance included).
-    sweeps:
-        Barrier-synchronized steps (fused sweeps + folded scale passes).
-    modeled_time_s:
-        Modeled wall-clock under the :class:`HostModel`.
-    """
-
-    nu: int
-    batch: int
-    threads: int
-    panels: int
-    bytes_moved: float
-    bytes_critical: float
-    sweeps: int
-    modeled_time_s: float
-
-
-def _steps(nu: int, form: str, radix4: bool) -> int:
-    """Barrier-separated steps: fused sweeps plus the pre-scale sweep
-    (the post-scale epilogue rides the final barrier)."""
-    pre, post = _form_passes(form)
-    return fused_stage_count(nu, radix4=radix4) + (1 if pre else 0) + (1 if post else 0)
-
-
-def parallel_fmmp_costs(
-    nu: int,
-    batch: int,
-    *,
-    threads: int = 1,
-    panels: int | None = None,
-    form: str = "right",
-    radix4: bool = True,
-    host: HostModel = DEFAULT_HOST,
-) -> ParallelCosts:
-    """Threaded roofline for one panel-parallel Fmmp product."""
-    threads = resolve_threads(threads)
-    serial = batched_fmmp_costs(nu, batch, form=form, radix4=radix4)
-    r = resolve_panels(panels, nu, threads=threads, radix4=radix4)
-    t_eff = min(threads, r)  # more threads than panels just idle
-    units_critical = -(-r // t_eff)  # ceil(R/T): busiest participant
-    bytes_critical = serial.bytes_moved * units_critical / r
-    sweeps = _steps(nu, form, radix4)
-    # Each of the T streaming participants sustains its 1/T share of the
-    # saturated aggregate bandwidth BW₁·sat(T); the busiest one carries
-    # ``bytes_critical`` of traffic at that per-thread rate.
-    bw_per_thread = host.single_core_gbs * 1e9 * host.saturation(t_eff) / t_eff
-    time_s = bytes_critical / bw_per_thread
-    if threads > 1 and r > 1:
-        time_s += sweeps * host.barrier_s
-    return ParallelCosts(
-        nu=nu,
-        batch=batch,
-        threads=threads,
-        panels=r,
-        bytes_moved=serial.bytes_moved,
-        bytes_critical=bytes_critical,
-        sweeps=sweeps,
-        modeled_time_s=time_s,
-    )
-
-
-def modeled_thread_speedup(
-    nu: int,
-    batch: int,
-    threads: int,
-    *,
-    panels: int | None = None,
-    form: str = "right",
-    radix4: bool = True,
-    host: HostModel = DEFAULT_HOST,
-) -> float:
-    """Modeled wall-clock speedup of ``threads`` panel workers over the
-    serial fused kernel (same bytes, more bandwidth, plus barriers)."""
-    serial = parallel_fmmp_costs(
-        nu, batch, threads=1, panels=1, form=form, radix4=radix4, host=host
-    )
-    par = parallel_fmmp_costs(
-        nu,
-        batch,
-        threads=threads,
-        panels=panels,
-        form=form,
-        radix4=radix4,
-        host=host,
-    )
-    return serial.modeled_time_s / par.modeled_time_s
-
-
-def auto_panels(
-    nu: int,
-    batch: int,
-    *,
-    threads: int,
-    form: str = "right",
-    radix4: bool = True,
-    host: HostModel = DEFAULT_HOST,
-) -> int:
-    """Roofline-guided panel count for ``(ν, B, threads)``.
-
-    Evaluates every power-of-two ``R`` up to ``min(2^⌈log₂T⌉,
-    max_panels)`` and returns the smallest one attaining the best
-    modeled speedup; degenerates to ``R = 1`` (serial kernel) whenever
-    threading is modeled to lose — small ν is barrier-dominated.
-    """
-    threads = resolve_threads(threads)
-    if threads == 1:
-        return 1
-    cap = max_panels(nu, radix4=radix4)
-    best_r, best_s = 1, 1.0
-    r = 2
-    top = 1
-    while top < threads:
-        top <<= 1
-    while r <= min(top, cap):
-        s = modeled_thread_speedup(
-            nu, batch, threads, panels=r, form=form, radix4=radix4, host=host
-        )
-        if s > best_s:
-            best_r, best_s = r, s
-        r <<= 1
-    return best_r
-
-
-def modeled_thread_crossover(
-    nu: int,
-    batch: int,
-    *,
-    target_speedup: float = 1.8,
-    max_threads: int = 64,
-    form: str = "right",
-    radix4: bool = True,
-    host: HostModel = DEFAULT_HOST,
-) -> int | None:
-    """Smallest thread count whose modeled speedup reaches the target
-    (``None`` when even ``max_threads`` cannot — e.g. tiny ν)."""
-    if target_speedup <= 0.0:
-        raise ValidationError(f"target_speedup must be > 0, got {target_speedup}")
-    t = 2
-    while t <= max_threads:
-        if (
-            modeled_thread_speedup(
-                nu, batch, t, form=form, radix4=radix4, host=host
-            )
-            >= target_speedup
-        ):
-            return t
-        t *= 2
-    return None
-
-
-# --------------------------------------------------------------- measured
 @dataclass(frozen=True)
 class ParallelMeasurement:
     """One measured serial-vs-threaded comparison point."""
@@ -246,6 +47,7 @@ class ParallelMeasurement:
     panels: int
     serial_s: float
     parallel_s: float
+    bytes_moved: float
 
     @property
     def speedup(self) -> float:
@@ -254,17 +56,11 @@ class ParallelMeasurement:
 
     @property
     def serial_gbs(self) -> float:
-        return (
-            batched_fmmp_costs(self.nu, self.batch).bytes_moved / self.serial_s / 1e9
-        )
+        return self.bytes_moved / self.serial_s / 1e9
 
     @property
     def parallel_gbs(self) -> float:
-        return (
-            batched_fmmp_costs(self.nu, self.batch).bytes_moved
-            / self.parallel_s
-            / 1e9
-        )
+        return self.bytes_moved / self.parallel_s / 1e9
 
     def to_dict(self) -> dict:
         return {
@@ -274,6 +70,7 @@ class ParallelMeasurement:
             "panels": self.panels,
             "serial_s": self.serial_s,
             "parallel_s": self.parallel_s,
+            "bytes_moved": self.bytes_moved,
             "speedup": self.speedup,
             "serial_gbs": self.serial_gbs,
             "parallel_gbs": self.parallel_gbs,
@@ -286,30 +83,24 @@ def measure_parallel_matmat(
     threads: int,
     *,
     panels: int | None = None,
-    form: str = "right",
     p: float = 0.01,
     repeats: int = 3,
     min_time: float = 0.01,
 ) -> ParallelMeasurement:
-    """Time the serial fused kernel vs the panel engine on one block.
+    """Time the serial fused kernel vs the panel engine on one block
+    (right form: the plan with a shared pre-scale).
 
     BLAS threading is pinned to one thread for the duration (engine
     threads are the parallelism; see :mod:`repro.util.blas`) so the
     comparison is engine scaling, not BLAS scaling.
     """
-    # Local imports: repro.operators lazily imports this module.
-    from repro.mutation.uniform import UniformMutation
-    from repro.transforms.batched import batched_butterfly_transform
-    from repro.transforms.parallel import get_engine, parallel_butterfly_transform
-    from repro.util.blas import blas_limit
-
     threads = resolve_threads(threads)
     r = (
-        auto_panels(nu, batch, threads=threads, form=form, radix4=True)
+        auto_panels(nu, batch, threads=threads)
         if panels is None
         else resolve_panels(panels, nu, threads=threads)
     )
-    factors = UniformMutation(nu, p).factors_per_bit()
+    plan = fused_stage_plan(UniformMutation(nu, p).factors_per_bit())
     n = 1 << nu
     rng = np.random.default_rng(nu)
     block = np.ascontiguousarray(rng.random((n, batch)) + 0.5)
@@ -321,7 +112,7 @@ def measure_parallel_matmat(
     with blas_limit(1):
         serial: TimingResult = median_time(
             lambda: batched_butterfly_transform(
-                block, factors, pre_scale=pre, out=out, scratch=scratch
+                block, plan, pre_scale=pre, out=out, scratch=scratch
             ),
             repeats=repeats,
             min_time=min_time,
@@ -329,7 +120,7 @@ def measure_parallel_matmat(
         parallel: TimingResult = median_time(
             lambda: parallel_butterfly_transform(
                 block,
-                factors,
+                plan,
                 pre_scale=pre,
                 panels=r,
                 engine=engine,
@@ -346,6 +137,7 @@ def measure_parallel_matmat(
         panels=r,
         serial_s=serial.median,
         parallel_s=parallel.median,
+        bytes_moved=plan_costs(plan, n, batch, pre.shape).bytes_moved,
     )
 
 
@@ -354,15 +146,12 @@ def measured_thread_scaling(
     batch: int,
     threads: tuple[int, ...] = (1, 2, 4, 8),
     *,
-    form: str = "right",
     repeats: int = 3,
     min_time: float = 0.01,
 ) -> list[ParallelMeasurement]:
     """Measured scaling curve over thread counts (one block size)."""
     return [
-        measure_parallel_matmat(
-            nu, batch, t, form=form, repeats=repeats, min_time=min_time
-        )
+        measure_parallel_matmat(nu, batch, t, repeats=repeats, min_time=min_time)
         for t in threads
     ]
 
@@ -373,7 +162,6 @@ def measured_thread_crossover(
     *,
     target_speedup: float = 1.8,
     threads: tuple[int, ...] = (2, 4, 8),
-    form: str = "right",
     repeats: int = 3,
     min_time: float = 0.01,
 ) -> int | None:
@@ -381,9 +169,7 @@ def measured_thread_crossover(
     the serial kernel (``None`` if none of the probed counts does —
     including on hosts without enough cores to scale at all)."""
     for t in threads:
-        m = measure_parallel_matmat(
-            nu, batch, t, form=form, repeats=repeats, min_time=min_time
-        )
+        m = measure_parallel_matmat(nu, batch, t, repeats=repeats, min_time=min_time)
         if m.speedup >= target_speedup:
             return t
     return None

@@ -25,11 +25,18 @@ from repro.mutation.grouped import GroupedMutation
 from repro.mutation.persite import PerSiteMutation
 from repro.mutation.uniform import UniformMutation
 from repro.operators.base import FORMS, ImplicitOperator, OperatorCosts
+from repro.operators.batched import form_scales, kron_costs, plan_costs
 from repro.operators.fmmp import Fmmp
 from repro.solvers.power import PowerIteration
 from repro.solvers.result import SolveResult
+from repro.transforms.batched import batched_butterfly_transform, fused_stage_plan
+from repro.transforms.kronecker import kron_matvec
 
 __all__ = ["TransposedFmmp", "left_eigenvector", "reproductive_values"]
+
+#: ``(Q·F)ᵀ = F·Qᵀ`` and ``(F·Q)ᵀ = Qᵀ·F``: transposing swaps the side the
+#: right and left forms scale on; the symmetric form keeps both.
+_ADJOINT_FORM = {"right": "left", "symmetric": "symmetric", "left": "right"}
 
 
 def _transposed_mutation(mutation: MutationModel) -> MutationModel:
@@ -67,34 +74,37 @@ class TransposedFmmp(ImplicitOperator):
         self.n = mutation.n
         self._f = landscape.values()
         self._sqrt_f = np.sqrt(self._f)
+        self._plan = self._blocks_t = None
         if isinstance(mutation, GroupedMutation):
-            from repro.transforms.kronecker import kron_matvec
-
-            blocks_t = [b.T for b in mutation.blocks()]
-            self._qt = lambda w: kron_matvec(blocks_t, w)
+            self._blocks_t = [b.T for b in mutation.blocks()]
         elif isinstance(mutation, (UniformMutation, PerSiteMutation)):
-            from repro.transforms.butterfly import butterfly_transform
-
-            factors_t = [f.T for f in mutation.factors_per_bit()]
-            self._qt = lambda w: butterfly_transform(w, factors_t, in_place=True)
+            self._plan = fused_stage_plan([f.T for f in mutation.factors_per_bit()])
         else:
             raise ValidationError(f"unsupported mutation model {type(mutation).__name__}")
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = self.check(v)
-        if self.form == "right":  # (QF)^T = F Q^T
-            return self._f * self._qt(v.copy())
-        if self.form == "left":  # (FQ)^T = Q^T F
-            return self._qt(self._f * v)
-        return self._sqrt_f * self._qt(self._sqrt_f * v)
+        pre, post = form_scales(_ADJOINT_FORM[self.form], self._f, self._sqrt_f)
+        if self._plan is not None:
+            out = batched_butterfly_transform(
+                v.reshape(self.n, 1), self._plan, pre_scale=pre, post_scale=post
+            )
+            return out.reshape(self.n)
+        w = kron_matvec(self._blocks_t, v if pre is None else pre * v)
+        return w if post is None else post * w
 
     @property
     def is_symmetric(self) -> bool:
         return self.form == "symmetric" and self.mutation.is_symmetric
 
     def costs(self) -> OperatorCosts:
-        """Identical to the forward operator's (same stage structure)."""
-        return Fmmp(self.mutation, self.landscape, form=self.form).costs()
+        """Costs of its own product: :func:`plan_costs` of the
+        transposed plan, or :func:`kron_costs` for grouped models."""
+        if self._plan is None:
+            return kron_costs(self.mutation, self.form, 1, self._f.size)
+        shape = (self.n,)
+        adjoint = _ADJOINT_FORM[self.form]
+        return plan_costs(self._plan, self.n, 1, *form_scales(adjoint, shape, shape))
 
 
 def left_eigenvector(

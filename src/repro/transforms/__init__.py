@@ -38,6 +38,7 @@ from repro.transforms.parallel import (
     resolve_threads,
     resolve_panels,
     max_panels,
+    auto_panels,
     get_engine,
     shutdown_engines,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "resolve_threads",
     "resolve_panels",
     "max_panels",
+    "auto_panels",
     "get_engine",
     "shutdown_engines",
     "fwht",

@@ -30,6 +30,11 @@ Walsh-spectrum block):
   its own.
 * **one scratch block** — the whole transform ping-pongs between the
   output block and a single reusable ``(N, B)`` scratch buffer.
+* **one plan** — :func:`fused_stage_plan` builds the list of
+  :class:`FusedStage` sweeps once per operator; the kernel only runs
+  it, the panel engine (:mod:`repro.transforms.parallel`) runs the same
+  list on row panels, and :func:`repro.operators.batched.plan_costs`
+  counts its bytes and flops from it.
 
 Stages acting on distinct bits commute (see
 :mod:`repro.transforms.butterfly`), so every fusion above is *exact* up
@@ -191,64 +196,35 @@ def _scale_into(dst: np.ndarray, src: np.ndarray, scale: np.ndarray) -> None:
     np.multiply(src, scale[:, None] if scale.ndim == 1 else scale, out=dst)
 
 
-def batched_butterfly_transform(
-    block: np.ndarray,
-    factors: Sequence[np.ndarray],
-    *,
-    variant: str = "eq9",
-    pre_scale: np.ndarray | None = None,
-    post_scale: np.ndarray | None = None,
-    radix4: bool = True,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
-    """Apply the full ν-stage butterfly to every column of ``block``.
+def _plan_bits(plan: Sequence[FusedStage]) -> int:
+    """Number of index bits ``plan`` mixes (its block has ``2**bits`` rows)."""
+    if not plan:
+        raise ValidationError("plan must have at least one stage")
+    return sum(stage.radix.bit_length() - 1 for stage in plan)
 
-    Parameters
-    ----------
-    block:
-        ``(N, B)`` array; column ``j`` is an independent input vector of
-        length ``N = 2**ν``.  Never modified.
-    factors:
-        One 2×2 matrix per bit (``factors[s]`` acts on bit ``s`` — same
-        convention as :func:`repro.transforms.butterfly.butterfly_transform`).
-    variant:
-        Stage traversal order, ``"eq9"`` (ascending) or ``"eq10"``
-        (descending).  Both give identical results up to rounding.
-    pre_scale, post_scale:
-        Optional diagonal scalings folded into the first / last sweep:
-        shape ``(N,)`` (shared by all columns) or ``(N, B)`` (per
-        column).  ``out = post ∘ (M_ν ⊗ … ⊗ M_1) · (pre ∘ block)``.
-    radix4:
-        Fuse adjacent stages into 4×4 factors (default).
-    out:
-        Optional ``(N, B)`` float64 C-contiguous output block.  Must not
-        alias ``block``.
-    scratch:
-        Optional ``(N, B)`` float64 C-contiguous scratch block (the one
-        auxiliary buffer the ping-pong schedule needs).  Must not alias
-        ``block`` or ``out``.
 
-    Returns
-    -------
-    numpy.ndarray
-        The transformed ``(N, B)`` block (``out`` if given).
+def _schedule(block, plan, pre_scale, post_scale, out, scratch):
+    """Validate one product of ``plan`` and lay out its ping-pong schedule.
+
+    Returns ``(steps, out, post)``: ``steps`` lists ``(src, dst, op)`` in
+    execution order, where ``op`` is a :class:`FusedStage` sweep or the
+    pre-scale diagonal, and ``post`` is the scale of the in-place
+    epilogue on ``out`` (``None`` if absent).  The serial kernel and the
+    panel engine both run this schedule, so they write the same buffers
+    in the same order.
     """
     work_in = _check_block(block, None, "block")
     n, b = work_in.shape
-    nu = len(factors)
-    if nu == 0:
-        raise ValidationError("at least one factor is required")
+    nu = _plan_bits(plan)
     if n != (1 << nu):
         raise ValidationError(f"block must have 2**{nu} = {1 << nu} rows, got {n}")
     pre = _check_scale(pre_scale, n, b, "pre_scale")
     post = _check_scale(post_scale, n, b, "post_scale")
-    plan = fused_stage_plan(factors, variant=variant, radix4=radix4)
     # The pre-scale is folded into the schedule as the leading write of
     # the ping-pong chain (it replaces the first sweep's input read of
     # the caller's block); the post-scale is an in-place epilogue on the
     # output block (no extra buffer traffic).
-    steps = (1 if pre is not None else 0) + len(plan)
+    ops = ([] if pre is None else [pre]) + list(plan)
 
     def _buffer(buf: np.ndarray | None, name: str) -> np.ndarray:
         if buf is None:
@@ -262,24 +238,66 @@ def batched_butterfly_transform(
         return buf
 
     out = _buffer(out, "out")
-    if steps > 1:
+    if len(ops) > 1:
         scratch = _buffer(scratch, "scratch")
         if scratch is out or np.shares_memory(scratch, out):
             raise ValidationError("scratch must not alias out")
     # Ping-pong so the last step lands in ``out``: step ``i`` writes
-    # ``out`` when (steps-1-i) is even, ``scratch`` otherwise.
+    # ``out`` when (len(ops)-1-i) is even, ``scratch`` otherwise.
+    steps = []
     src = work_in
-    i = 0
-    if pre is not None:
-        dst = out if (steps - 1 - i) % 2 == 0 else scratch
-        _scale_into(dst, src, pre)
+    for i, op in enumerate(ops):
+        dst = out if (len(ops) - 1 - i) % 2 == 0 else scratch
+        steps.append((src, dst, op))
         src = dst
-        i += 1
-    for stage in plan:
-        dst = out if (steps - 1 - i) % 2 == 0 else scratch
-        _apply_fused(src, dst, stage)
-        src = dst
-        i += 1
+    return steps, out, post
+
+
+def batched_butterfly_transform(
+    block: np.ndarray,
+    plan: Sequence[FusedStage],
+    *,
+    pre_scale: np.ndarray | None = None,
+    post_scale: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Apply the full ν-stage butterfly to every column of ``block``.
+
+    Parameters
+    ----------
+    block:
+        ``(N, B)`` array; column ``j`` is an independent input vector of
+        length ``N = 2**ν``.  Never modified.
+    plan:
+        The fused sweep schedule, built once by :func:`fused_stage_plan`
+        from one 2×2 factor per bit (``factors[s]`` acts on bit ``s`` —
+        same convention as
+        :func:`repro.transforms.butterfly.butterfly_transform`); the
+        stage order and radix-4 fusion are fixed there.
+    pre_scale, post_scale:
+        Optional diagonal scalings folded into the first / last sweep:
+        shape ``(N,)`` (shared by all columns) or ``(N, B)`` (per
+        column).  ``out = post ∘ (M_ν ⊗ … ⊗ M_1) · (pre ∘ block)``.
+    out:
+        Optional ``(N, B)`` float64 C-contiguous output block.  Must not
+        alias ``block``.
+    scratch:
+        Optional ``(N, B)`` float64 C-contiguous scratch block (the one
+        auxiliary buffer the ping-pong schedule needs).  Must not alias
+        ``block`` or ``out``.
+
+    Returns
+    -------
+    numpy.ndarray
+        The transformed ``(N, B)`` block (``out`` if given).
+    """
+    steps, out, post = _schedule(block, plan, pre_scale, post_scale, out, scratch)
+    for src, dst, op in steps:
+        if isinstance(op, FusedStage):
+            _apply_fused(src, dst, op)
+        else:
+            _scale_into(dst, src, op)
     if post is not None:
         out *= post[:, None] if post.ndim == 1 else post
     return out

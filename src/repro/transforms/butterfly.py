@@ -55,14 +55,14 @@ def butterfly_transform(
     single-column block, so the scalar path, the multi-vector path, the
     FWHT and the spectral shift-invert products all share one engine.
     """
-    from repro.transforms.batched import batched_butterfly_transform
+    from repro.transforms.batched import batched_butterfly_transform, fused_stage_plan
 
     nu = len(factors)
     if nu == 0:
         raise ValidationError("at least one factor is required")
     n = 1 << nu
     v = check_vector(v, n, "v")
-    out = batched_butterfly_transform(v.reshape(n, 1), factors).reshape(n)
+    out = batched_butterfly_transform(v.reshape(n, 1), fused_stage_plan(factors)).reshape(n)
     if in_place:
         v[:] = out
         return v

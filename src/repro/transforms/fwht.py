@@ -78,12 +78,12 @@ def fwht(v: np.ndarray, *, ortho: bool = True, in_place: bool = False) -> np.nda
         v = _validate_in_place(v)
     v = np.asarray(v, dtype=np.float64)
     if v.ndim == 2:
-        from repro.transforms.batched import batched_butterfly_transform
+        from repro.transforms.batched import batched_butterfly_transform, fused_stage_plan
 
         nu = _nu_of(v.shape[0])
         if nu == 0:
             raise ValidationError("fwht needs at least 2 elements")
-        out = batched_butterfly_transform(v, [_H] * nu)
+        out = batched_butterfly_transform(v, fused_stage_plan([_H] * nu))
         if ortho:
             out *= 2.0 ** (-nu / 2.0)
         if in_place:

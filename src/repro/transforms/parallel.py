@@ -51,10 +51,9 @@ from repro.exceptions import ValidationError
 from repro.transforms.batched import (
     FusedStage,
     _apply_fused,
-    _check_block,
-    _check_scale,
+    _plan_bits,
+    _schedule,
     batched_butterfly_transform,
-    fused_stage_plan,
 )
 
 __all__ = [
@@ -63,6 +62,7 @@ __all__ = [
     "resolve_threads",
     "resolve_panels",
     "max_panels",
+    "auto_panels",
     "get_engine",
     "shutdown_engines",
     "THREADS_ENV",
@@ -135,6 +135,25 @@ def resolve_panels(
     if panels < 1 or (panels & (panels - 1)) != 0:
         raise ValidationError(f"panels must be a positive power of two, got {panels}")
     return min(panels, cap)
+
+
+#: Smallest block (``N·B`` doubles) the operators split into panels;
+#: below it the per-sweep barriers cost more than the panels save.
+AUTO_PANELS_MIN_ELEMENTS = 1 << 14
+
+
+def auto_panels(nu: int, batch: int, *, threads: int) -> int:
+    """Panel count the operators run a ``(2**ν, batch)`` product with.
+
+    ``R = min(largest power of two <= threads, max_panels(ν))`` once the
+    block holds ``N·B >= 2^14`` doubles, else ``R = 1`` (the serial
+    kernel).
+    """
+    threads = resolve_threads(threads)
+    cap = max_panels(nu)  # also validates nu
+    if (1 << nu) * batch < AUTO_PANELS_MIN_ELEMENTS:
+        return 1
+    return min(1 << (threads.bit_length() - 1), cap)
 
 
 class _Aborted(BaseException):
@@ -366,12 +385,10 @@ def _stage_unit(
 
 def parallel_butterfly_transform(
     block: np.ndarray,
-    factors: Sequence[np.ndarray],
+    plan: Sequence[FusedStage],
     *,
-    variant: str = "eq9",
     pre_scale: np.ndarray | None = None,
     post_scale: np.ndarray | None = None,
-    radix4: bool = True,
     panels: int | None = None,
     threads: int | None = None,
     engine: PanelEngine | None = None,
@@ -386,7 +403,7 @@ def parallel_butterfly_transform(
 
     Parameters
     ----------
-    block, factors, variant, pre_scale, post_scale, radix4, out, scratch:
+    block, plan, pre_scale, post_scale, out, scratch:
         As for the serial kernel.
     panels:
         Panel count ``R`` (power of two); ``None`` auto-picks the
@@ -399,48 +416,22 @@ def parallel_butterfly_transform(
         A :class:`PanelEngine` to run on (defaults to the shared
         :func:`get_engine` pool for ``threads``).
     """
-    work_in = _check_block(block, None, "block")
-    n, b = work_in.shape
-    nu = len(factors)
-    if nu == 0:
-        raise ValidationError("at least one factor is required")
-    if n != (1 << nu):
-        raise ValidationError(f"block must have 2**{nu} = {1 << nu} rows, got {n}")
+    nu = _plan_bits(plan)
     threads_n = engine.threads if engine is not None else resolve_threads(threads)
+    radix4 = any(stage.radix == 4 for stage in plan)
     panels_n = resolve_panels(panels, nu, threads=threads_n, radix4=radix4)
     if panels_n == 1:
         # One panel ⇒ the partitioned schedule is the serial schedule.
         return batched_butterfly_transform(
-            work_in,
-            factors,
-            variant=variant,
+            block,
+            plan,
             pre_scale=pre_scale,
             post_scale=post_scale,
-            radix4=radix4,
             out=out,
             scratch=scratch,
         )
-    pre = _check_scale(pre_scale, n, b, "pre_scale")
-    post = _check_scale(post_scale, n, b, "post_scale")
-    plan = fused_stage_plan(factors, variant=variant, radix4=radix4)
-    steps = (1 if pre is not None else 0) + len(plan)
-
-    def _buffer(buf: np.ndarray | None, name: str) -> np.ndarray:
-        if buf is None:
-            return np.empty((n, b), dtype=np.float64)
-        if buf.shape != (n, b) or buf.dtype != np.float64 or not buf.flags.c_contiguous:
-            raise ValidationError(
-                f"{name} must be a C-contiguous float64 array of shape ({n}, {b})"
-            )
-        if np.shares_memory(buf, block):
-            raise ValidationError(f"{name} must not alias the input block")
-        return buf
-
-    out = _buffer(out, "out")
-    if steps > 1:
-        scratch = _buffer(scratch, "scratch")
-        if scratch is out or np.shares_memory(scratch, out):
-            raise ValidationError("scratch must not alias out")
+    steps, out, post = _schedule(block, plan, pre_scale, post_scale, out, scratch)
+    n, b = out.shape
     eng = engine if engine is not None else get_engine(threads_n)
     nt = eng.threads
 
@@ -450,27 +441,18 @@ def parallel_butterfly_transform(
         # never affects the numbers (units are independent slices), so
         # any T gives the same bits.
         units = range(t * panels_n // nt, (t + 1) * panels_n // nt)
-        src = work_in
-        i = 0
-        if pre is not None:
-            dst = out if (steps - 1 - i) % 2 == 0 else scratch
-            for p in units:
-                _scale_unit(src, dst, pre, p, panels_n)
+        for src, dst, op in steps:
+            if isinstance(op, FusedStage):
+                u = _stage_units(n, b, op, panels_n)
+                for p in range(t * u // nt, (t + 1) * u // nt):
+                    _stage_unit(src, dst, op, p, u)
+            else:
+                for p in units:
+                    _scale_unit(src, dst, op, p, panels_n)
             eng.barrier_wait()
-            src = dst
-            i += 1
-        for stage in plan:
-            dst = out if (steps - 1 - i) % 2 == 0 else scratch
-            u = _stage_units(n, b, stage, panels_n)
-            for p in range(t * u // nt, (t + 1) * u // nt):
-                _stage_unit(src, dst, stage, p, u)
-            eng.barrier_wait()
-            src = dst
-            i += 1
         if post is not None:
             for p in units:
                 _post_unit(out, post, p, panels_n)
 
     eng.run(participant)
     return out
-

@@ -56,6 +56,7 @@ from repro.operators.fmmp import Fmmp
 from repro.operators.smvp import Smvp
 from repro.operators.xmvp import Xmvp
 from repro.solvers.kron_solver import KroneckerSolveResult
+from repro.transforms.batched import fused_stage_plan
 from repro.transforms.parallel import get_engine, parallel_butterfly_transform
 from repro.verify.invariants import DENSE_NU, relative_error
 from repro.verify.report import CheckResult
@@ -178,14 +179,14 @@ def _parallel_matvec(
     if not hasattr(mutation, "factors_per_bit"):
         # Grouped models have no 2x2 butterfly to split into panels.
         return Fmmp(mutation, landscape, form="right").matvec
-    factors = mutation.factors_per_bit()
+    plan = fused_stage_plan(mutation.factors_per_bit())
     f = landscape.values()
     engine = get_engine(threads)
 
     def matvec(v: np.ndarray) -> np.ndarray:
         block = np.asarray(v, dtype=np.float64).reshape(-1, 1)
         out = parallel_butterfly_transform(
-            block, factors, pre_scale=f, panels=4, engine=engine
+            block, plan, pre_scale=f, panels=4, engine=engine
         )
         return out.reshape(-1)
 

@@ -5,6 +5,8 @@ The central correctness claims of the paper's Sec. 2: Fmmp is *exact*
 and Xmvp(dmax) errors shrink as dmax grows.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from repro.landscapes import RandomLandscape, SinglePeakLandscape, TabulatedLand
 from repro.mutation import GroupedMutation, PerSiteMutation, UniformMutation, site_factor
 import repro.operators.batched as batched_module
 import repro.operators.fmmp as fmmp_module
+import repro.transforms.batched as transforms_batched
 from repro.operators import (
     BatchedFmmp,
     Fmmp,
@@ -181,6 +184,40 @@ class TestOneEngine:
         kron = _spy(monkeypatch, fmmp_module, "kron_matvec")
         op.matvec(np.ones(1 << nu))
         assert (len(fused), len(kron)) == (0, 1)
+
+
+class TestPlanBuiltOnce:
+    """Operators build their fused plan at construction; no product —
+    serial, batched or on the panel engine — rebuilds it."""
+
+    def test_products_never_rebuild_the_plan(self, monkeypatch):
+        nu = 14  # N = 2^14: threads=2 splits the product into 2 panels
+        mut = PerSiteMutation.from_error_rates(np.linspace(0.01, 0.2, nu))
+        lands = [RandomLandscape(nu, seed=s) for s in range(3)]
+        serial = Fmmp(mut, lands[0], form="symmetric")
+        threaded = Fmmp(mut, lands[0], form="symmetric", threads=2)
+        batched = BatchedFmmp(mut, lands)
+        assert threaded.panels == 2
+        original = transforms_batched.fused_stage_plan
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") and (
+                getattr(module, "fused_stage_plan", None) is original
+            ):
+                monkeypatch.setattr(module, "fused_stage_plan", spy)
+        rng = np.random.default_rng(4)
+        v = rng.random(1 << nu)
+        block = rng.random((1 << nu, 3))
+        for _ in range(3):
+            want = serial.matvec(v)
+            assert np.array_equal(threaded.matvec(v), want)
+            batched.matmat(block)
+        assert calls == []
 
 
 class TestXmvpTruncation:

@@ -17,6 +17,7 @@ from repro.perf import (
     measure_operator_matvec,
     measure_series,
     operator_costs,
+    plan_costs,
     predict,
     predict_matvec_time,
     predict_power_iteration_time,
@@ -26,6 +27,7 @@ from repro.perf import (
     xmvp_mask_count,
 )
 from repro.perf.speedup import SpeedupTable, theoretical_guideline
+from repro.transforms.batched import fused_stage_plan
 
 
 class TestCosts:
@@ -35,10 +37,16 @@ class TestCosts:
         assert xmvp_mask_count(20, 5) == 1 + 20 + 190 + 1140 + 4845 + 15504
 
     def test_formulas_match_operator_objects(self):
+        """``fmmp_costs`` is the paper's radix-2 plan; ``Fmmp.costs`` is
+        the fused plan its ``matvec`` runs — both via ``plan_costs``."""
         nu = 9
         mut = UniformMutation(nu, 0.01)
         ls = RandomLandscape(nu, seed=0)
-        assert fmmp_costs(nu).flops == Fmmp(mut, ls).costs().flops
+        n = 1 << nu
+        paper = plan_costs(fused_stage_plan(mut.factors_per_bit(), radix4=False), n, 1, (n,))
+        fused = plan_costs(fused_stage_plan(mut.factors_per_bit()), n, 1, (n,))
+        assert fmmp_costs(nu) == paper
+        assert Fmmp(mut, ls).costs() == fused
         assert xmvp_costs(nu, 4).flops == Xmvp(mut, ls, 4).costs().flops
 
     def test_smvp_quadratic(self):

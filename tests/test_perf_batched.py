@@ -1,143 +1,238 @@
-"""Roofline cost model for the batched kernel + cost reconciliation.
+"""One cost function, derived from the plan.
 
-The reconciliation contract: ``Fmmp.costs(batch=B)``,
-``BatchedFmmp.costs()`` and ``batched_fmmp_costs(nu, B)`` must describe
-the *same* sweep schedule — one source of truth consumed from three
-entry points.
+The contract: every Fmmp byte/flop count is ``plan_costs`` of a
+``FusedStage`` plan.  ``Fmmp.costs``, ``BatchedFmmp.costs`` and
+``TransposedFmmp.costs`` count the plan their own product runs; the
+paper model (``fmmp_costs``, ``operator_costs("fmmp")``) and
+``DistributedFmmp``'s compute time count the radix-2 plan, and must
+equal the closed forms they replaced exactly.
 """
 
 import numpy as np
 import pytest
 
+from repro.distributed.cluster import gpu_cluster
+from repro.distributed.fmmp import DistributedFmmp
 from repro.exceptions import ValidationError
 from repro.landscapes import RandomLandscape, SinglePeakLandscape
-from repro.mutation import GroupedMutation, UniformMutation, site_factor
+from repro.mutation import GroupedMutation, PerSiteMutation, UniformMutation, site_factor
 from repro.operators import BatchedFmmp, Fmmp
 from repro.operators.base import OperatorCosts
+from repro.operators.batched import form_scales
 from repro.perf import (
     BatchedMeasurement,
-    batched_fmmp_costs,
     fmmp_costs,
     measure_batched_matmat,
-    modeled_crossover_batch,
-    modeled_speedup,
+    operator_costs,
+    plan_costs,
 )
-from repro.transforms.batched import fused_stage_count
+from repro.solvers import TransposedFmmp
+from repro.transforms.batched import fused_stage_count, fused_stage_plan
 
 
-class TestBatchedCostModel:
+def factors(nu):
+    return UniformMutation(nu, 0.01).factors_per_bit()
+
+
+def scale_shapes(form, shape):
+    return form_scales(form, shape, shape)
+
+
+class TestPlanCosts:
     @pytest.mark.parametrize("nu", [2, 3, 8, 18])
     @pytest.mark.parametrize("batch", [1, 4, 16])
     def test_bytes_track_the_sweep_schedule(self, nu, batch):
-        costs = batched_fmmp_costs(nu, batch)
-        n, b = float(1 << nu), float(batch)
+        n = 1 << nu
+        costs = plan_costs(fused_stage_plan(factors(nu)), n, batch, (n,))
+        b = float(batch)
         sweeps = fused_stage_count(nu)
-        # `right` form: fused sweeps + one pre-scale pass.
+        # fused sweeps + one pre-scale pass with a shared (N,) diagonal
         expected = 16.0 * n * b * sweeps + 8.0 * (2.0 * n * b + n)
         assert costs.bytes_moved == pytest.approx(expected)
         assert costs.batch == batch
 
+    @pytest.mark.parametrize("nu", range(1, 13))
+    @pytest.mark.parametrize("batch", [1, 16])
+    @pytest.mark.parametrize("radix4", [True, False])
+    def test_each_stage_moves_16_n_b(self, nu, batch, radix4):
+        """One read and one write of the block per sweep — the byte count
+        perfbench's ``fused.gbs`` divides by (``16·N·B·⌈ν/2⌉``)."""
+        n = 1 << nu
+        plan = fused_stage_plan(factors(nu), radix4=radix4)
+        for stage in plan:
+            assert plan_costs([stage], n, batch).bytes_moved == 16.0 * n * batch
+        if radix4:
+            assert plan_costs(plan, n, batch).bytes_moved == 16.0 * n * batch * -(-nu // 2)
+
     def test_form_scale_passes(self):
-        right = batched_fmmp_costs(8, 4, form="right")
-        left = batched_fmmp_costs(8, 4, form="left")
-        sym = batched_fmmp_costs(8, 4, form="symmetric")
+        n = 1 << 8
+        plan = fused_stage_plan(factors(8))
+        right, sym, left = (
+            plan_costs(plan, n, 4, *scale_shapes(form, (n,)))
+            for form in ("right", "symmetric", "left")
+        )
         assert right.bytes_moved == left.bytes_moved  # one pass each
         assert sym.bytes_moved > right.bytes_moved  # pre AND post
 
     def test_radix4_halves_sweep_bytes(self):
-        fused = batched_fmmp_costs(8, 16, radix4=True)
-        plain = batched_fmmp_costs(8, 16, radix4=False)
-        assert fused.bytes_moved < plain.bytes_moved
+        n, b = 1 << 8, 16
+        fused = plan_costs(fused_stage_plan(factors(8), radix4=True), n, b)
+        plain = plan_costs(fused_stage_plan(factors(8), radix4=False), n, b)
         # sweep term exactly halves for even nu
-        n, b = float(1 << 8), 16.0
-        assert plain.bytes_moved - fused.bytes_moved == pytest.approx(
-            16.0 * n * b * (8 - 4)
-        )
+        assert plain.bytes_moved - fused.bytes_moved == 16.0 * n * b * (8 - 4)
+
+    def test_per_column_scale_read_is_counted(self):
+        n, b = 1 << 6, 5
+        plan = fused_stage_plan(factors(6))
+        shared = plan_costs(plan, n, b, (n,))
+        per_column = plan_costs(plan, n, b, (n, b))
+        assert per_column.bytes_moved - shared.bytes_moved == 8.0 * n * (b - 1)
+        assert per_column.storage_bytes == 8.0 * n * b
 
     def test_per_vector_amortization(self):
-        c16 = batched_fmmp_costs(10, 16)
-        c1 = batched_fmmp_costs(10, 1)
+        op = Fmmp(UniformMutation(10, 0.01), SinglePeakLandscape(10))
+        c16, c1 = op.costs(batch=16), op.costs(batch=1)
         assert c16.per_vector().bytes_moved < c1.per_vector().bytes_moved
         assert c16.per_vector().batch == 1
 
     def test_validation(self):
+        plan = fused_stage_plan(factors(3))
         with pytest.raises(ValidationError):
-            batched_fmmp_costs(0, 4)
+            plan_costs(plan, 8, 0)
+        with pytest.raises(ValidationError, match="pre"):
+            plan_costs(plan, 8, 4, (4,))
+        with pytest.raises(ValidationError, match="post"):
+            plan_costs(plan, 8, 4, None, (8, 3))
         with pytest.raises(ValidationError):
-            batched_fmmp_costs(8, 0)
-        with pytest.raises(ValidationError):
-            batched_fmmp_costs(8, 4, form="diagonal")
-
-
-class TestModeledSpeedupAndCrossover:
-    @pytest.mark.parametrize("nu", [8, 12, 18])
-    def test_speedup_monotone_in_batch(self, nu):
-        speedups = [modeled_speedup(nu, b) for b in (1, 2, 4, 16, 64)]
-        assert all(b >= a for a, b in zip(speedups, speedups[1:]))
-
-    def test_acceptance_regime_modeled(self):
-        """The ISSUE acceptance point (nu=18, B=16) must clear 1.5x
-        already in the bytes model — the measured bench then confirms."""
-        assert modeled_speedup(18, 16) >= 1.5
-
-    def test_crossover_reaches_target(self):
-        b = modeled_crossover_batch(18, target_speedup=1.5)
-        assert b is not None and b <= 16
-
-    def test_crossover_unreachable_returns_none(self):
-        assert modeled_crossover_batch(8, target_speedup=1e9) is None
-
-    def test_crossover_validation(self):
-        with pytest.raises(ValidationError):
-            modeled_crossover_batch(8, target_speedup=0.0)
+            fmmp_costs(8, scale_passes=3)
 
 
 class TestCostReconciliation:
-    """Fmmp.costs(batch=), BatchedFmmp.costs() and batched_fmmp_costs
-    must agree — the satellite reconciliation contract."""
+    """Each operator's ``costs`` is ``plan_costs`` of the plan its
+    product runs — at every batch width, ``B = 1`` included."""
 
     @pytest.mark.parametrize("form", ["right", "symmetric", "left"])
-    @pytest.mark.parametrize("batch", [2, 16])
-    def test_fmmp_costs_batch_delegates_to_model(self, form, batch):
+    @pytest.mark.parametrize("variant", ["eq9", "eq10"])
+    @pytest.mark.parametrize("batch", [1, 2, 16])
+    def test_fmmp_costs_batch_delegates_to_model(self, form, variant, batch):
         nu = 8
-        op = Fmmp(UniformMutation(nu, 0.01), SinglePeakLandscape(nu), form=form)
-        got = op.costs(batch=batch)
-        want = batched_fmmp_costs(nu, batch, form=form)
-        assert got.flops == pytest.approx(want.flops)
-        assert got.bytes_moved == pytest.approx(want.bytes_moved)
-        assert got.batch == batch
+        n = 1 << nu
+        mutation = UniformMutation(nu, 0.01)
+        op = Fmmp(mutation, SinglePeakLandscape(nu), form=form, variant=variant)
+        plan = fused_stage_plan(mutation.factors_per_bit(), variant=variant)
+        assert op.costs(batch=batch) == plan_costs(plan, n, batch, *scale_shapes(form, (n,)))
 
-    def test_batched_operator_costs_match_model(self):
+    def test_single_vector_bytes_are_the_fused_kernel_bytes(self):
+        """``Fmmp.matvec`` at ν = 8, right form: four radix-4 sweeps and
+        one pre-scale pass (the stage-by-stage count would be 38,912)."""
+        op = Fmmp(UniformMutation(8, 0.01), SinglePeakLandscape(8))
+        assert op.costs().bytes_moved == 16.0 * 256 * 4 + 8.0 * (2 * 256 + 256) == 22528.0
+
+    @pytest.mark.parametrize("form", ["right", "symmetric", "left"])
+    def test_per_column_batched_operator_costs(self, form):
+        nu, b = 7, 3
+        n = 1 << nu
+        mutation = PerSiteMutation.from_error_rates(np.linspace(0.01, 0.2, nu))
+        op = BatchedFmmp(mutation, [RandomLandscape(nu, seed=s) for s in range(b)], form=form)
+        plan = fused_stage_plan(mutation.factors_per_bit())
+        assert op.costs() == plan_costs(plan, n, b, *scale_shapes(form, (n, b)))
+        assert op.costs(batch=2) == plan_costs(plan, n, 2, *scale_shapes(form, (n, 2)))
+
+    def test_shared_batched_operator_costs_match_fmmp(self):
         nu = 7
         mutation = UniformMutation(nu, 0.02)
-        lands = [RandomLandscape(nu, seed=s) for s in range(3)]
-        op = BatchedFmmp(mutation, lands)
-        got = op.costs()
-        want = batched_fmmp_costs(nu, 3, form="right")
-        assert got.bytes_moved == pytest.approx(want.bytes_moved)
-        assert got.batch == 3
+        land = RandomLandscape(nu, seed=1)
+        op = BatchedFmmp(mutation, land, form="symmetric")
+        assert op.costs() == Fmmp(mutation, land, form="symmetric").costs()
+        assert op.costs(batch=4) == Fmmp(mutation, land, form="symmetric").costs(batch=4)
+
+    @pytest.mark.parametrize("form", ["right", "symmetric", "left"])
+    def test_transposed_costs_use_its_own_plan(self, form):
+        nu = 6
+        n = 1 << nu
+        mutation = PerSiteMutation.from_error_rates(np.linspace(0.01, 0.3, nu))
+        land = RandomLandscape(nu, seed=2)
+        plan = fused_stage_plan([f.T for f in mutation.factors_per_bit()])
+        adjoint = {"right": "left", "symmetric": "symmetric", "left": "right"}[form]
+        got = TransposedFmmp(mutation, land, form=form).costs()
+        assert got == plan_costs(plan, n, 1, *scale_shapes(adjoint, (n,)))
+        assert got == Fmmp(mutation, land, form=form).costs()
 
     def test_scalar_costs_unchanged_at_batch_1(self):
         nu = 8
         op = Fmmp(UniformMutation(nu, 0.01), SinglePeakLandscape(nu))
         assert op.costs().batch == 1
-        assert op.costs().bytes_moved == pytest.approx(
-            op.costs(batch=1).bytes_moved
-        )
+        assert op.costs().bytes_moved == pytest.approx(op.costs(batch=1).bytes_moved)
 
     def test_grouped_mutation_costs_scale_linearly(self):
         nu = 4
-        mutation = GroupedMutation([site_factor(0.1) for _ in range(nu)] )
+        mutation = GroupedMutation([site_factor(0.1) for _ in range(nu)])
         op = Fmmp(mutation, SinglePeakLandscape(nu))
         c1, c4 = op.costs(batch=1), op.costs(batch=4)
         assert c4.flops == pytest.approx(4.0 * c1.flops)
         assert c4.batch == 4
+
+    def test_grouped_costs_shared_by_every_operator(self):
+        nu = 4
+        mutation = GroupedMutation([site_factor(0.1) for _ in range(nu)])
+        land = SinglePeakLandscape(nu)
+        fmmp = Fmmp(mutation, land, form="symmetric")
+        assert BatchedFmmp(mutation, land, form="symmetric").costs() == fmmp.costs()
+        assert TransposedFmmp(mutation, land, form="symmetric").costs() == fmmp.costs()
 
     def test_operator_costs_per_vector(self):
         c = OperatorCosts(flops=80.0, bytes_moved=160.0, storage_bytes=8.0, batch=4)
         pv = c.per_vector()
         assert pv.flops == 20.0 and pv.bytes_moved == 40.0 and pv.batch == 1
         assert pv.storage_bytes == 8.0
+
+
+def paper_fmmp_costs(nu, scale_passes):
+    """The closed form ``fmmp_costs`` used before it was derived from
+    the plan: ν stages of N/2 butterflies × (4 memory ops + 6 flops)."""
+    n = float(1 << nu)
+    return OperatorCosts(
+        flops=6.0 * (n / 2.0) * nu + scale_passes * n,
+        bytes_moved=8.0 * (4.0 * (n / 2.0) * nu + 3.0 * scale_passes * n),
+        storage_bytes=8.0 * n,
+    )
+
+
+def paper_distributed_compute_time(op):
+    """The closed form of ``DistributedFmmp.compute_time_per_matvec``
+    used before it was derived from the plan."""
+    b = float(op.block_size)
+    bytes_moved = 32.0 * (b / 2.0) * op.local_stages + 32.0 * b * op.cross_stages / 2.0
+    flops = 6.0 * (b / 2.0) * op.local_stages + 6.0 * b * op.cross_stages / 2.0
+    t = op.cluster.node.kernel_time(bytes_moved, flops)
+    t += (op.local_stages + op.cross_stages - 1) * op.cluster.node.launch_overhead_s
+    return t
+
+
+class TestPaperModelParity:
+    """The plan-derived paper model is bit-identical to the closed forms
+    it replaced, so the Fig. 3/4 and distributed outputs cannot move."""
+
+    @pytest.mark.parametrize("nu", range(1, 26))
+    @pytest.mark.parametrize("variant", ["eq9", "eq10"])
+    @pytest.mark.parametrize("scale_passes", [1, 2])
+    def test_fmmp_costs_equal_closed_form(self, nu, variant, scale_passes):
+        want = paper_fmmp_costs(nu, scale_passes)
+        assert fmmp_costs(nu, scale_passes=scale_passes) == want
+        n = 1 << nu
+        plan = fused_stage_plan([np.eye(2)] * nu, variant=variant, radix4=False)
+        post = (n,) if scale_passes == 2 else None
+        assert plan_costs(plan, n, 1, (n,), post) == want
+        if scale_passes == 1:
+            assert operator_costs("fmmp", nu) == want
+
+    @pytest.mark.parametrize("nu", range(1, 26))
+    def test_distributed_compute_time_equals_closed_form(self, nu):
+        ranks = 1
+        while ranks <= (1 << nu) // 2 and ranks <= 64:
+            op = DistributedFmmp(gpu_cluster(ranks), factors(nu))
+            assert op.compute_time_per_matvec() == paper_distributed_compute_time(op)
+            ranks *= 2
 
 
 class TestMeasurement:
@@ -150,6 +245,10 @@ class TestMeasurement:
         assert d["nu"] == 6 and d["batch"] == 4
         assert d["per_vector_speedup"] == pytest.approx(m.per_vector_speedup)
         assert d["single_gbs"] > 0.0 and d["batched_gbs"] > 0.0
+        n = 1 << 6
+        plan = fused_stage_plan(factors(6))
+        assert m.single_bytes == plan_costs(plan, n, 1, (n,)).bytes_moved
+        assert m.batched_bytes == plan_costs(plan, n, 4, (n,)).bytes_moved
 
     def test_scalar_model_still_available(self):
         # Algorithm 1's stage-by-stage bytes model stays available

@@ -53,7 +53,7 @@ class TestBatchedButterflyCorrectness:
         n = 1 << nu
         rng = np.random.default_rng(nu + 10)
         block = rng.standard_normal((n, 5))
-        got = batched_butterfly_transform(block, factors, variant=variant)
+        got = batched_butterfly_transform(block, fused_stage_plan(factors, variant=variant))
         want = np.stack(
             [butterfly_transform(block[:, j], factors) for j in range(5)], axis=1
         )
@@ -63,7 +63,7 @@ class TestBatchedButterflyCorrectness:
         factors = random_factors(4, seed=7)
         rng = np.random.default_rng(42)
         block = rng.standard_normal((16, 3))
-        got = batched_butterfly_transform(block, factors)
+        got = batched_butterfly_transform(block, fused_stage_plan(factors))
         for j in range(3):
             want = butterfly_transform_reference(block[:, j], factors)
             np.testing.assert_allclose(got[:, j], want, rtol=1e-12, atol=1e-13)
@@ -72,8 +72,8 @@ class TestBatchedButterflyCorrectness:
         factors = random_factors(5, seed=1)
         rng = np.random.default_rng(1)
         block = rng.standard_normal((32, 4))
-        a = batched_butterfly_transform(block, factors, radix4=True)
-        b = batched_butterfly_transform(block, factors, radix4=False)
+        a = batched_butterfly_transform(block, fused_stage_plan(factors, radix4=True))
+        b = batched_butterfly_transform(block, fused_stage_plan(factors, radix4=False))
         np.testing.assert_allclose(a, b, rtol=1e-13)
 
     def test_input_block_never_mutated(self):
@@ -81,7 +81,10 @@ class TestBatchedButterflyCorrectness:
         block = np.random.default_rng(0).standard_normal((8, 2))
         saved = block.copy()
         batched_butterfly_transform(
-            block, factors, pre_scale=np.arange(1.0, 9.0), post_scale=np.ones(8)
+            block,
+            fused_stage_plan(factors),
+            pre_scale=np.arange(1.0, 9.0),
+            post_scale=np.ones(8),
         )
         np.testing.assert_array_equal(block, saved)
 
@@ -99,7 +102,9 @@ class TestBatchedButterflyCorrectness:
         else:
             pre_cols = pre = rng.uniform(0.5, 2.0, (n, b))
             post_cols = post = rng.uniform(0.5, 2.0, (n, b))
-        got = batched_butterfly_transform(block, factors, pre_scale=pre, post_scale=post)
+        got = batched_butterfly_transform(
+            block, fused_stage_plan(factors), pre_scale=pre, post_scale=post
+        )
         want = np.stack(
             [
                 post_cols[:, j]
@@ -138,13 +143,12 @@ class TestBatchWidthInvariance:
             "left": (None, f),
         }[form]
         full = batched_butterfly_transform(
-            block, factors, variant=variant, pre_scale=pre, post_scale=post
+            block, fused_stage_plan(factors, variant=variant), pre_scale=pre, post_scale=post
         )
         for j in range(16):
             one = batched_butterfly_transform(
                 block[:, j : j + 1],
-                factors,
-                variant=variant,
+                fused_stage_plan(factors, variant=variant),
                 pre_scale=None if pre is None else pre[:, j],
                 post_scale=None if post is None else post[:, j],
             )
@@ -158,47 +162,52 @@ class TestBufferContract:
         block = rng.standard_normal((16, 4))
         out = np.empty((16, 4))
         scratch = np.empty((16, 4))
-        got = batched_butterfly_transform(block, factors, out=out, scratch=scratch)
+        plan = fused_stage_plan(factors)
+        got = batched_butterfly_transform(block, plan, out=out, scratch=scratch)
         assert got is out
-        np.testing.assert_allclose(got, batched_butterfly_transform(block, factors))
+        np.testing.assert_allclose(got, batched_butterfly_transform(block, plan))
 
     def test_out_must_not_alias_input(self):
         factors = random_factors(3)
         block = np.zeros((8, 2))
         with pytest.raises(ValidationError, match="alias"):
-            batched_butterfly_transform(block, factors, out=block)
+            batched_butterfly_transform(block, fused_stage_plan(factors), out=block)
 
     def test_scratch_must_not_alias_out(self):
         factors = random_factors(3)
         block = np.ones((8, 2))
         out = np.empty((8, 2))
         with pytest.raises(ValidationError, match="alias"):
-            batched_butterfly_transform(block, factors, out=out, scratch=out)
+            batched_butterfly_transform(block, fused_stage_plan(factors), out=out, scratch=out)
 
     def test_wrong_shape_buffers_rejected(self):
         factors = random_factors(3)
         block = np.ones((8, 2))
         with pytest.raises(ValidationError, match="shape"):
-            batched_butterfly_transform(block, factors, out=np.empty((8, 3)))
+            batched_butterfly_transform(block, fused_stage_plan(factors), out=np.empty((8, 3)))
 
 
 class TestValidation:
     def test_rejects_1d_and_3d_blocks(self):
         factors = random_factors(3)
         with pytest.raises(ValidationError, match="2-D"):
-            batched_butterfly_transform(np.zeros(8), factors)
+            batched_butterfly_transform(np.zeros(8), fused_stage_plan(factors))
         with pytest.raises(ValidationError, match="2-D"):
-            batched_butterfly_transform(np.zeros((8, 1, 1)), factors)
+            batched_butterfly_transform(np.zeros((8, 1, 1)), fused_stage_plan(factors))
 
     def test_rejects_row_count_mismatch(self):
         with pytest.raises(ValidationError, match="rows"):
-            batched_butterfly_transform(np.zeros((9, 2)), random_factors(3))
+            batched_butterfly_transform(np.zeros((9, 2)), fused_stage_plan(random_factors(3)))
 
-    def test_rejects_empty_factor_list(self):
+    def test_rejects_empty_plan(self):
         with pytest.raises(ValidationError, match="factor"):
+            fused_stage_plan([])
+        with pytest.raises(ValidationError, match="stage"):
             batched_butterfly_transform(np.zeros((1, 1)), [])
 
     def test_rejects_bad_scale_shape(self):
         factors = random_factors(3)
         with pytest.raises(ValidationError, match="pre_scale"):
-            batched_butterfly_transform(np.zeros((8, 2)), factors, pre_scale=np.ones(4))
+            batched_butterfly_transform(
+                np.zeros((8, 2)), fused_stage_plan(factors), pre_scale=np.ones(4)
+            )

@@ -21,9 +21,10 @@ from repro.exceptions import ValidationError
 from repro.landscapes import RandomLandscape
 from repro.mutation import GroupedMutation, PerSiteMutation, UniformMutation, site_factor
 from repro.operators import Fmmp
-from repro.transforms import batched_butterfly_transform
+from repro.transforms import batched_butterfly_transform, fused_stage_plan
 from repro.transforms.parallel import (
     PanelEngine,
+    auto_panels,
     get_engine,
     max_panels,
     parallel_butterfly_transform,
@@ -85,12 +86,12 @@ class TestBitIdentity:
         block = np.ascontiguousarray(rng.standard_normal((1 << nu, b)))
         pre, post = form_scales(form, 1 << nu, rng)
         want = batched_butterfly_transform(
-            block, factors, pre_scale=pre, post_scale=post
+            block, fused_stage_plan(factors), pre_scale=pre, post_scale=post
         )
         for threads in (1, 2):
             got = parallel_butterfly_transform(
                 block,
-                factors,
+                fused_stage_plan(factors),
                 pre_scale=pre,
                 post_scale=post,
                 panels=panels,
@@ -132,7 +133,7 @@ class TestBitIdentity:
             }[form]
             engine = parallel_butterfly_transform(
                 v.reshape(-1, 1),
-                mutation.factors_per_bit(),
+                fused_stage_plan(mutation.factors_per_bit()),
                 pre_scale=pre,
                 post_scale=post,
                 panels=op.panels,
@@ -157,13 +158,15 @@ class TestBitIdentity:
         block = rng.standard_normal((1 << nu, 1))
         pre, post = (None, None) if form is None else form_scales(form, 1 << nu, rng)
         want = batched_butterfly_transform(
-            block, factors, variant=variant, pre_scale=pre, post_scale=post
+            block,
+            fused_stage_plan(factors, variant=variant),
+            pre_scale=pre,
+            post_scale=post,
         )
         for threads in (1, 2):
             got = parallel_butterfly_transform(
                 block,
-                factors,
-                variant=variant,
+                fused_stage_plan(factors, variant=variant),
                 pre_scale=pre,
                 post_scale=post,
                 panels=panels,
@@ -176,9 +179,9 @@ class TestBitIdentity:
         factors = UniformMutation(nu, 0.05).factors_per_bit()
         rng = np.random.default_rng(0)
         block = np.ascontiguousarray(rng.standard_normal((1 << nu, 3)))
-        want = batched_butterfly_transform(block, factors, variant="eq10")
+        want = batched_butterfly_transform(block, fused_stage_plan(factors, variant="eq10"))
         got = parallel_butterfly_transform(
-            block, factors, variant="eq10", panels=4, engine=get_engine(2)
+            block, fused_stage_plan(factors, variant="eq10"), panels=4, engine=get_engine(2)
         )
         assert np.array_equal(want, got)
 
@@ -194,7 +197,11 @@ class TestBitIdentity:
         pre = rng.uniform(0.5, 2.0, 1 << nu)
         runs = [
             parallel_butterfly_transform(
-                block, factors, pre_scale=pre, panels=4, engine=get_engine(t)
+                block,
+                fused_stage_plan(factors),
+                pre_scale=pre,
+                panels=4,
+                engine=get_engine(t),
             )
             for t in (1, 2, 4, 2, 1)
         ]
@@ -208,11 +215,12 @@ class TestBitIdentity:
         block = np.ascontiguousarray(rng.standard_normal((1 << nu, 2)))
         out = np.empty_like(block)
         scratch = np.empty_like(block)
+        plan = fused_stage_plan(factors)
         got = parallel_butterfly_transform(
-            block, factors, panels=2, engine=get_engine(2), out=out, scratch=scratch
+            block, plan, panels=2, engine=get_engine(2), out=out, scratch=scratch
         )
         assert got is out
-        assert np.array_equal(got, batched_butterfly_transform(block, factors))
+        assert np.array_equal(got, batched_butterfly_transform(block, plan))
 
     def test_aliased_buffers_rejected(self):
         nu = 5
@@ -221,7 +229,7 @@ class TestBitIdentity:
         buf = np.empty_like(block)
         with pytest.raises(ValidationError, match="alias"):
             parallel_butterfly_transform(
-                block, factors, panels=2, out=buf, scratch=buf
+                block, fused_stage_plan(factors), panels=2, out=buf, scratch=buf
             )
 
 
@@ -304,6 +312,32 @@ class TestPanelEngine:
         assert get_engine(3) is not a
 
 
+class TestAutoPanels:
+    """``R = min(largest power of two <= T, max_panels(ν))`` once the
+    block holds ``N·B >= 2^14`` doubles, else the serial kernel."""
+
+    def test_serial_for_small_transforms(self):
+        for nu in (2, 4, 6, 8):
+            assert auto_panels(nu, 1, threads=4) == 1
+
+    def test_parallel_for_paper_sizes(self):
+        assert auto_panels(18, 1, threads=4) > 1
+        assert auto_panels(20, 16, threads=4) > 1
+
+    def test_one_thread_never_panels(self):
+        assert auto_panels(18, 1, threads=1) == 1
+
+    def test_respects_max_panels_cap(self):
+        assert auto_panels(18, 1, threads=64) <= max_panels(18)
+        assert auto_panels(2, 1 << 14, threads=8) == max_panels(2) == 1
+
+    def test_threshold_and_power_of_two_rule(self):
+        assert auto_panels(13, 1, threads=8) == 1  # N·B = 2^13
+        assert auto_panels(13, 2, threads=8) == 8  # N·B = 2^14
+        assert auto_panels(14, 1, threads=3) == 2
+        assert auto_panels(10, 16, threads=4) == 4
+
+
 class TestPanelReducer:
     """Row-panel contract of the panel engine: power-of-two panel counts
     only, whole ``2**ν``-row blocks only, and the same bytes whether the
@@ -316,10 +350,10 @@ class TestPanelReducer:
         block = np.ascontiguousarray(rng.standard_normal((1 << nu, 1)))
         pre = rng.uniform(0.5, 2.0, 1 << nu)
         serial = parallel_butterfly_transform(
-            block, factors, pre_scale=pre, panels=4, engine=get_engine(1)
+            block, fused_stage_plan(factors), pre_scale=pre, panels=4, engine=get_engine(1)
         )
         threaded = parallel_butterfly_transform(
-            block, factors, pre_scale=pre, panels=4, engine=get_engine(2)
+            block, fused_stage_plan(factors), pre_scale=pre, panels=4, engine=get_engine(2)
         )
         assert serial.tobytes() == threaded.tobytes()
 
@@ -327,16 +361,16 @@ class TestPanelReducer:
         factors = UniformMutation(2, 0.02).factors_per_bit()
         with pytest.raises(ValidationError, match="rows"):
             parallel_butterfly_transform(
-                np.zeros((6, 1)), factors, panels=4, engine=get_engine(2)
+                np.zeros((6, 1)), fused_stage_plan(factors), panels=4, engine=get_engine(2)
             )
 
     def test_bad_panel_counts_rejected(self):
         factors = UniformMutation(6, 0.02).factors_per_bit()
         block = np.zeros((1 << 6, 1))
         with pytest.raises(ValidationError):
-            parallel_butterfly_transform(block, factors, panels=3)
+            parallel_butterfly_transform(block, fused_stage_plan(factors), panels=3)
         with pytest.raises(ValidationError):
-            parallel_butterfly_transform(block, factors, panels=0)
+            parallel_butterfly_transform(block, fused_stage_plan(factors), panels=0)
 
 
 class TestScratchPoolLRU:
