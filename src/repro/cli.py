@@ -174,14 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--threads", type=int, default=None,
                        help="panel-engine threads per worker (workers are "
                        "capped at cpu_count//threads to avoid oversubscription)")
-    batch.add_argument(
-        "--batched",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="solve operator-sharing job groups in one multi-vector "
-        "block power iteration (--no-batched forces scalar solves); "
-        "defaults to the manifest's 'batched' option, else on",
-    )
     batch.add_argument("--json", metavar="PATH", default="batch-report.json",
                        help="where to write the JSON report ('-' for stdout)")
     batch.add_argument("--quiet", action="store_true",
@@ -381,7 +373,6 @@ def _cmd_batch(args) -> int:
         kind=args.pool_kind,
         timeout=args.timeout,
         retries=args.retries,
-        batched=args.batched,
         threads=args.threads,
     )
     if not args.quiet:

@@ -27,7 +27,7 @@ from repro.mutation.base import MutationModel
 from repro.mutation.uniform import UniformMutation
 from repro.operators.base import FORMS
 from repro.operators.fmmp import Fmmp
-from repro.operators.shifted import ShiftedOperator, conservative_shift
+from repro.operators.shifted import ShiftedOperator, resolve_shift
 from repro.operators.smvp import Smvp
 from repro.operators.xmvp import Xmvp
 from repro.solvers.dense import dense_solve
@@ -141,18 +141,8 @@ class QuasispeciesModel:
         else:
             op = Smvp(self.mutation, self.landscape, form=form)
 
-        if shift is False:
-            return op
-        if shift is True:
-            if not isinstance(self.mutation, UniformMutation):
-                raise ValidationError(
-                    "the conservative shift formula needs the uniform model; "
-                    "pass an explicit float shift instead"
-                )
-            mu = conservative_shift(self.mutation, self.landscape)
-        else:
-            mu = float(shift)
-        return ShiftedOperator(op, mu)
+        mu = resolve_shift(self.mutation, self.landscape, shift)
+        return op if mu is None else ShiftedOperator(op, mu)
 
     # --------------------------------------------------------------- solve
     def solve(
@@ -181,19 +171,9 @@ class QuasispeciesModel:
         """
         if method not in _METHODS:
             raise ValidationError(f"method must be one of {_METHODS}, got {method!r}")
-        if method == "auto":
+        auto = method == "auto"
+        if auto:
             method = self._auto_method()
-            if method == "power" and shift is False and isinstance(self.mutation, UniformMutation):
-                # Default acceleration in auto mode — except at the fully
-                # degenerate corner p = 0 on a flat landscape, where
-                # W = f_min·I and the conservative shift would annihilate
-                # W exactly (W − μI = 0 has no dominant direction).
-                degenerate = (
-                    self.mutation.p == 0.0
-                    and self.landscape.fmin == self.landscape.fmax
-                )
-                if not degenerate:
-                    shift = True
 
         if method == "kronecker":
             if not isinstance(self.landscape, KroneckerLandscape):
@@ -222,8 +202,10 @@ class QuasispeciesModel:
                 self.landscape.start_vector(), landscape=self.landscape, form=form
             )
 
+        # Auto mode shifts by default (see resolve_shift).
+        mu = resolve_shift(self.mutation, self.landscape, shift, auto=auto)
         op = self.build_operator(
-            operator, form=form, dmax=dmax, shift=shift, threads=threads
+            operator, form=form, dmax=dmax, shift=False if mu is None else mu, threads=threads
         )
         pi = PowerIteration(
             op, tol=tol, max_iterations=max_iterations, record_history=record_history
@@ -231,7 +213,7 @@ class QuasispeciesModel:
         label = f"Pi({operator.capitalize()}"
         if operator == "xmvp":
             label += f"({dmax or self.nu})"
-        label += ", shifted)" if (shift is not False and shift != 0.0) else ")"
+        label += ", shifted)" if mu else ")"
         return pi.solve(
             self.landscape.start_vector(),
             landscape=self.landscape,

@@ -13,10 +13,11 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.landscapes.base import FitnessLandscape
+from repro.mutation.base import MutationModel
 from repro.mutation.uniform import UniformMutation
 from repro.operators.base import ImplicitOperator, OperatorCosts
 
-__all__ = ["ShiftedOperator", "conservative_shift"]
+__all__ = ["ShiftedOperator", "conservative_shift", "resolve_shift"]
 
 
 def conservative_shift(mutation: UniformMutation, landscape: FitnessLandscape) -> float:
@@ -28,6 +29,33 @@ def conservative_shift(mutation: UniformMutation, landscape: FitnessLandscape) -
     if mutation.nu != landscape.nu:
         raise ValidationError("mutation and landscape chain lengths disagree")
     return (1.0 - 2.0 * mutation.p) ** mutation.nu * landscape.fmin
+
+
+def resolve_shift(
+    mutation: MutationModel, landscape: FitnessLandscape, shift: bool | float, *, auto=False
+) -> float | None:
+    """The shift ``μ`` of a power solve (``None``: unshifted) — the one
+    home of the rules the model and the service's batched route share.
+
+    ``shift`` is the request: ``False``, ``True`` (:func:`conservative_shift`,
+    uniform model only) or a float used verbatim.  ``auto`` (``method="auto"``
+    resolved to power) upgrades ``False`` to ``True`` on the uniform model,
+    except at ``p = 0`` on a flat landscape, where ``W = f_min·I`` and the
+    shift would annihilate ``W`` exactly.
+    """
+    if auto and shift is False and isinstance(mutation, UniformMutation):
+        if not (mutation.p == 0.0 and landscape.fmin == landscape.fmax):
+            shift = True
+    if shift is False:
+        return None
+    if shift is True:
+        if not isinstance(mutation, UniformMutation):
+            raise ValidationError(
+                "the conservative shift formula needs the uniform model; "
+                "pass an explicit float shift instead"
+            )
+        return conservative_shift(mutation, landscape)
+    return float(shift)
 
 
 class ShiftedOperator(ImplicitOperator):

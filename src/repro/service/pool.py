@@ -294,34 +294,6 @@ def execute_job(job: SolveJob, *, threads: int | None = None) -> JobResult:
     )
 
 
-def _effective_shift(job: SolveJob, mutation, landscape) -> float:
-    """The shift μ the scalar route would apply to ``job``.
-
-    Mirrors :meth:`repro.model.quasispecies.QuasispeciesModel.solve`
-    exactly: ``auto`` implies the conservative shift for non-degenerate
-    uniform problems; ``shift=True`` demands the uniform formula; a
-    float is used verbatim.
-    """
-    from repro.mutation.uniform import UniformMutation
-    from repro.operators.shifted import conservative_shift
-
-    shift = job.shift
-    if job.method == "auto" and shift is False and isinstance(mutation, UniformMutation):
-        degenerate = mutation.p == 0.0 and landscape.fmin == landscape.fmax
-        if not degenerate:
-            shift = True
-    if shift is False:
-        return 0.0
-    if shift is True:
-        if not isinstance(mutation, UniformMutation):
-            raise ValidationError(
-                "the conservative shift formula needs the uniform model; "
-                "pass an explicit float shift instead"
-            )
-        return conservative_shift(mutation, landscape)
-    return float(shift)
-
-
 def execute_batched_job(bjob, *, threads: int | None = None) -> list:
     """Solve a :class:`~repro.service.scheduler.BatchedSolveJob`.
 
@@ -330,10 +302,13 @@ def execute_batched_job(bjob, *, threads: int | None = None) -> list:
     and runs the lock-step
     :class:`~repro.solvers.power.BlockPowerIteration` with per-column
     shifts.  Returns one :class:`~repro.service.jobspec.JobResult` per
-    member job, in order.  Module-level and picklable.
+    member job, in order, each numerically identical to what
+    :func:`execute_job` returns for that job alone.  Module-level and
+    picklable.
     """
     from repro.model.concentrations import class_concentrations
     from repro.operators.batched import BatchedFmmp
+    from repro.operators.shifted import resolve_shift
     from repro.solvers.power import BlockPowerIteration
 
     jobs = list(bjob.jobs)
@@ -342,32 +317,29 @@ def execute_batched_job(bjob, *, threads: int | None = None) -> list:
     mutation = jobs[0].build_mutation()
     landscapes = [job.build_landscape() for job in jobs]
     shifts = np.array(
-        [_effective_shift(job, mutation, land) for job, land in zip(jobs, landscapes)]
+        [
+            resolve_shift(mutation, land, job.shift, auto=job.method == "auto") or 0.0
+            for job, land in zip(jobs, landscapes)
+        ]
     )
     op = BatchedFmmp(mutation, landscapes, form=bjob.form, threads=threads)
     solver = BlockPowerIteration(
-        op,
-        shifts=shifts,
-        tol=bjob.tol,
-        max_iterations=bjob.max_iterations,
+        op, shifts=shifts, tol=bjob.tol, max_iterations=bjob.max_iterations
     )
-    shifted_any = bool(np.any(shifts != 0.0))
-    label = "BPi(Fmmp, shifted)" if shifted_any else "BPi(Fmmp)"
+    label = "BPi(Fmmp, shifted)" if np.any(shifts != 0.0) else "BPi(Fmmp)"
     block = solver.solve(raise_on_fail=False, method_name=label)
-    results = []
-    for job, res in zip(jobs, block.columns):
-        results.append(
-            JobResult(
-                eigenvalue=float(res.eigenvalue),
-                concentrations=class_concentrations(res.concentrations, job.nu),
-                method=res.method,
-                iterations=int(res.iterations),
-                residual=float(res.residual),
-                converged=bool(res.converged),
-                tol=job.tol,
-            )
+    return [
+        JobResult(
+            eigenvalue=float(res.eigenvalue),
+            concentrations=class_concentrations(res.concentrations, job.nu),
+            method=res.method,
+            iterations=int(res.iterations),
+            residual=float(res.residual),
+            converged=bool(res.converged),
+            tol=job.tol,
         )
-    return results
+        for job, res in zip(jobs, block.columns)
+    ]
 
 
 def _timed_call(fn, job):

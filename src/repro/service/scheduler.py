@@ -149,8 +149,9 @@ class BatchedSolveJob:
     """A block of operator-sharing jobs to solve in one butterfly stream.
 
     Every member shares the mutation operator ``Q`` (same
-    :meth:`~repro.service.jobspec.SolveJob.operator_key`) and the
-    eigenproblem form; the landscapes differ per column.  The pool
+    :meth:`~repro.service.jobspec.SolveJob.operator_key`), the
+    eigenproblem form, ``tol`` and ``max_iterations``; the landscapes
+    differ per column.  The pool
     executes it through
     :class:`~repro.solvers.power.BlockPowerIteration` on one
     :class:`~repro.operators.batched.BatchedFmmp`, with per-column
@@ -179,12 +180,13 @@ class BatchedSolveJob:
 
     @property
     def tol(self) -> float:
-        """The tightest member tolerance — satisfying it satisfies all."""
-        return min(j.tol for j in self.jobs)
+        """The members' shared residual tolerance."""
+        return self.jobs[0].tol
 
     @property
     def max_iterations(self) -> int:
-        return max(int(j.max_iterations) for j in self.jobs)
+        """The members' shared iteration cap."""
+        return int(self.jobs[0].max_iterations)
 
     def label(self) -> str:
         first = self.jobs[0]
@@ -206,10 +208,7 @@ def is_batchable(job: SolveJob) -> bool:
 
 
 def plan_batched_jobs(
-    plan: BatchPlan,
-    subset: Sequence[int] | None = None,
-    *,
-    min_batch: int = 2,
+    plan: BatchPlan, subset: Sequence[int] | None = None
 ) -> list[BatchedSolveJob]:
     """Extract batched blocks from a plan's operator-sharing groups.
 
@@ -217,35 +216,32 @@ def plan_batched_jobs(
     ``subset`` when given — the service passes the cache-miss indices),
     sub-groups them by eigenproblem form (one
     :class:`~repro.operators.batched.BatchedFmmp` has a single form),
-    and emits a :class:`BatchedSolveJob` for every sub-group of at least
-    ``min_batch`` jobs.  Smaller sub-groups stay on the scalar route —
-    a one-column block has nothing to amortize.
+    ``tol`` and ``max_iterations`` (so a job iterates exactly as far as
+    it would alone), and emits a :class:`BatchedSolveJob` for every
+    sub-group of at least two jobs.  A lone job stays on the scalar
+    route, which gives it the same bits.
     """
-    if min_batch < 1:
-        from repro.exceptions import ValidationError
-
-        raise ValidationError(f"min_batch must be >= 1, got {min_batch}")
     allowed = None if subset is None else set(subset)
     blocks: list[BatchedSolveJob] = []
     for group in plan.groups:
         if group.reduced:
             continue
-        by_form: dict[str, list[int]] = {}
+        subgroups: dict[tuple, list[int]] = {}
         for idx in group.indices:
             if allowed is not None and idx not in allowed:
                 continue
             job = plan.unique_jobs[idx]
             if not is_batchable(job):
                 continue
-            by_form.setdefault(job.form, []).append(idx)
-        for form in sorted(by_form):
-            indices = by_form[form]
-            if len(indices) < min_batch:
+            subgroups.setdefault((job.form, job.tol, job.max_iterations), []).append(idx)
+        for key in sorted(subgroups):
+            indices = subgroups[key]
+            if len(indices) < 2:
                 continue
             blocks.append(
                 BatchedSolveJob(
                     key=group.key,
-                    form=form,
+                    form=key[0],
                     indices=tuple(indices),
                     jobs=tuple(plan.unique_jobs[i] for i in indices),
                 )

@@ -23,10 +23,9 @@ Manifest format
 Each job entry is a :meth:`SolveJob.from_dict` payload merged over
 ``defaults``.  ``options`` feeds the :class:`SolverService` constructor
 (``workers``, ``kind``, ``timeout``, ``retries``, ``backoff``,
-``capacity``, ``cache_dir``, ``batched``, ``min_batch``, ``threads``)
-and is overridable from the CLI.  YAML
-manifests work when PyYAML is installed (the dependency is optional and
-gated).
+``capacity``, ``cache_dir``, ``threads``) and is overridable from the
+CLI.  YAML manifests work when PyYAML is installed (the dependency is
+optional and gated).
 """
 
 from __future__ import annotations
@@ -51,8 +50,6 @@ _OPTION_KEYS = (
     "backoff",
     "capacity",
     "cache_dir",
-    "batched",
-    "min_batch",
     "threads",
 )
 
@@ -162,6 +159,12 @@ class BatchReport:
 class SolverService:
     """A queryable solver backend over cache + scheduler + worker pool.
 
+    Cache misses that share an operator, form, ``tol`` and
+    ``max_iterations`` are solved together in one
+    :class:`~repro.solvers.power.BlockPowerIteration` whenever at least
+    two of them are batchable power jobs; each gets the same bits it
+    would get alone.
+
     Parameters
     ----------
     cache:
@@ -172,13 +175,6 @@ class SolverService:
         An explicit :class:`~repro.service.pool.WorkerPool` — or
         ``None`` to build one from ``workers``/``kind``/``timeout``/
         ``retries``/``backoff``/``solve_fn``.
-    batched:
-        Route operator-sharing groups of batchable power jobs through
-        the multi-vector
-        :class:`~repro.solvers.power.BlockPowerIteration` (default
-        ``True``); ``False`` forces per-job scalar solves.
-    min_batch:
-        Smallest group size worth batching (default 2).
     threads:
         Panel-engine threads per worker for the fmmp routes (``None``
         → ``REPRO_NUM_THREADS`` or 1).  An execution knob only: it
@@ -209,12 +205,8 @@ class SolverService:
         backoff: float = 0.05,
         solve_fn=None,
         batched_solve_fn=None,
-        batched: bool = True,
-        min_batch: int = 2,
         threads: int | None = None,
     ):
-        if min_batch < 1:
-            raise ValidationError(f"min_batch must be >= 1, got {min_batch}")
         self.cache = cache or ResultCache(capacity, disk_dir=cache_dir)
         self.pool = pool or WorkerPool(
             workers,
@@ -226,8 +218,6 @@ class SolverService:
             batched_solve_fn=batched_solve_fn,
             threads=threads,
         )
-        self.batched = bool(batched)
-        self.min_batch = int(min_batch)
 
     # -------------------------------------------------------------- single
     def solve(self, job: SolveJob) -> JobResult:
@@ -259,18 +249,16 @@ class SolverService:
                 to_solve.append(uidx)
 
         if to_solve:
-            singles = to_solve
-            if self.batched:
-                blocks = plan_batched_jobs(plan, to_solve, min_batch=self.min_batch)
-                covered = {i for block in blocks for i in block.indices}
-                singles = [u for u in to_solve if u not in covered]
-                for block in blocks:
-                    outcomes = self.pool.run_batched(block)
-                    for uidx, (result, tele) in zip(block.indices, outcomes):
-                        results[uidx] = result
-                        telemetry[uidx] = tele
-                        if result is not None:
-                            self.cache.store(plan.unique_jobs[uidx], result)
+            blocks = plan_batched_jobs(plan, to_solve)
+            covered = {i for block in blocks for i in block.indices}
+            singles = [u for u in to_solve if u not in covered]
+            for block in blocks:
+                outcomes = self.pool.run_batched(block)
+                for uidx, (result, tele) in zip(block.indices, outcomes):
+                    results[uidx] = result
+                    telemetry[uidx] = tele
+                    if result is not None:
+                        self.cache.store(plan.unique_jobs[uidx], result)
             if singles:
                 outcomes = self.pool.run([plan.unique_jobs[u] for u in singles])
                 for uidx, (result, tele) in zip(singles, outcomes):

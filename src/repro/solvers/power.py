@@ -14,6 +14,11 @@ Paper-faithful details implemented here:
   :class:`~repro.operators.shifted.ShiftedOperator`), which improves the
   rate from ``λ₁/λ₀`` to ``(λ₁−μ)/(λ₀−μ)`` and cuts iteration counts by
   ≳10 % on random landscapes (reproduced in the shift-ablation bench).
+
+:class:`PowerIteration` is the one-column case of the lock-step
+:class:`BlockPowerIteration`: one loop, whose reductions sum each column
+in a fixed order (:func:`column_sums`), so a column's bits never depend
+on how many other columns share its sweeps.
 """
 
 from __future__ import annotations
@@ -25,14 +30,174 @@ import numpy as np
 
 from repro.exceptions import ConvergenceError, ValidationError
 from repro.operators.base import ImplicitOperator
+from repro.operators.batched import BatchedFmmp
 from repro.operators.dense_w import convert_eigenvector
 from repro.operators.shifted import ShiftedOperator
 from repro.solvers.result import IterationRecord, SolveResult
 
-__all__ = ["PowerIteration", "BlockPowerIteration", "BlockSolveResult"]
+__all__ = ["PowerIteration", "BlockPowerIteration", "BlockSolveResult", "column_sums"]
+
+#: strided partial sums per column in :func:`column_sums`
+_PARTIALS = 64
 
 
-class PowerIteration:
+def column_sums(block: np.ndarray) -> np.ndarray:
+    """Per-column sums of an ``(n, B)`` block, bitwise independent of ``B``
+    for even ``n`` (NumPy's ``sum`` picks pairwise or sequential order from
+    the shape).  Row ``i`` adds into partial ``i mod p`` (``p = min(64, n)``)
+    in row order; the even and the odd partials are summed in order, then
+    added.  Both reductions run along the outer axis of a block at least
+    two wide, which NumPy sums row by row.
+    """
+    n, b = block.shape
+    p = min(_PARTIALS, n & -n)
+    if p < 2:  # odd n: no fixed order (never the case for N = 2**ν)
+        return np.add.reduce(block)
+    sums = block.reshape(n // p, p * b)  # partial k of column j at k·b + j
+    sums = np.add.reduce(sums) if n > p else sums[0]
+    sums = np.add.reduce(sums.reshape(p // 2, 2 * b))
+    return sums[:b] + sums[b:]
+
+
+def _front(buf: np.ndarray, cols: int) -> np.ndarray:
+    """The first ``n·cols`` doubles of a C-contiguous block, as ``(n, cols)``."""
+    n = buf.shape[0]
+    return buf.reshape(-1)[: n * cols].reshape(n, cols)
+
+
+class _PowerLoop:
+    """Settings shared by both power solvers, and the one loop they run."""
+
+    def __init__(
+        self,
+        operator: ImplicitOperator,
+        *,
+        tol: float = 1e-12,
+        max_iterations: int = 100_000,
+        record_history: bool = False,
+    ):
+        if tol <= 0.0:
+            raise ValidationError(f"tol must be positive, got {tol}")
+        if max_iterations < 1:
+            raise ValidationError("max_iterations must be >= 1")
+        self.operator = operator
+        self.tol = float(tol)
+        self.max_iterations = int(max_iterations)
+        self.record_history = bool(record_history)
+
+    def _run(self, x, mu, lands, form, raise_on_fail, name, matvec=None):
+        """Iterate the owned ``(n, B)`` start block ``x`` with shifts ``mu``;
+        returns ``(results, sweeps)``.  ``matvec`` drives one column, else
+        the operator's ``matmat`` the active ones; a ``BatchedFmmp`` writes
+        into the loop's three blocks, and deflation compacts their fronts.
+        """
+        op = self.operator
+        b = x.shape[1]
+        recycle = matvec is None and isinstance(op, BatchedFmmp)
+        scratch = np.empty_like(x)
+        mass = column_sums(np.abs(x, out=scratch))
+        bad = np.flatnonzero(~(np.isfinite(mass) & (mass > 0.0)))
+        if bad.size:
+            j = int(bad[0])
+            raise ValidationError(f"start column {j} must have finite nonzero mass, got {mass[j]}")
+        x /= mass
+
+        active = np.arange(b)
+        lam, residual, iterations = np.zeros(b), np.zeros(b), np.zeros(b, dtype=int)
+        finals: list[np.ndarray | None] = [None] * b
+        histories: list[list[IterationRecord]] = [[] for _ in range(b)]
+        shifted = bool(np.any(mu != 0.0))
+        spare = None
+        sweeps = 0
+        while sweeps < self.max_iterations:
+            sweeps += 1
+            if matvec is not None:
+                y = matvec(x.reshape(-1)).reshape(x.shape)
+            elif recycle:
+                columns = active if op.per_column and active.size < b else None
+                y = op.matmat(x, columns=columns, out=spare, scratch=scratch)
+            else:
+                y = op.matmat(x)
+            if shifted:
+                y -= np.multiply(x, mu[active], out=scratch)
+            # 1-norm estimate; y > 0 near the fixed point
+            lam_act = column_sums(np.abs(y, out=scratch))
+            # Fail fast: a NaN/inf iterate never recovers.  A finite λ > 0
+            # also keeps the residual finite, as x is normalized.
+            if not (lam_act.min() > 0.0 and lam_act.max() < np.inf):
+                k = int(np.flatnonzero(~((lam_act > 0.0) & (lam_act < np.inf)))[0])
+                raise ConvergenceError(
+                    f"column {int(active[k])} at sweep {sweeps}: eigenvalue estimate "
+                    f"{lam_act[k]} is not finite and positive (a non-finite iterate, "
+                    "or W is not acting as a positive operator)",
+                    iterations=sweeps,
+                    residual=float("nan"),
+                )
+            y /= lam_act
+            # Residual of the *normalized* pair: ‖W x − λ x‖₂ = λ‖y − x‖₂.
+            diff = np.subtract(y, x, out=scratch)
+            res_act = lam_act * np.sqrt(column_sums(np.multiply(diff, diff, out=diff)))
+
+            if self.record_history:
+                for k, j in enumerate(active):
+                    histories[j].append(
+                        IterationRecord(sweeps, float(lam_act[k] + mu[j]), float(res_act[k]))
+                    )
+
+            if res_act.min() >= self.tol:
+                x, spare = y, (x if recycle else None)
+                continue
+            # Deflation: freeze converged columns, shrink the block in place.
+            done = res_act < self.tol
+            for k in np.flatnonzero(done):
+                j = active[k]
+                finals[j] = y[:, k].copy()
+                lam[j], residual[j], iterations[j] = lam_act[k], res_act[k], sweeps
+            keep = np.flatnonzero(~done)
+            active, lam_act, res_act = active[keep], lam_act[keep], res_act[keep]
+            if not keep.size:
+                break
+            x = np.take(y, keep, axis=1, out=_front(x, keep.size), mode="clip")
+            spare = _front(y, keep.size) if recycle else None
+            scratch = _front(scratch, keep.size)
+
+        del y, spare, scratch  # release the blocks before building results
+        for k, j in enumerate(active):  # stragglers keep their last iterate
+            finals[j] = x[:, k].copy()
+            lam[j], residual[j], iterations[j] = lam_act[k], res_act[k], sweeps
+        del x
+
+        if active.size and raise_on_fail:
+            worst = float(np.max(residual[active]))
+            raise ConvergenceError(
+                f"power iteration: columns {active.tolist()} did not reach "
+                f"tol={self.tol} in {self.max_iterations} sweeps "
+                f"(worst residual={worst:.3e})",
+                iterations=sweeps,
+                residual=worst,
+            )
+        results = []
+        for j, v in enumerate(finals):
+            v = np.abs(v, out=v)  # Perron vector: clean up −0.0 / tiny negative noise
+            v /= v.sum()
+            results.append(
+                SolveResult(
+                    eigenvalue=float(lam[j] + mu[j]),  # un-shift
+                    eigenvector=v,
+                    concentrations=(
+                        convert_eigenvector(v, lands[j], form) if lands[j] is not None else v
+                    ),
+                    iterations=int(iterations[j]),
+                    residual=float(residual[j]),
+                    converged=j not in active,
+                    method=name,
+                    history=histories[j],
+                )
+            )
+        return results, sweeps
+
+
+class PowerIteration(_PowerLoop):
     """Power iteration on any implicit operator.
 
     Parameters
@@ -58,26 +223,12 @@ class PowerIteration:
     vector (for positive ``x`` and non-negative ``W``, ``1ᵀWx = λ 1ᵀx``
     at the fixed point).  The residual is still measured in the 2-norm,
     as in the paper.
+
+    This is the one-column case of :class:`BlockPowerIteration` (a
+    :class:`~repro.operators.shifted.ShiftedOperator` is unwrapped into
+    its base and ``μ``), so the result is bitwise that column of a block.
     """
 
-    def __init__(
-        self,
-        operator: ImplicitOperator,
-        *,
-        tol: float = 1e-12,
-        max_iterations: int = 100_000,
-        record_history: bool = False,
-    ):
-        if tol <= 0.0:
-            raise ValidationError(f"tol must be positive, got {tol}")
-        if max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
-        self.operator = operator
-        self.tol = float(tol)
-        self.max_iterations = int(max_iterations)
-        self.record_history = bool(record_history)
-
-    # --------------------------------------------------------------- solve
     def solve(
         self,
         start: np.ndarray,
@@ -108,66 +259,23 @@ class PowerIteration:
             ``Pi(<operator class>)``).
         """
         op = self.operator
-        mu = op.mu if isinstance(op, ShiftedOperator) else 0.0
-        x = np.asarray(start, dtype=np.float64).copy()
-        if x.shape != (op.n,):
-            raise ValidationError(f"start vector must have shape ({op.n},), got {x.shape}")
-        mass = np.abs(x).sum()
-        if mass <= 0.0:
-            raise ValidationError("start vector must have nonzero mass")
-        x /= mass
+        base, mu = (op.base, op.mu) if isinstance(op, ShiftedOperator) else (op, 0.0)
+        n = op.n
+        if np.shape(start) != (n,):
+            raise ValidationError(f"start vector must have shape ({n},), got {np.shape(start)}")
 
-        history: list[IterationRecord] = []
-        lam = 0.0
-        residual = np.inf
-        iterations = 0
-        for iterations in range(1, self.max_iterations + 1):
-            y = op.matvec(x)
-            lam = float(np.abs(y).sum())  # 1-norm estimate; y > 0 near the fixed point
-            if lam <= 0.0:
-                raise ConvergenceError(
-                    "iterate collapsed to zero — W is not acting as a positive operator",
-                    iterations=iterations,
-                    residual=float("nan"),
-                )
-            y /= lam
-            # Residual of the *normalized* pair: ‖W x − λ x‖₂ = λ‖y − x‖₂.
-            residual = lam * float(np.linalg.norm(y - x))
-            x = y
-            if self.record_history:
-                history.append(IterationRecord(iterations, lam + mu, residual))
-            if residual < self.tol:
-                break
-        else:  # pragma: no cover - loop always breaks or exhausts
-            pass
-
-        converged = residual < self.tol
-        if not converged and raise_on_fail:
-            raise ConvergenceError(
-                f"power iteration did not reach tol={self.tol} in "
-                f"{self.max_iterations} iterations (residual={residual:.3e})",
-                iterations=iterations,
-                residual=residual,
-            )
-
-        eigenvalue = lam + mu  # un-shift
-        x = np.abs(x)  # Perron vector: clean up −0.0 / tiny negative noise
-        x /= x.sum()
-        if landscape is not None:
-            concentrations = convert_eigenvector(x, landscape, form)
-        else:
-            concentrations = x
         name = method_name or f"Pi({type(op).__name__})"
-        return SolveResult(
-            eigenvalue=eigenvalue,
-            eigenvector=x,
-            concentrations=concentrations,
-            iterations=iterations,
-            residual=residual,
-            converged=converged,
-            method=name,
-            history=history,
+        # The start copy is passed, not named, so the loop frees it after one sweep.
+        results, _ = self._run(
+            np.array(start, dtype=np.float64).reshape(n, 1),
+            np.array([mu], dtype=np.float64),
+            [landscape],
+            form,
+            raise_on_fail,
+            name,
+            base.matvec,
         )
+        return results[0]
 
 
 @dataclass
@@ -207,7 +315,7 @@ class BlockSolveResult:
         return iter(self.columns)
 
 
-class BlockPowerIteration:
+class BlockPowerIteration(_PowerLoop):
     """Lock-step power iteration on ``B`` columns sharing one operator.
 
     All columns ride the *same* fused butterfly stream
@@ -217,6 +325,8 @@ class BlockPowerIteration:
     ``μ_j`` (the per-landscape conservative shift of Sec. 3); columns
     that reach the tolerance are **deflated** — dropped from the working
     block so later sweeps only move the unconverged columns' memory.
+    Each column is bitwise what :class:`PowerIteration` returns for it
+    alone.
 
     Parameters
     ----------
@@ -241,19 +351,10 @@ class BlockPowerIteration:
         operator: ImplicitOperator,
         *,
         shifts: float | Sequence[float] | np.ndarray | None = None,
-        tol: float = 1e-12,
-        max_iterations: int = 100_000,
-        record_history: bool = False,
+        **settings,
     ):
-        if tol <= 0.0:
-            raise ValidationError(f"tol must be positive, got {tol}")
-        if max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
-        self.operator = operator
+        super().__init__(operator, **settings)
         self.shifts = shifts
-        self.tol = float(tol)
-        self.max_iterations = int(max_iterations)
-        self.record_history = bool(record_history)
 
     # ------------------------------------------------------------ plumbing
     def _resolve_batch(self, starts: np.ndarray | None) -> int:
@@ -291,18 +392,19 @@ class BlockPowerIteration:
 
     def _resolve_landscapes(self, landscapes, b: int):
         if landscapes is None:
-            op_lands = getattr(self.operator, "landscapes", None)
-            if op_lands is not None and getattr(self.operator, "per_column", False):
-                return list(op_lands)
-            if op_lands is not None and len(op_lands) == 1:
-                return [op_lands[0]] * b
-            return [None] * b
+            landscapes = getattr(self.operator, "landscapes", None) or [None]
         lands = list(landscapes)
         if len(lands) == 1:
             lands = lands * b
         if len(lands) != b:
             raise ValidationError(f"expected {b} landscapes, got {len(lands)}")
         return lands
+
+    def _start_block(self, starts, lands) -> np.ndarray:
+        """A fresh ``(n, B)`` start block for the loop to own."""
+        if starts is None:  # a per-column operator: one landscape per column
+            return np.stack([land.start_vector() for land in lands], axis=1)
+        return np.array(starts, dtype=np.float64, order="C")
 
     # --------------------------------------------------------------- solve
     def solve(
@@ -335,110 +437,15 @@ class BlockPowerIteration:
             the stragglers are returned with ``converged=False``.
         """
         op = self.operator
-        n = op.n
         b = self._resolve_batch(starts)
         mu = self._resolve_shifts(b)
         lands = self._resolve_landscapes(landscapes, b)
         if form is None:
             form = getattr(op, "form", "right")
-        per_column = bool(getattr(op, "per_column", False))
 
-        if starts is None:
-            cols = []
-            for j, land in enumerate(lands):
-                if land is None:
-                    raise ValidationError(f"no start vector and no landscape for column {j}")
-                cols.append(land.start_vector())
-            x = np.stack(cols, axis=1).astype(np.float64)
-        else:
-            x = np.ascontiguousarray(starts, dtype=np.float64).copy()
-        mass = np.abs(x).sum(axis=0)
-        if np.any(mass <= 0.0):
-            bad = int(np.argmin(mass))
-            raise ValidationError(f"start column {bad} has nonzero mass required, got {mass[bad]}")
-        x /= mass[None, :]
 
         name = method_name or f"BPi({type(op).__name__})"
-        active = list(range(b))
-        lam = np.zeros(b)
-        residual = np.full(b, np.inf)
-        iterations = np.zeros(b, dtype=int)
-        final = [None] * b
-        histories: list[list[IterationRecord]] = [[] for _ in range(b)]
-        sweeps = 0
-
-        while active and sweeps < self.max_iterations:
-            sweeps += 1
-            kwargs = {"columns": active} if per_column else {}
-            y = op.matmat(x, **kwargs)
-            mu_act = mu[active]
-            if np.any(mu_act != 0.0):
-                y = y - x * mu_act[None, :]
-            lam_act = np.abs(y).sum(axis=0)
-            if np.any(lam_act <= 0.0):
-                bad = active[int(np.argmin(lam_act))]
-                raise ConvergenceError(
-                    f"column {bad} collapsed to zero — W is not acting as a "
-                    "positive operator",
-                    iterations=sweeps,
-                    residual=float("nan"),
-                )
-            y = y / lam_act[None, :]
-            res_act = lam_act * np.linalg.norm(y - x, axis=0)
-
-            if self.record_history:
-                for k, j in enumerate(active):
-                    histories[j].append(
-                        IterationRecord(sweeps, float(lam_act[k] + mu[j]), float(res_act[k]))
-                    )
-
-            done = [k for k in range(len(active)) if res_act[k] < self.tol]
-            for k in range(len(active)):
-                j = active[k]
-                lam[j] = lam_act[k]
-                residual[j] = res_act[k]
-                iterations[j] = sweeps
-            if done:
-                # Deflation: freeze converged columns, shrink the block.
-                done_set = set(done)
-                for k in done:
-                    final[active[k]] = y[:, k].copy()
-                keep = [k for k in range(len(active)) if k not in done_set]
-                active = [active[k] for k in keep]
-                x = np.ascontiguousarray(y[:, keep])
-            else:
-                x = y
-
-        for k, j in enumerate(active):  # stragglers keep their last iterate
-            final[j] = x[:, k].copy()
-
-        if active and raise_on_fail:
-            raise ConvergenceError(
-                f"block power iteration: columns {active} did not reach "
-                f"tol={self.tol} in {self.max_iterations} sweeps "
-                f"(worst residual={float(np.max(residual[active])):.3e})",
-                iterations=sweeps,
-                residual=float(np.max(residual[active])),
-            )
-
-        unconverged = set(active)
-        results: list[SolveResult] = []
-        for j in range(b):
-            v = np.abs(final[j])
-            v /= v.sum()
-            concentrations = (
-                convert_eigenvector(v, lands[j], form) if lands[j] is not None else v
-            )
-            results.append(
-                SolveResult(
-                    eigenvalue=float(lam[j] + mu[j]),
-                    eigenvector=v,
-                    concentrations=concentrations,
-                    iterations=int(iterations[j]),
-                    residual=float(residual[j]),
-                    converged=j not in unconverged,
-                    method=name,
-                    history=histories[j],
-                )
-            )
+        results, sweeps = self._run(
+            self._start_block(starts, lands), mu, lands, form, raise_on_fail, name
+        )
         return BlockSolveResult(columns=results, sweeps=sweeps)

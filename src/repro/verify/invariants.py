@@ -3,33 +3,35 @@
 Every invariant encodes one *exactness claim* of the paper (or of this
 reproduction's extensions) as an executable, reusable check:
 
-==============================  =========================================
-invariant                       paper identity
-==============================  =========================================
-``q-column-stochastic``         columns of ``Q`` sum to 1 (Eq. 2 / 7);
-                                equivalently ``1ᵀ(Q·v) = 1ᵀv``
-``fmmp-dense-equivalence``      ``Fmmp(v) ≡ (Q·F)·v`` densely, all three
-                                forms (Eqs. 3–5, 9–10, Algorithm 1)
-``fmmp-variant-agreement``      Eq. 9 and Eq. 10 stage orders commute
-``fmmp-spectral-equivalence``   ``Q·v = V Λ V v`` (Sec. 2 FWHT eigen-
-                                decomposition)
-``xmvp-exactness``              ``Xmvp(ν) ≡ Smvp`` ([10] baseline)
-``shift-safety``                ``μ = (1−2p)^ν f_min ≤ λ_min(W) < λ₀``
-                                (Sec. 3)
-``shifted-product-exactness``   ``(W − μI)v`` exact via one extra axpy
-``shift-invert-exactness``      ``(Q − μI)^{-1}v`` via FWHT equals the
-                                dense solve (Sec. 3)
-``lemma2-class-recovery``       ``[Γ_k] = C(ν,k)·vΓ_k / Σⱼ C(ν,j)·vΓ_j``
-                                matches the full-space Perron vector
-                                (Lemma 2, Eq. 14)
-``kronecker-factorization``     Perron pair of ``W = ⊗(QᵢFᵢ)`` is the
-                                product/⊗ of the factors' pairs (Sec. 5.2)
-``fwht-involution``             ``V·V = I`` and ``H·H = N·I`` round trips
-``q-inverse-roundtrip``         ``Q⁻¹(Q·v) = v`` via Eq. 12 factors
-``mean-fitness-identity``       ``λ₀ = Σᵢ fᵢ xᵢ`` at the fixed point
-``device-kernel-equivalence``   Algorithm 2 stage kernels ≡ host butterfly
-``distributed-equivalence``     hypercube butterfly ≡ serial butterfly
-==============================  =========================================
+================================  =========================================
+invariant                         paper identity
+================================  =========================================
+``q-column-stochastic``           columns of ``Q`` sum to 1 (Eq. 2 / 7);
+                                  equivalently ``1ᵀ(Q·v) = 1ᵀv``
+``fmmp-dense-equivalence``        ``Fmmp(v) ≡ (Q·F)·v`` densely, all three
+                                  forms (Eqs. 3–5, 9–10, Algorithm 1)
+``fmmp-variant-agreement``        Eq. 9 and Eq. 10 stage orders commute
+``fmmp-spectral-equivalence``     ``Q·v = V Λ V v`` (Sec. 2 FWHT eigen-
+                                  decomposition)
+``xmvp-exactness``                ``Xmvp(ν) ≡ Smvp`` ([10] baseline)
+``shift-safety``                  ``μ = (1−2p)^ν f_min ≤ λ_min(W) < λ₀``
+                                  (Sec. 3)
+``shifted-product-exactness``     ``(W − μI)v`` exact via one extra axpy
+``shift-invert-exactness``        ``(Q − μI)^{-1}v`` via FWHT equals the
+                                  dense solve (Sec. 3)
+``lemma2-class-recovery``         ``[Γ_k] = C(ν,k)·vΓ_k / Σⱼ C(ν,j)·vΓ_j``
+                                  matches the full-space Perron vector
+                                  (Lemma 2, Eq. 14)
+``kronecker-factorization``       Perron pair of ``W = ⊗(QᵢFᵢ)`` is the
+                                  product/⊗ of the factors' pairs (Sec. 5.2)
+``fwht-involution``               ``V·V = I`` and ``H·H = N·I`` round trips
+``q-inverse-roundtrip``           ``Q⁻¹(Q·v) = v`` via Eq. 12 factors
+``mean-fitness-identity``         ``λ₀ = Σᵢ fᵢ xᵢ`` at the fixed point
+``device-kernel-equivalence``     Algorithm 2 stage kernels ≡ host butterfly
+``distributed-equivalence``       hypercube butterfly ≡ serial butterfly
+``power-batch-width-invariance``  a power solve alone is bitwise the same
+                                  column of a block solve (Sec. 3)
+================================  =========================================
 
 Each invariant declares its *applicability* (which specs it can check)
 and returns the measured discrepancy; the registry turns that into
@@ -346,6 +348,27 @@ def _chk_distributed(spec: ProblemSpec, rng: np.random.Generator):
     return relative_error(out, serial), f"hypercube butterfly over {ranks} ranks"
 
 
+def _chk_power_batch_width(spec: ProblemSpec, rng: np.random.Generator):
+    from repro.operators.batched import BatchedFmmp
+    from repro.operators.shifted import resolve_shift
+    from repro.solvers.power import BlockPowerIteration, PowerIteration
+
+    mutation = spec.build_mutation()
+    # the spec's landscape rides in the middle of a 3-column block
+    lands = [spec.with_(landscape="random", seed=spec.seed + k).build_landscape() for k in (1, 2)]
+    land = spec.build_landscape()
+    lands.insert(1, land)
+    shifts = [resolve_shift(mutation, f, False, auto=True) or 0.0 for f in lands]
+    budget = dict(tol=1e-13, max_iterations=300)
+    col = BlockPowerIteration(BatchedFmmp(mutation, lands), shifts=shifts, **budget)
+    col = col.solve(raise_on_fail=False)[1]
+    alone = PowerIteration(ShiftedOperator(Fmmp(mutation, land), shifts[1]), **budget)
+    alone = alone.solve(land.start_vector(), landscape=land, raise_on_fail=False)
+    fields = ("eigenvalue", "residual", "iterations", "eigenvector", "concentrations")
+    error = max(relative_error(getattr(alone, f), getattr(col, f)) for f in fields)
+    return error, f"alone vs column 1 of B=3: {alone.iterations} vs {col.iterations} iterations"
+
+
 # ----------------------------------------------------------- applicability
 def _is_2x2_factored(spec: ProblemSpec) -> bool:
     return spec.mutation in ("uniform", "persite")
@@ -486,6 +509,14 @@ INVARIANTS: tuple[Invariant, ...] = (
         tolerance=1e-13,
         applies=lambda s: _is_2x2_factored(s) and s.nu >= 3,
         run=_chk_distributed,
+    ),
+    Invariant(
+        name="power-batch-width-invariance",
+        equation="Sec. 3 (power iteration)",
+        description="a power solve returns the same bits alone and inside a block",
+        tolerance=0.0,
+        applies=lambda s: True,
+        run=_chk_power_batch_width,
     ),
 )
 

@@ -2,10 +2,9 @@
 
 Covers the scheduler's block extraction (`plan_batched_jobs`), the
 pool's block execution with per-failure-scope degradation
-(`run_batched`), the `SolverService` wiring (``batched``/``min_batch``
-options, `BatchReport.n_batched`), the manifest/CLI plumbing, and the
-acceptance property: a batched run answers every job with the same
-eigenpairs as the scalar route.
+(`run_batched`), the `SolverService` wiring (`BatchReport.n_batched`),
+the manifest/CLI plumbing, and the acceptance property: a batched run
+answers every job with bitwise the same result as the scalar route.
 """
 
 import json
@@ -82,10 +81,9 @@ class TestPlanBatchedJobs:
         blocks = plan_batched_jobs(plan_batch(jobs))
         assert sorted(b.form for b in blocks) == ["left", "right"]
 
-    def test_min_batch_filters_small_groups(self):
-        jobs = sharing_jobs(2)
-        assert plan_batched_jobs(plan_batch(jobs), min_batch=3) == []
-        assert len(plan_batched_jobs(plan_batch(jobs), min_batch=2)) == 1
+    def test_lone_batchable_job_stays_scalar(self):
+        assert plan_batched_jobs(plan_batch(sharing_jobs(1))) == []
+        assert len(plan_batched_jobs(plan_batch(sharing_jobs(2)))) == 1
 
     def test_subset_restricts_membership(self):
         jobs = sharing_jobs(4)
@@ -99,17 +97,20 @@ class TestPlanBatchedJobs:
         blocks = plan_batched_jobs(plan_batch(jobs))
         assert len(blocks) == 1 and blocks[0].batch == 3
 
-    def test_block_accuracy_envelope(self):
-        jobs = sharing_jobs(2)
-        loose = SolveJob(nu=NU, p=0.02, method="power", landscape="flat", tol=1e-6,
-                         max_iterations=50)
-        blocks = plan_batched_jobs(plan_batch(jobs + [loose]))
-        assert blocks[0].tol == 1e-10  # tightest member wins
-        assert blocks[0].max_iterations == 100_000
+    def test_one_block_per_tolerance(self):
+        """A job is never iterated further than it asked for because it
+        was batched: blocks share ``tol`` and ``max_iterations``."""
+        jobs = sharing_jobs(3) + sharing_jobs(3, tol=1e-6)
+        blocks = plan_batched_jobs(plan_batch(jobs))
+        assert sorted(b.tol for b in blocks) == [1e-10, 1e-6]
+        for block in blocks:
+            assert block.batch == 3
+            assert {j.tol for j in block.jobs} == {block.tol}
 
-    def test_min_batch_validated(self):
-        with pytest.raises(ValidationError, match="min_batch"):
-            plan_batched_jobs(plan_batch(sharing_jobs(2)), min_batch=0)
+    def test_one_block_per_iteration_cap(self):
+        jobs = sharing_jobs(2) + sharing_jobs(2, max_iterations=500)
+        blocks = plan_batched_jobs(plan_batch(jobs))
+        assert sorted(b.max_iterations for b in blocks) == [500, 100_000]
 
 
 class TestExecuteBatchedJob:
@@ -117,17 +118,32 @@ class TestExecuteBatchedJob:
         jobs = sharing_jobs(4, **overrides)
         return plan_batched_jobs(plan_batch(jobs))[0]
 
-    def test_matches_scalar_execute_job(self):
-        block = self.make_block()
+    @pytest.mark.parametrize("form", ["right", "symmetric", "left"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(), dict(shift=True), dict(method="auto"), dict(mutation="persite")],
+        ids=["unshifted", "shifted", "auto", "persite"],
+    )
+    def test_bitwise_equal_to_execute_job(self, form, overrides):
+        """Every numeric field of a job's batched entry equals what
+        ``execute_job`` returns for it alone."""
+        jobs = [
+            SolveJob(nu=8, p=0.01, landscape="random", peak=peak, seed=1, form=form,
+                     tol=1e-12, **{"method": "power", **overrides})
+            for peak in (2.0, 3.0, 4.5, 6.0)
+        ]
+        block = plan_batched_jobs(plan_batch(jobs))[0]
+        assert block.batch == 4
         batched = execute_batched_job(block)
         assert len(batched) == block.batch
         for job, res in zip(block.jobs, batched):
             scalar = execute_job(job)
             assert res.converged
-            assert res.eigenvalue == pytest.approx(scalar.eigenvalue, rel=1e-8)
-            np.testing.assert_allclose(
-                res.concentrations, scalar.concentrations, atol=1e-7
-            )
+            assert res.eigenvalue == scalar.eigenvalue
+            assert res.residual == scalar.residual
+            assert res.iterations == scalar.iterations
+            assert res.tol == scalar.tol
+            np.testing.assert_array_equal(res.concentrations, scalar.concentrations)
 
     def test_shifted_label_when_auto_shift_applies(self):
         block = self.make_block()  # method=power, shift=False, uniform -> no auto
@@ -206,43 +222,35 @@ class TestServiceBatched:
     @pytest.mark.service_smoke
     def test_batched_and_scalar_services_agree(self):
         jobs = sharing_jobs(4)
-        batched = SolverService(kind="serial", batched=True).submit(jobs)
-        scalar = SolverService(kind="serial", batched=False).submit(jobs)
-        assert batched.passed and scalar.passed
-        assert batched.n_batched == 4 and scalar.n_batched == 0
-        for rb, rs in zip(batched.results, scalar.results):
-            assert rb.eigenvalue == pytest.approx(rs.eigenvalue, rel=1e-8)
-            np.testing.assert_allclose(
-                rb.concentrations, rs.concentrations, atol=1e-7
+        batched = SolverService(kind="serial").submit(jobs)
+        assert batched.passed and batched.n_batched == 4
+        for job, rb in zip(jobs, batched.results):
+            lone = SolverService(kind="serial").submit([job])
+            assert lone.passed and lone.n_batched == 0
+            rs = lone.results[0]
+            assert (rb.eigenvalue, rb.residual, rb.iterations) == (
+                rs.eigenvalue, rs.residual, rs.iterations
             )
+            np.testing.assert_array_equal(rb.concentrations, rs.concentrations)
 
     @pytest.mark.service_smoke
     def test_batched_results_are_cached(self):
-        service = SolverService(kind="serial", batched=True)
+        service = SolverService(kind="serial")
         jobs = sharing_jobs(3)
         first = service.submit(jobs)
         second = service.submit(jobs)
         assert first.n_batched == 3 and first.n_cached == 0
         assert second.n_solved == 0 and second.n_cached == 3
 
-    def test_min_batch_keeps_small_groups_scalar(self):
-        jobs = sharing_jobs(2)
-        report = SolverService(kind="serial", batched=True, min_batch=3).submit(jobs)
-        assert report.passed and report.n_batched == 0
-
     def test_mixed_manifest_batches_only_the_sharing_group(self):
         jobs = sharing_jobs(3) + [
             SolveJob(nu=NU, p=0.01),  # auto -> reduced, scalar
             SolveJob(nu=NU, p=0.02, method="dense", landscape="random", seed=9),
         ]
-        report = SolverService(kind="serial", batched=True).submit(jobs)
+        report = SolverService(kind="serial").submit(jobs)
         assert report.passed
         assert report.n_batched == 3
         assert report.to_dict()["batched"] == 3
-
-    def test_min_batch_validated(self):
-        with pytest.raises(ValidationError, match="min_batch"):
-            SolverService(kind="serial", min_batch=0)
 
 
 def _sharing_manifest(tmp_path, options=None):
@@ -261,19 +269,19 @@ def _sharing_manifest(tmp_path, options=None):
 
 
 class TestManifestAndCli:
-    def test_manifest_batched_option(self, tmp_path):
-        path = _sharing_manifest(tmp_path, options={"kind": "serial", "batched": False})
-        report = run_manifest(path)
-        assert report.passed and report.n_batched == 0
-        report = run_manifest(path, batched=True)  # override wins
+    def test_manifest_batches_sharing_group(self, tmp_path):
+        report = run_manifest(_sharing_manifest(tmp_path, options={"kind": "serial"}))
         assert report.passed and report.n_batched == 3
 
-    def test_cli_batched_flag_round_trip(self, tmp_path, capsys):
+    def test_removed_batching_options_rejected(self, tmp_path):
+        for key, value in (("batched", False), ("min_batch", 4)):
+            path = _sharing_manifest(tmp_path, options={"kind": "serial", key: value})
+            with pytest.raises(ValidationError, match="unknown manifest options"):
+                run_manifest(path)
+
+    def test_cli_batch_report_counts_batched_jobs(self, tmp_path, capsys):
         path = _sharing_manifest(tmp_path, options={"kind": "serial"})
         out_json = str(tmp_path / "report.json")
         assert main(["batch", path, "--quiet", "--json", out_json]) == 0
         report = json.loads(open(out_json).read())
         assert report["batched"] == 3
-        assert main(["batch", path, "--no-batched", "--quiet", "--json", out_json]) == 0
-        report = json.loads(open(out_json).read())
-        assert report["batched"] == 0

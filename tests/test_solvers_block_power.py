@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import ConvergenceError, ValidationError
 from repro.landscapes import RandomLandscape, SinglePeakLandscape
-from repro.mutation import UniformMutation
+from repro.mutation import PerSiteMutation, UniformMutation
 from repro.operators import BatchedFmmp, Fmmp
 from repro.operators.shifted import ShiftedOperator, conservative_shift
 from repro.solvers import BlockPowerIteration, BlockSolveResult, PowerIteration
@@ -164,3 +164,75 @@ class TestValidation:
         block = BlockPowerIteration(shared, tol=1e-11).solve(starts)
         assert block.converged and len(block) == 2
         assert block[0].eigenvalue == pytest.approx(block[1].eigenvalue, rel=1e-12)
+
+
+def _same_bits(a, b):
+    return (
+        a.eigenvalue == b.eigenvalue
+        and a.residual == b.residual
+        and a.iterations == b.iterations
+        and np.array_equal(a.eigenvector, b.eigenvector)
+        and np.array_equal(a.concentrations, b.concentrations)
+    )
+
+
+class TestBatchWidthInvariance:
+    """A column's bits never depend on the other columns of its block:
+    ``PowerIteration`` on ``Fmmp`` is bitwise the same column of a
+    ``BlockPowerIteration``, deflation included."""
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["unshifted", "shifted"])
+    @pytest.mark.parametrize("form", ["right", "symmetric", "left"])
+    @pytest.mark.parametrize("kind", ["uniform", "persite"])
+    def test_scalar_solve_is_the_block_column(self, kind, form, shifted):
+        for nu in range(1, 11):
+            if kind == "uniform":
+                mutation = UniformMutation(nu, 0.03)
+            else:
+                mutation = PerSiteMutation.from_error_rates(np.linspace(0.01, 0.05, nu))
+            lands = [RandomLandscape(nu, c=4.0, sigma=0.5 + 0.4 * s, seed=s) for s in range(4)]
+            shifts = [0.3 * land.fmin if shifted else 0.0 for land in lands]
+            block = BlockPowerIteration(
+                BatchedFmmp(mutation, lands, form=form), shifts=shifts, tol=1e-13
+            ).solve(raise_on_fail=False)
+            for j, land in enumerate(lands):
+                op = Fmmp(mutation, land, form=form)
+                if shifted:
+                    op = ShiftedOperator(op, shifts[j])
+                alone = PowerIteration(op, tol=1e-13).solve(
+                    land.start_vector(), landscape=land, form=form, raise_on_fail=False
+                )
+                assert _same_bits(alone, block[j]), f"nu={nu} column {j}"
+
+    def test_columns_deflating_at_different_sweeps(self):
+        nu = 10
+        mutation = UniformMutation(nu, 0.01)
+        lands = [
+            SinglePeakLandscape(nu, f_peak=8.0),
+            RandomLandscape(nu, c=5.0, sigma=2.0, seed=5),
+            SinglePeakLandscape(nu, f_peak=1.5),
+            RandomLandscape(nu, c=4.0, sigma=0.5, seed=6),
+        ]
+        shifts = [conservative_shift(mutation, land) for land in lands]
+        block = BlockPowerIteration(
+            BatchedFmmp(mutation, lands), shifts=shifts, tol=1e-13, record_history=True
+        ).solve()
+        assert len({r.iterations for r in block}) == len(lands)
+        for j, land in enumerate(lands):
+            alone = PowerIteration(
+                ShiftedOperator(Fmmp(mutation, land), shifts[j]), tol=1e-13, record_history=True
+            ).solve(land.start_vector(), landscape=land)
+            assert _same_bits(alone, block[j]), f"column {j}"
+            assert alone.history == block[j].history
+
+    def test_column_sums_do_not_depend_on_width(self):
+        from repro.solvers.power import column_sums
+
+        rng = np.random.default_rng(0)
+        for nu in (1, 3, 6, 7, 12):
+            block = rng.random((1 << nu, 16))
+            full = column_sums(block)
+            for width in (1, 2, 5):
+                np.testing.assert_array_equal(
+                    column_sums(np.ascontiguousarray(block[:, :width])), full[:width]
+                )

@@ -6,9 +6,9 @@ import pytest
 from repro.exceptions import ConvergenceError, ValidationError
 from repro.landscapes import RandomLandscape, SinglePeakLandscape
 from repro.mutation import UniformMutation
-from repro.operators import Fmmp, ShiftedOperator, Smvp, Xmvp
+from repro.operators import BatchedFmmp, Fmmp, ShiftedOperator, Smvp, Xmvp
 from repro.operators.shifted import conservative_shift
-from repro.solvers import PowerIteration, dense_solve
+from repro.solvers import BlockPowerIteration, PowerIteration, dense_solve
 
 
 @pytest.fixture
@@ -134,6 +134,65 @@ class TestFailureModes:
         mut, ls, _ = problem
         with pytest.raises(ValidationError):
             PowerIteration(Fmmp(mut, ls), tol=0.0)
+
+
+class _PoisonedFmmp(Fmmp):
+    """``Fmmp`` whose products carry one non-finite entry."""
+
+    poison = np.nan
+
+    def matvec(self, v):
+        out = super().matvec(v)
+        out[3] = self.poison
+        return out
+
+
+class _PoisonedBatchedFmmp(BatchedFmmp):
+    """``BatchedFmmp`` whose column 1 turns NaN from the second sweep on."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = 0
+
+    def matmat(self, block, **kwargs):
+        out = super().matmat(block, **kwargs)
+        self.calls += 1
+        if self.calls >= 2:
+            out[5, 1] = np.nan
+        return out
+
+
+class TestFailFast:
+    """A non-finite iterate stops the loop at the sweep it appears,
+    naming the sweep and the column."""
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_power_iteration(self, problem, poison):
+        mut, ls, _ = problem
+        op = _PoisonedFmmp(mut, ls)
+        op.poison = poison
+        with pytest.raises(ConvergenceError, match="not finite") as exc_info:
+            PowerIteration(op, tol=1e-15, max_iterations=1000).solve(ls.start_vector())
+        assert exc_info.value.iterations <= 2
+        assert "column 0 at sweep 1:" in str(exc_info.value)
+
+    def test_block_power_iteration(self, problem):
+        mut, ls, _ = problem
+        lands = [ls, RandomLandscape(mut.nu, c=5.0, sigma=1.0, seed=12)]
+        op = _PoisonedBatchedFmmp(mut, lands)
+        with pytest.raises(ConvergenceError, match="not finite") as exc_info:
+            BlockPowerIteration(op, tol=1e-15, max_iterations=1000).solve()
+        assert exc_info.value.iterations <= 2
+        assert "column 1 at sweep 2:" in str(exc_info.value)
+
+    def test_block_power_iteration_generic_operator(self, problem):
+        mut, ls, _ = problem
+        starts = np.stack([ls.start_vector()] * 2, axis=1)
+        with pytest.raises(ConvergenceError, match="not finite") as exc_info:
+            BlockPowerIteration(_PoisonedFmmp(mut, ls), tol=1e-15, max_iterations=1000).solve(
+                starts
+            )
+        assert exc_info.value.iterations <= 2
 
 
 class TestHistory:
