@@ -3,7 +3,8 @@
 Measures ``B`` single-vector ``Fmmp.matvec`` products (the fused kernel
 on an ``(N, 1)`` block) against one stage-fused multi-vector
 ``BatchedFmmp.matmat`` at ν = 18 for block widths B ∈ {4, 16, 64},
-records per-vector speedups, the bytes each product moves
+records per-vector speedups, the plan's radix cap and sweep count, the
+bytes each product moves
 (:func:`repro.operators.batched.plan_costs` of the operator's plan) and
 effective bandwidths into ``BENCH_fmmp.json`` at the repository root,
 and **fails** if the B = 16 per-vector throughput does not clear the
@@ -26,6 +27,7 @@ import pytest
 
 from conftest import report
 from repro.perf import fmmp_costs, measure_batched_matmat
+from repro.transforms.batched import MAX_RADIX, fused_stage_count
 from repro.util.blas import blas_thread_info
 
 NU = 18
@@ -64,6 +66,8 @@ def test_batched_crossover_and_record(measurements):
         "n": 1 << NU,
         "accept": {"batch": ACCEPT_BATCH, "per_vector_speedup": ACCEPT_SPEEDUP},
         "host": {"cpu_count": os.cpu_count(), "blas": blas_thread_info()},
+        "max_radix": MAX_RADIX,
+        "sweeps": fused_stage_count(NU),
         "paper_plan_bytes": fmmp_costs(NU).bytes_moved,
         "plan_bytes": {
             "1": measurements[BATCHES[0]].single_bytes,

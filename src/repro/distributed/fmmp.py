@@ -103,7 +103,7 @@ class DistributedFmmp:
         """Per-rank roofline time of the paper's radix-2 plan: each of
         the ν stages — local or cross — sweeps the rank's ``B`` elements
         once, and each costs a launch on the node profile."""
-        plan = fused_stage_plan(self.factors, radix4=False)
+        plan = fused_stage_plan(self.factors, max_radix=2)
         costs = plan_costs(plan, self.block_size)
         t = self.cluster.node.kernel_time(costs.bytes_moved, costs.flops)
         t += (len(plan) - 1) * self.cluster.node.launch_overhead_s

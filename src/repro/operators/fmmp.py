@@ -150,8 +150,8 @@ class Fmmp(ImplicitOperator, FormMixin):
 
     def costs(self, *, batch: int = 1) -> OperatorCosts:
         """Costs of one product on ``batch`` columns: :func:`plan_costs`
-        of the fused plan :meth:`matvec` runs (``⌈ν/2⌉`` radix-4 sweeps
-        plus the form's diagonal passes), or :func:`kron_costs` for
+        of the fused plan :meth:`matvec` runs (``⌈ν/3⌉`` radix ≤ 8
+        sweeps plus the form's diagonal passes), or :func:`kron_costs` for
         grouped models.  The paper's stage-by-stage count is
         :func:`repro.perf.costs.fmmp_costs`."""
         if batch < 1:

@@ -1,8 +1,8 @@
 """Measured crossover bench for the batched Fmmp kernel.
 
 The stage-fused kernel (:mod:`repro.transforms.batched`) runs
-``⌈ν/2⌉`` radix-4 ``matmul`` sweeps over an ``(N, B)`` block — one read
-stream and one write stream each — with the diagonal ``F`` scalings
+``⌈ν/3⌉`` radix ≤ 8 ``matmul`` sweeps over an ``(N, B)`` block — one
+read stream and one write stream each — with the diagonal ``F`` scalings
 folded into the ping-pong schedule.  ``Fmmp.matvec`` is its ``B = 1``
 case.  :func:`measure_batched_matmat` and :func:`measured_crossover`
 time one fused ``B``-column product against ``B`` fused single-vector

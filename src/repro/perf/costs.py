@@ -18,8 +18,8 @@ operator    flops                                      complexity class
 
 The ``Fmmp`` row is not a formula of its own: it is
 :func:`repro.operators.batched.plan_costs` of the paper's radix-2 plan
-(ν stages of Algorithm 1, no radix-4 fusion), the same cost function the
-operators apply to the fused plans they run.
+(ν stages of Algorithm 1: ``max_radix=2``, no stage fusion), the same
+cost function the operators apply to the fused plans they run.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def fmmp_costs(nu: int, *, scale_passes: int = 1) -> OperatorCosts:
     if scale_passes not in (1, 2):
         raise ValidationError(f"scale_passes must be 1 or 2, got {scale_passes!r}")
     n = 1 << nu
-    plan = fused_stage_plan([np.eye(2)] * nu, radix4=False)
+    plan = fused_stage_plan([np.eye(2)] * nu, max_radix=2)
     return plan_costs(plan, n, 1, (n,), (n,) if scale_passes == 2 else None)
 
 

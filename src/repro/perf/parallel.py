@@ -95,12 +95,13 @@ def measure_parallel_matmat(
     comparison is engine scaling, not BLAS scaling.
     """
     threads = resolve_threads(threads)
+    plan = fused_stage_plan(UniformMutation(nu, p).factors_per_bit())
+    radix = max(stage.radix for stage in plan)
     r = (
         auto_panels(nu, batch, threads=threads)
         if panels is None
-        else resolve_panels(panels, nu, threads=threads)
+        else resolve_panels(panels, nu, threads=threads, radix=radix)
     )
-    plan = fused_stage_plan(UniformMutation(nu, p).factors_per_bit())
     n = 1 << nu
     rng = np.random.default_rng(nu)
     block = np.ascontiguousarray(rng.random((n, batch)) + 0.5)

@@ -14,7 +14,7 @@ semantics:
 * :mod:`repro.transforms.kronecker` — matvec with an arbitrary Kronecker
   product of small dense factors (Eq. 11 generality),
 * :mod:`repro.transforms.batched` — the stage-fused, cache-blocked
-  multi-vector butterfly kernel (radix-4 stage fusion, folded diagonal
+  multi-vector butterfly kernel (radix-8 stage fusion, folded diagonal
   scalings, one scratch block) that backs every product built from 2×2
   factors: ``butterfly_transform``, ``fwht``, ``Fmmp.matvec`` and the
   batched ``matmat`` operators,

@@ -18,10 +18,12 @@ Walsh-spectrum block):
 * **stage fusion** — each stage is one fused ``matmul``/``einsum`` call
   (a single read stream and a single write stream, ≤ 3 passes counting a
   folded diagonal scale) instead of several elementwise passes.
-* **radix-4 fusion** — two adjacent 2×2 stages acting on bits ``s`` and
-  ``s+1`` commute and combine into one 4×4 factor
-  ``kron(M_{s+1}, M_s)`` applied to groups of 4, halving the number of
-  sweeps over the block (``⌈ν/2⌉`` instead of ``ν``).
+* **radix-8 fusion** — 2×2 stages acting on distinct bits commute, so
+  a run of up to three adjacent bits ``s..s+2`` combines into one 8×8
+  factor ``kron(M_{s+2}, M_{s+1}, M_s)`` applied to groups of 8,
+  cutting the sweeps over the block from ``ν`` to ``⌈ν/3⌉``.  Radix 16
+  would save one more sweep at ν ≥ 20 but is not bit-stable across
+  batch widths, so :data:`MAX_RADIX` is 8.
 * **diagonal folding** — the ``F`` (and ``F^{1/2}``) scalings of the
   eigenproblem forms (Eqs. 3–5) fold into the sweep schedule: the
   pre-scale becomes the leading write of the ping-pong chain (replacing
@@ -77,12 +79,12 @@ class FusedStage:
     span:
         Pair distance of the *lowest* bit this sweep mixes (``2**s``).
     radix:
-        2 for a plain stage, 4 for two radix-2 stages fused into one
-        4×4 factor.
+        ``2**k`` for ``k`` adjacent radix-2 stages fused into one sweep:
+        2 for a plain stage, 4 or 8 for two or three fused bits.
     matrix:
-        The ``(radix, radix)`` mixing matrix; for ``radix == 4`` it is
-        ``kron(M_{s+1}, M_s)`` (bit ``s+1`` is the high bit of the
-        combined index — exactly the C-order reshape convention).
+        The ``(radix, radix)`` mixing matrix ``kron(M_{s+k-1}, …, M_s)``
+        (the highest bit is the high bit of the combined index — exactly
+        the C-order reshape convention).
     """
 
     span: int
@@ -90,26 +92,53 @@ class FusedStage:
     matrix: np.ndarray
 
 
-def fused_stage_count(nu: int, *, radix4: bool = True) -> int:
-    """Number of fused sweeps over the block: ``⌈ν/2⌉`` with radix-4
-    fusion, ``ν`` without."""
+#: Largest radix :func:`fused_stage_plan` accepts (and its default): a
+#: radix-8 stage mixes three adjacent bits.  Radix 16 is rejected: its
+#: ``(16, 16) × (16, z)`` products are not bit-stable across batch
+#: widths (see ``docs/performance.md``).
+MAX_RADIX = 8
+
+
+def _run_sizes(nu: int, max_radix: int) -> list[int]:
+    """Sizes of the ``⌈ν/k⌉`` runs of adjacent bits (``k = log2(max_radix)``)
+    one plan sweeps, in traversal order: as even as possible, the larger
+    runs first."""
     if nu < 1:
         raise ValidationError(f"nu must be >= 1, got {nu}")
-    return (nu + 1) // 2 if radix4 else nu
+    k = {2: 1, 4: 2, MAX_RADIX: 3}.get(max_radix)
+    if k is None:
+        why = (
+            " (radix-16 sweeps make a column's bits depend on the batch width)"
+            if max_radix == 16
+            else ""
+        )
+        raise ValidationError(f"max_radix must be 2, 4 or 8, got {max_radix!r}{why}")
+    runs = -(-nu // k)
+    size, extra = divmod(nu, runs)
+    return [size + 1] * extra + [size] * (runs - extra)
+
+
+def fused_stage_count(nu: int, *, max_radix: int = MAX_RADIX) -> int:
+    """Number of fused sweeps over the block: ``⌈ν/log2(max_radix)⌉``
+    (``⌈ν/3⌉`` at the default radix 8, ``ν`` at ``max_radix=2``)."""
+    return len(_run_sizes(nu, max_radix))
 
 
 def fused_stage_plan(
     factors: Sequence[np.ndarray],
     *,
     variant: str = "eq9",
-    radix4: bool = True,
+    max_radix: int = MAX_RADIX,
 ) -> list[FusedStage]:
     """Build the fused sweep schedule for ``factors``.
 
     ``variant="eq9"`` traverses bits in ascending span order (Eq. 9 /
-    Algorithm 1); ``variant="eq10"`` in descending order (Eq. 10).  With
-    ``radix4=True``, bits adjacent in the traversal are paired into 4×4
-    factors whenever their spans are adjacent powers of two.
+    Algorithm 1); ``variant="eq10"`` in descending order (Eq. 10).  The
+    traversal is cut into ``⌈ν/k⌉`` runs of adjacent bits
+    (``k = log2(max_radix)``) whose sizes differ by at most one, and each
+    run of bits ``lo..hi`` becomes one radix-``2^(hi-lo+1)`` stage with
+    matrix ``kron(M_hi, …, M_lo)``.  ``max_radix`` is 2 (Algorithm 1's
+    ν radix-2 sweeps), 4 or 8.
     """
     if variant not in ("eq9", "eq10"):
         raise ValidationError(f"variant must be 'eq9' or 'eq10', got {variant!r}")
@@ -117,22 +146,15 @@ def fused_stage_plan(
     if nu == 0:
         raise ValidationError("at least one factor is required")
     mats = [_check_2x2(m, f"factors[{i}]") for i, m in enumerate(factors)]
-    order = list(range(nu)) if variant == "eq9" else list(range(nu - 1, -1, -1))
     plan: list[FusedStage] = []
-    i = 0
-    while i < len(order):
-        if radix4 and i + 1 < len(order):
-            a, b = order[i], order[i + 1]
-            lo, hi = (a, b) if a < b else (b, a)
-            if hi == lo + 1:
-                plan.append(
-                    FusedStage(span=1 << lo, radix=4, matrix=np.kron(mats[hi], mats[lo]))
-                )
-                i += 2
-                continue
-        s = order[i]
-        plan.append(FusedStage(span=1 << s, radix=2, matrix=mats[s]))
-        i += 1
+    start = 0  # traversal position of the run's first bit
+    for size in _run_sizes(nu, max_radix):
+        lo = start if variant == "eq9" else nu - start - size
+        matrix = mats[lo]
+        for bit in range(lo + 1, lo + size):
+            matrix = np.kron(mats[bit], matrix)
+        plan.append(FusedStage(span=1 << lo, radix=1 << size, matrix=matrix))
+        start += size
     return plan
 
 
@@ -173,9 +195,10 @@ def _apply_fused(src: np.ndarray, dst: np.ndarray, stage: FusedStage) -> None:
 
     NumPy sends a one-row product to its matrix–vector path, whose
     summation order differs from the GEMM kernel's; the single group of
-    a ``ν <= 2`` vector is therefore padded to two rows.  A column
-    transformed alone is then bitwise the same column of a wider block
-    (the tests compare against ``B = 16`` for every ``ν >= 1``).
+    a ``ν <= 3`` vector (one radix-``N`` stage) is therefore padded to
+    two rows.  A column transformed alone is then bitwise the same column
+    of a wider block (the tests compare against widths 2–5 and 16 for
+    every ``ν >= 1`` and every ``max_radix``).
     """
     n, b = src.shape
     r, h = stage.radix, stage.span
@@ -238,7 +261,9 @@ def _schedule(block, plan, pre_scale, post_scale, out, scratch):
         return buf
 
     out = _buffer(out, "out")
-    if len(ops) > 1:
+    # A one-step schedule never touches scratch, but a passed buffer is
+    # still held to the contract.
+    if scratch is not None or len(ops) > 1:
         scratch = _buffer(scratch, "scratch")
         if scratch is out or np.shares_memory(scratch, out):
             raise ValidationError("scratch must not alias out")
@@ -274,7 +299,7 @@ def batched_butterfly_transform(
         from one 2×2 factor per bit (``factors[s]`` acts on bit ``s`` —
         same convention as
         :func:`repro.transforms.butterfly.butterfly_transform`); the
-        stage order and radix-4 fusion are fixed there.
+        stage order and radix are fixed there.
     pre_scale, post_scale:
         Optional diagonal scalings folded into the first / last sweep:
         shape ``(N,)`` (shared by all columns) or ``(N, B)`` (per

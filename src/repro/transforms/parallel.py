@@ -49,6 +49,7 @@ import numpy as np
 from repro.bitops.panels import panel_bounds, stage_is_local
 from repro.exceptions import ValidationError
 from repro.transforms.batched import (
+    MAX_RADIX,
     FusedStage,
     _apply_fused,
     _plan_bits,
@@ -95,18 +96,18 @@ def resolve_threads(threads: int | None) -> int:
     return threads
 
 
-def max_panels(nu: int, *, radix4: bool = True) -> int:
-    """Largest admissible panel count ``R`` for a ν-bit transform.
+def max_panels(nu: int, *, radix: int = MAX_RADIX) -> int:
+    """Largest admissible panel count ``R`` for a ν-bit transform whose
+    plan's largest stage radix is ``radix``.
 
     Every sweep needs ``R <= N/radix`` so a cross sweep can cut each
-    butterfly group's ``z`` axis into whole-row chunks; radix-4 plans
-    (``ν >= 2``) therefore admit ``R <= N/4``, plain radix-2 plans
-    ``R <= N/2``.
+    butterfly group's ``z`` axis into whole-row chunks.  The default is
+    the largest radix :func:`~repro.transforms.batched.fused_stage_plan`
+    builds, a safe cap for every plan.
     """
     if nu < 1:
         raise ValidationError(f"nu must be >= 1, got {nu}")
-    n = 1 << nu
-    return max(1, n // (4 if (radix4 and nu >= 2) else 2))
+    return max(1, (1 << nu) // radix)
 
 
 def resolve_panels(
@@ -114,7 +115,7 @@ def resolve_panels(
     nu: int,
     *,
     threads: int = 1,
-    radix4: bool = True,
+    radix: int = MAX_RADIX,
 ) -> int:
     """Resolve the panel count ``R`` (a power of two).
 
@@ -123,7 +124,7 @@ def resolve_panels(
     (small ν simply cannot host many panels — the clamp keeps sweeps
     like ``R=4`` at ``ν=2`` well-defined instead of erroring).
     """
-    cap = max_panels(nu, radix4=radix4)
+    cap = max_panels(nu, radix=radix)
     if panels is None:
         r = 1
         while r < threads:
@@ -408,7 +409,7 @@ def parallel_butterfly_transform(
     panels:
         Panel count ``R`` (power of two); ``None`` auto-picks the
         smallest power of two ``>= threads``, clamped to
-        :func:`max_panels`.
+        :func:`max_panels` of the plan's largest radix.
     threads:
         Participant count; ``None`` reads ``REPRO_NUM_THREADS``
         (default 1).  Ignored when ``engine`` is given.
@@ -418,8 +419,8 @@ def parallel_butterfly_transform(
     """
     nu = _plan_bits(plan)
     threads_n = engine.threads if engine is not None else resolve_threads(threads)
-    radix4 = any(stage.radix == 4 for stage in plan)
-    panels_n = resolve_panels(panels, nu, threads=threads_n, radix4=radix4)
+    radix = max(stage.radix for stage in plan)
+    panels_n = resolve_panels(panels, nu, threads=threads_n, radix=radix)
     if panels_n == 1:
         # One panel ⇒ the partitioned schedule is the serial schedule.
         return batched_butterfly_transform(

@@ -43,7 +43,7 @@ class TestCosts:
         mut = UniformMutation(nu, 0.01)
         ls = RandomLandscape(nu, seed=0)
         n = 1 << nu
-        paper = plan_costs(fused_stage_plan(mut.factors_per_bit(), radix4=False), n, 1, (n,))
+        paper = plan_costs(fused_stage_plan(mut.factors_per_bit(), max_radix=2), n, 1, (n,))
         fused = plan_costs(fused_stage_plan(mut.factors_per_bit()), n, 1, (n,))
         assert fmmp_costs(nu) == paper
         assert Fmmp(mut, ls).costs() == fused

@@ -46,6 +46,7 @@ class TestPlanCosts:
         costs = plan_costs(fused_stage_plan(factors(nu)), n, batch, (n,))
         b = float(batch)
         sweeps = fused_stage_count(nu)
+        assert sweeps == -(-nu // 3)  # radix ≤ 8 sweeps
         # fused sweeps + one pre-scale pass with a shared (N,) diagonal
         expected = 16.0 * n * b * sweeps + 8.0 * (2.0 * n * b + n)
         assert costs.bytes_moved == pytest.approx(expected)
@@ -53,16 +54,17 @@ class TestPlanCosts:
 
     @pytest.mark.parametrize("nu", range(1, 13))
     @pytest.mark.parametrize("batch", [1, 16])
-    @pytest.mark.parametrize("radix4", [True, False])
-    def test_each_stage_moves_16_n_b(self, nu, batch, radix4):
-        """One read and one write of the block per sweep — the byte count
-        perfbench's ``fused.gbs`` divides by (``16·N·B·⌈ν/2⌉``)."""
+    @pytest.mark.parametrize("max_radix,bits", [(2, 1), (4, 2), (8, 3)])
+    def test_each_stage_moves_16_n_b(self, nu, batch, max_radix, bits):
+        """One read and one write of the block per sweep, whatever its
+        radix: ``16·N·B·⌈ν/k⌉`` bytes for ``k = log2(max_radix)``.
+        (perfbench's ``fused.gbs`` still divides by its own fixed
+        ``16·N·B·⌈ν/2⌉``.)"""
         n = 1 << nu
-        plan = fused_stage_plan(factors(nu), radix4=radix4)
+        plan = fused_stage_plan(factors(nu), max_radix=max_radix)
         for stage in plan:
             assert plan_costs([stage], n, batch).bytes_moved == 16.0 * n * batch
-        if radix4:
-            assert plan_costs(plan, n, batch).bytes_moved == 16.0 * n * batch * -(-nu // 2)
+        assert plan_costs(plan, n, batch).bytes_moved == 16.0 * n * batch * -(-nu // bits)
 
     def test_form_scale_passes(self):
         n = 1 << 8
@@ -74,12 +76,14 @@ class TestPlanCosts:
         assert right.bytes_moved == left.bytes_moved  # one pass each
         assert sym.bytes_moved > right.bytes_moved  # pre AND post
 
-    def test_radix4_halves_sweep_bytes(self):
+    @pytest.mark.parametrize("max_radix,sweeps", [(2, 8), (4, 4), (8, 3)])
+    def test_sweep_bytes_drop_with_the_radix(self, max_radix, sweeps):
         n, b = 1 << 8, 16
-        fused = plan_costs(fused_stage_plan(factors(8), radix4=True), n, b)
-        plain = plan_costs(fused_stage_plan(factors(8), radix4=False), n, b)
-        # sweep term exactly halves for even nu
-        assert plain.bytes_moved - fused.bytes_moved == 16.0 * n * b * (8 - 4)
+        fused = plan_costs(fused_stage_plan(factors(8), max_radix=max_radix), n, b)
+        default = plan_costs(fused_stage_plan(factors(8)), n, b)
+        # ν = 8: 8 radix-2, 4 radix-4 or 3 radix-8 sweeps of 16·N·B bytes
+        assert fused.bytes_moved == 16.0 * n * b * sweeps
+        assert fused.bytes_moved - default.bytes_moved == 16.0 * n * b * (sweeps - 3)
 
     def test_per_column_scale_read_is_counted(self):
         n, b = 1 << 6, 5
@@ -123,10 +127,11 @@ class TestCostReconciliation:
         assert op.costs(batch=batch) == plan_costs(plan, n, batch, *scale_shapes(form, (n,)))
 
     def test_single_vector_bytes_are_the_fused_kernel_bytes(self):
-        """``Fmmp.matvec`` at ν = 8, right form: four radix-4 sweeps and
-        one pre-scale pass (the stage-by-stage count would be 38,912)."""
+        """``Fmmp.matvec`` at ν = 8, right form: three radix ≤ 8 sweeps
+        (8, 8, 4) and one pre-scale pass (four radix-4 sweeps would be
+        22,528; the stage-by-stage count would be 38,912)."""
         op = Fmmp(UniformMutation(8, 0.01), SinglePeakLandscape(8))
-        assert op.costs().bytes_moved == 16.0 * 256 * 4 + 8.0 * (2 * 256 + 256) == 22528.0
+        assert op.costs().bytes_moved == 16.0 * 256 * 3 + 8.0 * (2 * 256 + 256) == 18432.0
 
     @pytest.mark.parametrize("form", ["right", "symmetric", "left"])
     def test_per_column_batched_operator_costs(self, form):
@@ -220,7 +225,7 @@ class TestPaperModelParity:
         want = paper_fmmp_costs(nu, scale_passes)
         assert fmmp_costs(nu, scale_passes=scale_passes) == want
         n = 1 << nu
-        plan = fused_stage_plan([np.eye(2)] * nu, variant=variant, radix4=False)
+        plan = fused_stage_plan([np.eye(2)] * nu, variant=variant, max_radix=2)
         post = (n,) if scale_passes == 2 else None
         assert plan_costs(plan, n, 1, (n,), post) == want
         if scale_passes == 1:

@@ -20,29 +20,73 @@ def random_factors(nu, seed=0):
 
 
 class TestFusedStagePlan:
-    @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5, 8])
-    def test_radix4_halves_sweep_count(self, nu):
-        plan = fused_stage_plan(random_factors(nu), radix4=True)
-        assert len(plan) == nu // 2 + nu % 2
-        assert fused_stage_count(nu) == len(plan)
+    @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5, 6, 7, 8, 20])
+    @pytest.mark.parametrize("max_radix,bits", [(2, 1), (4, 2), (8, 3)])
+    def test_max_radix_sets_sweep_count(self, nu, max_radix, bits):
+        plan = fused_stage_plan(random_factors(nu), max_radix=max_radix)
+        assert len(plan) == -(-nu // bits)
+        assert fused_stage_count(nu, max_radix=max_radix) == len(plan)
+        assert fused_stage_count(nu) == fused_stage_count(nu, max_radix=8)
 
-    @pytest.mark.parametrize("nu", [1, 3, 5])
-    def test_odd_nu_keeps_one_radix2_stage(self, nu):
-        plan = fused_stage_plan(random_factors(nu), radix4=True)
-        radices = sorted(stage.radix for stage in plan)
-        assert radices.count(2) == 1
-        assert radices.count(4) == nu // 2
+    @pytest.mark.parametrize("nu", range(1, 13))
+    @pytest.mark.parametrize("max_radix", [2, 4, 8])
+    @pytest.mark.parametrize("variant", ["eq9", "eq10"])
+    def test_runs_are_balanced_and_cover_every_bit(self, nu, max_radix, variant):
+        plan = fused_stage_plan(random_factors(nu), variant=variant, max_radix=max_radix)
+        radices = [stage.radix for stage in plan]
+        assert max(radices) <= max_radix
+        assert max(radices) <= 2 * min(radices)  # run sizes differ by <= 1
+        bits = [
+            stage.span.bit_length() - 1 + k
+            for stage in plan
+            for k in range(stage.radix.bit_length() - 1)
+        ]
+        assert sorted(bits) == list(range(nu))
+        spans = [stage.span for stage in plan]
+        assert spans == sorted(spans, reverse=(variant == "eq10"))
 
-    def test_radix4_disabled_keeps_all_stages(self):
-        plan = fused_stage_plan(random_factors(6), radix4=False)
+    @pytest.mark.parametrize("nu,radices", [(4, [4, 4]), (5, [8, 4]), (7, [8, 4, 4])])
+    def test_larger_runs_come_first(self, nu, radices):
+        plan = fused_stage_plan(random_factors(nu))
+        assert [stage.radix for stage in plan] == radices
+
+    def test_max_radix_2_keeps_all_stages(self):
+        plan = fused_stage_plan(random_factors(6), max_radix=2)
         assert len(plan) == 6
         assert all(stage.radix == 2 for stage in plan)
 
     def test_radix4_factor_is_kron_of_adjacent_stages(self):
         factors = random_factors(2, seed=3)
-        plan = fused_stage_plan(factors, radix4=True)
+        plan = fused_stage_plan(factors, max_radix=4)
         assert len(plan) == 1 and plan[0].radix == 4
         np.testing.assert_allclose(plan[0].matrix, np.kron(factors[1], factors[0]))
+
+    @pytest.mark.parametrize("variant", ["eq9", "eq10"])
+    def test_radix8_factor_is_kron_of_three_adjacent_stages(self, variant):
+        factors = random_factors(6, seed=4)
+        plan = fused_stage_plan(factors, variant=variant)
+        assert [stage.radix for stage in plan] == [8, 8]
+        lo, hi = (plan[0], plan[1]) if variant == "eq9" else (plan[1], plan[0])
+        assert (lo.span, hi.span) == (1, 8)
+        np.testing.assert_allclose(
+            lo.matrix, np.kron(factors[2], np.kron(factors[1], factors[0]))
+        )
+        np.testing.assert_allclose(
+            hi.matrix, np.kron(factors[5], np.kron(factors[4], factors[3]))
+        )
+
+    def test_radix_16_is_rejected_by_name(self):
+        with pytest.raises(ValidationError, match="16.*batch width"):
+            fused_stage_plan(random_factors(8), max_radix=16)
+        with pytest.raises(ValidationError, match="16.*batch width"):
+            fused_stage_count(8, max_radix=16)
+
+    @pytest.mark.parametrize("max_radix", [0, 1, 3, 6, 12, 32, True, "8"])
+    def test_other_radices_are_rejected(self, max_radix):
+        with pytest.raises(ValidationError, match="max_radix"):
+            fused_stage_plan(random_factors(4), max_radix=max_radix)
+        with pytest.raises(ValidationError, match="max_radix"):
+            fused_stage_count(4, max_radix=max_radix)
 
 
 class TestBatchedButterflyCorrectness:
@@ -68,13 +112,17 @@ class TestBatchedButterflyCorrectness:
             want = butterfly_transform_reference(block[:, j], factors)
             np.testing.assert_allclose(got[:, j], want, rtol=1e-12, atol=1e-13)
 
-    def test_radix2_and_radix4_agree(self):
-        factors = random_factors(5, seed=1)
+    @pytest.mark.parametrize("nu", [5, 7])
+    def test_radix2_4_and_8_agree(self, nu):
+        factors = random_factors(nu, seed=1)
         rng = np.random.default_rng(1)
-        block = rng.standard_normal((32, 4))
-        a = batched_butterfly_transform(block, fused_stage_plan(factors, radix4=True))
-        b = batched_butterfly_transform(block, fused_stage_plan(factors, radix4=False))
-        np.testing.assert_allclose(a, b, rtol=1e-13)
+        block = rng.standard_normal((1 << nu, 4))
+        a = batched_butterfly_transform(block, fused_stage_plan(factors, max_radix=8))
+        for max_radix in (2, 4):
+            b = batched_butterfly_transform(
+                block, fused_stage_plan(factors, max_radix=max_radix)
+            )
+            np.testing.assert_allclose(a, b, rtol=1e-13)
 
     def test_input_block_never_mutated(self):
         factors = random_factors(3)
@@ -118,41 +166,53 @@ class TestBatchedButterflyCorrectness:
 
 class TestBatchWidthInvariance:
     """A column's bits never depend on the width of the block it rides
-    in: column ``j`` transformed alone equals column ``j`` of a 16-column
-    block, bitwise.  This holds down to ``ν = 1``: the one-column span-1
-    sweep runs as a 2-D GEMM, and the single group of a ``ν <= 2``
-    vector is padded onto that GEMM too (see ``_apply_fused``)."""
+    in: column ``j`` transformed alone equals column ``j`` of a block of
+    any width, bitwise, for every plan radix.  This holds down to
+    ``ν = 1``: the one-column span-1 sweep runs as a 2-D GEMM, and the
+    single group of a ``ν <= 3`` vector is padded onto that GEMM too (see
+    ``_apply_fused``).  A radix-16 plan breaks it at widths 2–5, which is
+    why ``fused_stage_plan`` stops at radix 8."""
+
+    WIDTHS = (2, 3, 4, 5, 16)
 
     @pytest.mark.parametrize("nu", range(1, 11))
     @pytest.mark.parametrize("kind", ["uniform", "persite"])
     @pytest.mark.parametrize("variant", ["eq9", "eq10"])
     @pytest.mark.parametrize("form", ["right", "symmetric", "left"])
-    def test_single_column_equals_column_of_b16_block(self, nu, kind, variant, form):
+    @pytest.mark.parametrize("max_radix", [2, 4, 8])
+    def test_single_column_equals_column_of_wider_block(
+        self, nu, kind, variant, form, max_radix
+    ):
         rng = np.random.default_rng(nu)
         if kind == "uniform":
             mutation = UniformMutation(nu, float(rng.uniform(1e-3, 0.4)))
         else:
             mutation = PerSiteMutation.from_error_rates(rng.uniform(0.0, 0.4, nu))
-        factors = mutation.factors_per_bit()
-        n = 1 << nu
-        block = rng.standard_normal((n, 16))
-        f = rng.uniform(0.5, 2.0, (n, 16))
+        plan = fused_stage_plan(
+            mutation.factors_per_bit(), variant=variant, max_radix=max_radix
+        )
+        n, width = 1 << nu, max(self.WIDTHS)
+        block = rng.standard_normal((n, width))
+        f = rng.uniform(0.5, 2.0, (n, width))
         pre, post = {
             "right": (f, None),
             "symmetric": (np.sqrt(f), np.sqrt(f)),
             "left": (None, f),
         }[form]
-        full = batched_butterfly_transform(
-            block, fused_stage_plan(factors, variant=variant), pre_scale=pre, post_scale=post
-        )
-        for j in range(16):
-            one = batched_butterfly_transform(
-                block[:, j : j + 1],
-                fused_stage_plan(factors, variant=variant),
-                pre_scale=None if pre is None else pre[:, j],
-                post_scale=None if post is None else post[:, j],
+
+        def columns(cols):
+            return batched_butterfly_transform(
+                block[:, cols],
+                plan,
+                pre_scale=None if pre is None else pre[:, cols],
+                post_scale=None if post is None else post[:, cols],
             )
-            assert np.array_equal(one[:, 0], full[:, j]), f"column {j}"
+
+        lone = [columns(slice(j, j + 1))[:, 0] for j in range(width)]
+        for b in self.WIDTHS:
+            full = columns(slice(0, b))
+            for j in range(b):
+                assert np.array_equal(lone[j], full[:, j]), f"B={b}, column {j}"
 
 
 class TestBufferContract:
@@ -173,12 +233,31 @@ class TestBufferContract:
         with pytest.raises(ValidationError, match="alias"):
             batched_butterfly_transform(block, fused_stage_plan(factors), out=block)
 
-    def test_scratch_must_not_alias_out(self):
-        factors = random_factors(3)
-        block = np.ones((8, 2))
-        out = np.empty((8, 2))
+    @pytest.mark.parametrize("nu", [1, 2, 3, 4])
+    def test_scratch_must_not_alias_out(self, nu):
+        """Checked even when the plan is one sweep (ν <= 3) and never
+        touches scratch."""
+        n = 1 << nu
+        block = np.ones((n, 2))
+        out = np.empty((n, 2))
         with pytest.raises(ValidationError, match="alias"):
-            batched_butterfly_transform(block, fused_stage_plan(factors), out=out, scratch=out)
+            batched_butterfly_transform(
+                block, fused_stage_plan(random_factors(nu)), out=out, scratch=out
+            )
+
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_one_sweep_plan_validates_scratch(self, nu):
+        n = 1 << nu
+        block = np.ones((n, 2))
+        plan = fused_stage_plan(random_factors(nu))
+        assert len(plan) == 1
+        with pytest.raises(ValidationError, match="alias"):
+            batched_butterfly_transform(block, plan, scratch=block)
+        with pytest.raises(ValidationError, match="shape"):
+            batched_butterfly_transform(block, plan, scratch=np.empty((n, 3)))
+        scratch = np.empty((n, 2))
+        got = batched_butterfly_transform(block, plan, scratch=scratch)
+        np.testing.assert_array_equal(got, batched_butterfly_transform(block, plan))
 
     def test_wrong_shape_buffers_rejected(self):
         factors = random_factors(3)

@@ -208,6 +208,27 @@ class TestBitIdentity:
         for other in runs[1:]:
             assert np.array_equal(runs[0], other)
 
+    @pytest.mark.parametrize("max_radix", [2, 4, 8])
+    @pytest.mark.parametrize("b", [1, 2, 16])
+    def test_every_panel_count_matches_serial_bitwise(self, max_radix, b):
+        """``R`` up to 64 (clamped to the plan's cap) at every small ν:
+        the work units of ``_stage_units`` keep each sweep on the serial
+        kernel's BLAS call, whatever the radix."""
+        rng = np.random.default_rng(b)
+        for nu in range(1, 9):
+            factors = PerSiteMutation.from_error_rates(
+                rng.uniform(0.0, 0.4, nu)
+            ).factors_per_bit()
+            plan = fused_stage_plan(factors, max_radix=max_radix)
+            block = rng.standard_normal((1 << nu, b))
+            pre = rng.uniform(0.5, 2.0, 1 << nu)
+            want = batched_butterfly_transform(block, plan, pre_scale=pre)
+            for panels in (2, 4, 8, 16, 32, 64):
+                got = parallel_butterfly_transform(
+                    block, plan, pre_scale=pre, panels=panels, engine=get_engine(2)
+                )
+                assert np.array_equal(want, got), f"nu={nu} R={panels}"
+
     def test_out_and_scratch_buffers_reused(self):
         nu = 6
         factors = UniformMutation(nu, 0.03).factors_per_bit()
@@ -239,6 +260,33 @@ class TestResolution:
         assert resolve_panels(4, 2, threads=4) == 1
         assert resolve_panels(None, 10, threads=3) == 4
         assert resolve_panels(None, 10, threads=1) == 1
+
+    @pytest.mark.parametrize("radix", [2, 4, 8])
+    def test_cap_is_n_over_the_largest_radix(self, radix):
+        assert max_panels(6, radix=radix) == 64 // radix
+        assert resolve_panels(64, 6, radix=radix) == 64 // radix
+        assert max_panels(6) == max_panels(6, radix=8)
+
+    @pytest.mark.parametrize("max_radix", [2, 4, 8])
+    def test_transform_caps_panels_by_its_plan(self, max_radix, monkeypatch):
+        """The cap comes from the plan's largest radix — an all-radix-8
+        plan caps at N/8, not N/2."""
+        import repro.transforms.parallel as parallel
+
+        seen = []
+        real = parallel.resolve_panels
+
+        def spy(panels, nu, **kw):
+            seen.append(real(panels, nu, **kw))
+            return seen[-1]
+
+        monkeypatch.setattr(parallel, "resolve_panels", spy)
+        factors = UniformMutation(6, 0.03).factors_per_bit()
+        plan = fused_stage_plan(factors, max_radix=max_radix)
+        block = np.random.default_rng(0).standard_normal((64, 2))
+        got = parallel_butterfly_transform(block, plan, panels=64, engine=get_engine(2))
+        assert seen == [64 // max_radix]
+        assert np.array_equal(got, batched_butterfly_transform(block, plan))
 
     def test_resolve_panels_rejects_non_power_of_two(self):
         with pytest.raises(ValidationError, match="power of two"):
