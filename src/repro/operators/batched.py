@@ -249,6 +249,8 @@ class BatchedFmmp(ImplicitOperator):
                 np.stack([land.values() for land in lands], axis=1), dtype=np.float64
             )
         self._sqrt_f = np.sqrt(self._f) if form == "symmetric" else None
+        # (columns, F[:, columns], √F[:, columns]) of the last selection
+        self._gathered = None
 
         self.threads = resolve_threads(threads)
         self.panels, self._engine = 1, None
@@ -275,13 +277,23 @@ class BatchedFmmp(ImplicitOperator):
 
         Returns ``(pre, post)`` with shapes ``(N,)`` (shared mode) or
         ``(N, B')`` (per-column mode, ``B'`` selected columns), per the
-        form table of :mod:`repro.operators.base`.
+        form table of :mod:`repro.operators.base`.  The last selection's
+        gathered columns are kept and reused while ``columns`` repeats, as
+        it does on every sweep of a deflated block power iteration.
         """
         f, sf = self._f, self._sqrt_f
         if self.per_column and columns is not None:
             idx = np.asarray(columns, dtype=np.intp)
-            f = np.ascontiguousarray(f[:, idx])
-            sf = np.ascontiguousarray(sf[:, idx]) if sf is not None else None
+            gathered = self._gathered
+            if gathered is None or not np.array_equal(gathered[0], idx):
+                self._gathered = None  # free the old selection before gathering
+                gathered = (
+                    idx.copy(),
+                    np.ascontiguousarray(f[:, idx]),
+                    np.ascontiguousarray(sf[:, idx]) if sf is not None else None,
+                )
+                self._gathered = gathered
+            _, f, sf = gathered
         return form_scales(self.form, f, sf)
 
     def _check_columns(self, b: int, columns: Sequence[int] | None) -> None:

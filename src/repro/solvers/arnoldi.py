@@ -77,6 +77,16 @@ class Arnoldi:
                     w -= coef * b
             beta = float(np.linalg.norm(w))
             h[j + 1, j] = beta
+            # Fail fast: a NaN/inf product would reach eig or run to the cap.
+            col = h[: j + 2, j]
+            if not np.isfinite(col).all():
+                i = int(np.flatnonzero(~np.isfinite(col))[0])
+                raise ConvergenceError(
+                    f"Arnoldi at step {j + 1}: Hessenberg entry H[{i}, {j}]={col[i]} is not "
+                    "finite (a non-finite product W·v)",
+                    iterations=j + 1,
+                    residual=float("nan"),
+                )
 
             # Ritz extraction: rightmost eigenvalue of H_j.
             hj = h[: j + 1, : j + 1]

@@ -87,6 +87,15 @@ class Lanczos:
             for b in basis:
                 w -= (b @ w) * b
             beta = float(np.linalg.norm(w))
+            # Fail fast: a NaN/inf product would reach eigh or run to the cap.
+            if not (np.isfinite(alpha) and np.isfinite(beta)):
+                name, value = ("alpha", alpha) if not np.isfinite(alpha) else ("beta", beta)
+                raise ConvergenceError(
+                    f"Lanczos at step {j + 1}: tridiagonal entry {name}={value} is not "
+                    "finite (a non-finite product W·v)",
+                    iterations=j + 1,
+                    residual=float("nan"),
+                )
 
             # Ritz extraction from the tridiagonal matrix.
             t = np.diag(alphas)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -40,6 +41,49 @@ __all__ = ["PowerIteration", "BlockPowerIteration", "BlockSolveResult", "column_
 #: strided partial sums per column in :func:`column_sums`
 _PARTIALS = 64
 
+#: bytes of one ``(rows, B)`` row tile in :func:`_tiled_sums`; the tiles
+#: of the iterate, the product and the reduction buffer stay in L2
+_TILE_BYTES = 128 << 10
+
+
+def _tile_rows(b: int) -> int:
+    """Rows of a tile of an ``(n, b)`` block: the largest power of two
+    that fits ``_TILE_BYTES``, but at least ``_PARTIALS``."""
+    rows = _TILE_BYTES // (8 * b)
+    return max(_PARTIALS, 1 << max(rows.bit_length() - 1, 0))
+
+
+def _tiled_sums(step, *blocks: np.ndarray) -> np.ndarray:
+    """Per-column sums of ``step`` over ``(n, B)`` blocks, in the fixed
+    order of :func:`column_sums`.
+
+    ``step(out, *tiles)`` gets the same rows of every block and writes
+    their elementwise values into ``out``; it may also update the tiles
+    in place.  The rows are walked in tiles of :func:`_tile_rows` rows,
+    so the values never leave the cache.  Each tile is written below the
+    running partials (row 0 of the buffer) and the buffer is reduced
+    along its rows, so every partial still adds its rows one by one in
+    row order, exactly as one reduction of the whole block.
+    """
+    n, b = blocks[0].shape
+    p = min(_PARTIALS, n & -n)
+    if p < 2:  # odd n: no fixed order (never the case for N = 2**ν)
+        out = np.empty((n, b))
+        step(out, *blocks)
+        return np.add.reduce(out)
+    rows = min(n, _tile_rows(b)) if p == _PARTIALS else n
+    buf = np.empty((1 + rows // p, p * b))  # partial k of column j at k·b + j
+    tile = buf[1:].reshape(rows, b)
+    step(tile, *[a[:rows] for a in blocks])
+    acc = np.add.reduce(buf[1:])
+    for lo in range(rows, n, rows):
+        t = min(rows, n - lo)
+        step(tile[:t], *[a[lo : lo + t] for a in blocks])
+        buf[0] = acc
+        np.add.reduce(buf[: 1 + t // p], out=acc)
+    sums = np.add.reduce(acc.reshape(p // 2, 2 * b))
+    return sums[:b] + sums[b:]
+
 
 def column_sums(block: np.ndarray) -> np.ndarray:
     """Per-column sums of an ``(n, B)`` block, bitwise independent of ``B``
@@ -47,16 +91,28 @@ def column_sums(block: np.ndarray) -> np.ndarray:
     the shape).  Row ``i`` adds into partial ``i mod p`` (``p = min(64, n)``)
     in row order; the even and the odd partials are summed in order, then
     added.  Both reductions run along the outer axis of a block at least
-    two wide, which NumPy sums row by row.
+    two wide, which NumPy sums row by row.  This is the one-step case of
+    the power loop's tiled reducer.
     """
-    n, b = block.shape
-    p = min(_PARTIALS, n & -n)
-    if p < 2:  # odd n: no fixed order (never the case for N = 2**ν)
-        return np.add.reduce(block)
-    sums = block.reshape(n // p, p * b)  # partial k of column j at k·b + j
-    sums = np.add.reduce(sums) if n > p else sums[0]
-    sums = np.add.reduce(sums.reshape(p // 2, 2 * b))
-    return sums[:b] + sums[b:]
+    return _tiled_sums(np.copyto, block)
+
+
+def _abs(out, x):
+    np.abs(x, out=out)
+
+
+def _shift_abs(out, y, x, *, mu):
+    """Pass A: ``y −= μ∘x`` in place (``mu`` may be ``None``); ``out = |y|``."""
+    if mu is not None:
+        y -= np.multiply(x, mu, out=out)
+    np.abs(y, out=out)
+
+
+def _scale_residual(out, y, x, *, lam):
+    """Pass B: ``y /= λ`` in place; ``out = (y − x)²``."""
+    y /= lam
+    np.subtract(y, x, out=out)
+    np.multiply(out, out, out=out)
 
 
 def _front(buf: np.ndarray, cols: int) -> np.ndarray:
@@ -89,13 +145,16 @@ class _PowerLoop:
         """Iterate the owned ``(n, B)`` start block ``x`` with shifts ``mu``;
         returns ``(results, sweeps)``.  ``matvec`` drives one column, else
         the operator's ``matmat`` the active ones; a ``BatchedFmmp`` writes
-        into the loop's three blocks, and deflation compacts their fronts.
+        into the loop's three blocks (iterate, product and its ping-pong
+        scratch), and deflation compacts their fronts.  Each sweep's
+        epilogue is two tiled passes (:func:`_tiled_sums`): the shift and
+        the 1-norm λ, then the normalisation and the residual.
         """
         op = self.operator
         b = x.shape[1]
         recycle = matvec is None and isinstance(op, BatchedFmmp)
-        scratch = np.empty_like(x)
-        mass = column_sums(np.abs(x, out=scratch))
+        scratch = np.empty_like(x) if recycle else None
+        mass = _tiled_sums(_abs, x)
         bad = np.flatnonzero(~(np.isfinite(mass) & (mass > 0.0)))
         if bad.size:
             j = int(bad[0])
@@ -118,10 +177,9 @@ class _PowerLoop:
                 y = op.matmat(x, columns=columns, out=spare, scratch=scratch)
             else:
                 y = op.matmat(x)
-            if shifted:
-                y -= np.multiply(x, mu[active], out=scratch)
-            # 1-norm estimate; y > 0 near the fixed point
-            lam_act = column_sums(np.abs(y, out=scratch))
+            # Pass A: shift, then the 1-norm estimate (y > 0 near the fixed point)
+            mu_act = mu[active] if shifted else None
+            lam_act = _tiled_sums(partial(_shift_abs, mu=mu_act), y, x)
             # Fail fast: a NaN/inf iterate never recovers.  A finite λ > 0
             # also keeps the residual finite, as x is normalized.
             if not (lam_act.min() > 0.0 and lam_act.max() < np.inf):
@@ -133,10 +191,10 @@ class _PowerLoop:
                     iterations=sweeps,
                     residual=float("nan"),
                 )
-            y /= lam_act
-            # Residual of the *normalized* pair: ‖W x − λ x‖₂ = λ‖y − x‖₂.
-            diff = np.subtract(y, x, out=scratch)
-            res_act = lam_act * np.sqrt(column_sums(np.multiply(diff, diff, out=diff)))
+            # Pass B: normalize; residual of the *normalized* pair,
+            # ‖W x − λ x‖₂ = λ‖y − x‖₂.
+            sq = _tiled_sums(partial(_scale_residual, lam=lam_act), y, x)
+            res_act = lam_act * np.sqrt(sq)
 
             if self.record_history:
                 for k, j in enumerate(active):
@@ -158,8 +216,8 @@ class _PowerLoop:
             if not keep.size:
                 break
             x = np.take(y, keep, axis=1, out=_front(x, keep.size), mode="clip")
-            spare = _front(y, keep.size) if recycle else None
-            scratch = _front(scratch, keep.size)
+            if recycle:
+                spare, scratch = _front(y, keep.size), _front(scratch, keep.size)
 
         del y, spare, scratch  # release the blocks before building results
         for k, j in enumerate(active):  # stragglers keep their last iterate

@@ -176,6 +176,26 @@ class TestPerColumnMode:
         assert got is out
         np.testing.assert_array_equal(got, self.op.matmat(block))
 
+    @pytest.mark.parametrize("form", ["right", "symmetric", "left"])
+    def test_repeated_selection_reuses_gathered_scales(self, form):
+        op = BatchedFmmp(self.mutation, self.lands, form=form)
+        first = op._scales([2, 0])
+        again = op._scales(np.array([2, 0]))
+        assert all(a is b for a, b in zip(again, first))  # no second gather
+        changed = op._scales([2])
+        assert all(c is None or c is not a for c, a in zip(changed, first))
+        fresh = BatchedFmmp(self.mutation, self.lands, form=form)._scales([2])
+        for c, f in zip(changed, fresh):
+            assert (c is None) == (f is None)
+            if c is not None:
+                np.testing.assert_array_equal(c, f)
+        # a repeated product is bitwise a fresh operator's
+        rng = np.random.default_rng(6)
+        block = rng.standard_normal((op.n, 1))
+        want = BatchedFmmp(self.mutation, self.lands, form=form).matmat(block, columns=[2])
+        for _ in range(2):
+            np.testing.assert_array_equal(op.matmat(block, columns=[2]), want)
+
 
 class TestDefaultMatmat:
     """The base-class matmat loops matvec — every operator gains it."""

@@ -72,3 +72,41 @@ class TestFailureModes:
         mut, ls, _ = asymmetric_problem
         with pytest.raises(ValidationError):
             Arnoldi(Fmmp(mut, ls), max_basis=1)
+
+
+class _PoisonedFmmp(Fmmp):
+    """``Fmmp`` whose product turns non-finite at call ``step``."""
+
+    step = 3
+    poison = np.nan
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = 0
+
+    def matvec(self, v):
+        out = super().matvec(v)
+        self.calls += 1
+        if self.calls >= self.step:
+            out[5] = self.poison
+        return out
+
+
+class TestFailFast:
+    """A non-finite Hessenberg entry stops Arnoldi at the step it appears,
+    naming the step, instead of reaching ``eig`` or the basis cap."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    @pytest.mark.parametrize("step", [1, 4])
+    def test_nonfinite_product_raises_at_its_step(self, asymmetric_problem, poison, step):
+        mut, ls, _ = asymmetric_problem
+        op = _PoisonedFmmp(mut, ls, form="right")
+        op.step, op.poison = step, poison
+        with pytest.raises(ConvergenceError, match="not finite") as exc_info:
+            Arnoldi(op, tol=1e-15, max_basis=50).solve(ls.start_vector())
+        assert f"Arnoldi at step {step}: Hessenberg entry H[0, {step - 1}]" in str(
+            exc_info.value
+        )
+        assert exc_info.value.iterations == step
+        assert op.calls == step

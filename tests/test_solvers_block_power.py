@@ -236,3 +236,143 @@ class TestBatchWidthInvariance:
                 np.testing.assert_array_equal(
                     column_sums(np.ascontiguousarray(block[:, :width])), full[:width]
                 )
+
+
+def _old_column_sums(block):
+    """The whole-block fixed-order sums the tiled reducer replaced."""
+    n, b = block.shape
+    p = min(64, n & -n)
+    if p < 2:
+        return np.add.reduce(block)
+    sums = block.reshape(n // p, p * b)
+    sums = np.add.reduce(sums) if n > p else sums[0]
+    sums = np.add.reduce(sums.reshape(p // 2, 2 * b))
+    return sums[:b] + sums[b:]
+
+
+def _old_epilogue(x, y, mu):
+    """The whole-block chain the tiled passes replaced: shift, |y| sums,
+    divide, (y − x)² sums.  Returns ``(λ, squared residual sums, y)``."""
+    y = y.copy()
+    scratch = np.empty_like(x)
+    if mu is not None:
+        y -= np.multiply(x, mu, out=scratch)
+    lam = _old_column_sums(np.abs(y, out=scratch))
+    y /= lam
+    diff = np.subtract(y, x, out=scratch)
+    return lam, _old_column_sums(np.multiply(diff, diff, out=diff)), y
+
+
+def _tiled_epilogue(x, y, mu, counter=None):
+    """Passes A and B of the power loop on a copy of ``y``."""
+    from functools import partial
+
+    from repro.solvers import power
+
+    def counted(step):
+        def wrapped(out, *tiles):
+            if counter is not None:
+                counter.append(out.shape[0])
+            step(out, *tiles)
+
+        return wrapped
+
+    y = y.copy()
+    lam = power._tiled_sums(counted(partial(power._shift_abs, mu=mu)), y, x)
+    sq = power._tiled_sums(counted(partial(power._scale_residual, lam=lam)), y, x)
+    return lam, sq, y
+
+
+def _assert_same_epilogue(x, y, mu, counter=None):
+    for got, want in zip(_tiled_epilogue(x, y, mu, counter), _old_epilogue(x, y, mu)):
+        np.testing.assert_array_equal(got, want)
+
+
+class TestTiledReducer:
+    """The power loop's two tiled passes are bitwise the old whole-block
+    chain, however the rows are tiled."""
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 5, 16])
+    def test_matches_whole_block_chain(self, b):
+        from repro.solvers.power import column_sums
+
+        rng = np.random.default_rng(b)
+        sizes = [1 << nu for nu in range(1, 17)] + [3, 96, 7 * 64, 5 * 1024 + 64]
+        for n in sizes:
+            x = rng.random((n, b))
+            y = 3.0 * rng.random((n, b)) - 0.5
+            for mu in (None, 0.3 * rng.random(b)):
+                _assert_same_epilogue(x, y, mu)
+            np.testing.assert_array_equal(column_sums(x), _old_column_sums(x))
+
+    @pytest.mark.parametrize("b", [1, 3, 16])
+    @pytest.mark.parametrize("tiles", [1, 2, "many"])
+    def test_forced_tile_counts(self, monkeypatch, b, tiles):
+        from repro.solvers import power
+
+        rng = np.random.default_rng(7)
+        n = 1 << 12
+        x = rng.random((n, b))
+        y = 3.0 * rng.random((n, b)) - 0.5
+        rows = {1: n, 2: n // 2, "many": power._PARTIALS}[tiles]
+        monkeypatch.setattr(power, "_TILE_BYTES", 8 * b * rows)
+        counter = []
+        _assert_same_epilogue(x, y, 0.3 * rng.random(b), counter)
+        assert counter == [rows] * (2 * n // rows)
+
+    def test_partial_last_tile(self, monkeypatch):
+        from repro.solvers import power
+
+        rng = np.random.default_rng(8)
+        n, b = 7 * 64, 3
+        x, y = rng.random((n, b)), rng.random((n, b))
+        monkeypatch.setattr(power, "_TILE_BYTES", 8 * b * 256)
+        counter = []
+        _assert_same_epilogue(x, y, None, counter)
+        assert counter == [256, 192] * 2
+
+    def test_nan_in_last_tile_names_sweep_and_column(self, monkeypatch):
+        from repro.solvers import power
+
+        nu, b = 10, 3
+        monkeypatch.setattr(power, "_TILE_BYTES", 8 * b * 64)  # 16 tiles
+
+        class LastRowNaN(BatchedFmmp):
+            calls = 0
+
+            def matmat(self, block, **kwargs):
+                out = super().matmat(block, **kwargs)
+                self.calls += 1
+                if self.calls >= 3:
+                    out[-1, 2] = np.nan
+                return out
+
+        mutation = UniformMutation(nu, 0.01)
+        lands = [RandomLandscape(nu, c=4.0, sigma=1.0, seed=s) for s in range(b)]
+        with pytest.raises(ConvergenceError, match="not finite") as exc_info:
+            BlockPowerIteration(LastRowNaN(mutation, lands), tol=1e-15).solve()
+        assert "column 2 at sweep 3:" in str(exc_info.value)
+        assert exc_info.value.iterations == 3
+
+    def test_multi_tile_width_invariance(self):
+        """ν = 16: a B = 16 block spans 64 tiles and one column 4, so the
+        running partials cross tile boundaries at different rows."""
+        from repro.solvers import power
+
+        nu = 16
+        assert (1 << nu) // power._tile_rows(16) > 1 and (1 << nu) // power._tile_rows(1) > 1
+        mutation = UniformMutation(nu, 0.01)
+        lands = [RandomLandscape(nu, c=4.0, sigma=0.5 + 0.08 * s, seed=s) for s in range(16)]
+        shifts = [conservative_shift(mutation, land) for land in lands]
+        block = BlockPowerIteration(
+            BatchedFmmp(mutation, lands), shifts=shifts, tol=1e-10, record_history=True
+        ).solve()
+        assert len({r.iterations for r in block}) > 1  # deflation happened
+        for j in (0, 5, 15):
+            alone = PowerIteration(
+                ShiftedOperator(Fmmp(mutation, lands[j]), shifts[j]),
+                tol=1e-10,
+                record_history=True,
+            ).solve(lands[j].start_vector(), landscape=lands[j])
+            assert _same_bits(alone, block[j]), f"column {j}"
+            assert alone.history == block[j].history

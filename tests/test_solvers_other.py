@@ -88,6 +88,42 @@ class TestLanczos:
             Lanczos(op, tol=1e-15, max_basis=2).solve(np.sqrt(ls.values()))
 
 
+class _PoisonedFmmp(Fmmp):
+    """``Fmmp`` whose product turns non-finite at call ``step``."""
+
+    step = 3
+    poison = np.nan
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = 0
+
+    def matvec(self, v):
+        out = super().matvec(v)
+        self.calls += 1
+        if self.calls >= self.step:
+            out[5] = self.poison
+        return out
+
+
+class TestLanczosFailFast:
+    """A non-finite product stops Lanczos at the step it appears, naming
+    the step, instead of reaching ``eigh`` or the basis cap."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_nonfinite_product_raises_at_its_step(self, problem, poison, step):
+        nu, p, mut, ls, _ = problem
+        op = _PoisonedFmmp(mut, ls, form="symmetric")
+        op.step, op.poison = step, poison
+        with pytest.raises(ConvergenceError, match="not finite") as exc_info:
+            Lanczos(op, tol=1e-15, max_basis=50).solve(np.sqrt(ls.values()))
+        assert f"Lanczos at step {step}: tridiagonal entry alpha=" in str(exc_info.value)
+        assert exc_info.value.iterations == step
+        assert op.calls == step
+
+
 class TestShiftInvertQ:
     def test_inverse_iteration_finds_dominant(self):
         nu, p = 7, 0.05
