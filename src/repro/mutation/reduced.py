@@ -36,22 +36,31 @@ overflow the binomials nor lose the small-``k`` structure to underflow.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.util.binomial import binomial, log_binomial
+from repro.util.binomial import binomial
 from repro.util.validation import check_chain_length, check_error_rate
 
 __all__ = ["reduced_mutation_matrix", "reduced_mutation_matrix_reference"]
 
 
-def _binomial_pmf(n: int, log_success: float, log_fail: float) -> np.ndarray:
+def _binomial_pmf(
+    n: int, log_success: float, log_fail: float, log_fact: np.ndarray
+) -> np.ndarray:
     """Coefficients ``C(n, i)·success^i·fail^{n−i}`` for ``i = 0..n``,
-    computed in log space (entries below ~1e-300 flush to zero)."""
+    computed in log space (entries below ~1e-300 flush to zero).
+
+    ``log_fact[m] = lgamma(m + 1)`` for ``m ≥ n``; ``log C(n, i)`` is
+    ``log_fact[n] − log_fact[i] − log_fact[n−i]``, the operations of
+    :func:`~repro.util.binomial.log_binomial` in its order.
+    """
     if n == 0:
         return np.ones(1)
     i = np.arange(n + 1, dtype=np.float64)
-    log_c = np.array([log_binomial(n, int(k)) for k in range(n + 1)])
+    log_c = log_fact[n] - log_fact[: n + 1] - log_fact[n::-1]
     logs = log_c + i * log_success + (n - i) * log_fail
     with np.errstate(under="ignore"):
         return np.exp(logs)
@@ -81,13 +90,14 @@ def reduced_mutation_matrix(nu: int, p: float) -> np.ndarray:
 
     log_p = np.log(p)
     log_1mp = np.log1p(-p)
+    log_fact = np.array([math.lgamma(m + 1) for m in range(nu + 1)])
     q = np.empty((nu + 1, nu + 1))
     for d in range(nu + 1):
         # ((1−p) + p·x)^{ν−d}: "success" = contributing to the new
         # distance (a wild site flipping), probability p.
-        wild = _binomial_pmf(nu - d, log_p, log_1mp)
+        wild = _binomial_pmf(nu - d, log_p, log_1mp, log_fact)
         # (p + (1−p)·x)^{d}: a set site *stays* set with 1−p.
-        mutant = _binomial_pmf(d, log_1mp, log_p)
+        mutant = _binomial_pmf(d, log_1mp, log_p, log_fact)
         q[d, :] = np.convolve(wild, mutant)
     return q
 

@@ -4,10 +4,10 @@ The pool turns one :class:`~repro.service.jobspec.SolveJob` into one
 :class:`~repro.service.jobspec.JobResult`, surviving the failure modes a
 serving backend actually sees:
 
-* **Per-job timeouts** — each attempt gets a wall-clock budget
-  (``thread``/``process`` executors; a timed-out thread attempt is
-  abandoned, a timed-out process attempt's worker is left to the
-  executor to recycle).
+* **Per-job timeouts** — each attempt gets a wall-clock budget,
+  counted from the attempt's start (``thread``/``process`` executors;
+  a timed-out thread attempt is abandoned, a timed-out process
+  attempt's worker is left to the executor to recycle).
 * **Bounded retries with backoff** — transient failures (a poisoned
   worker, a flaky allocation) are retried up to ``retries`` times per
   route with exponentially growing backoff.
@@ -17,6 +17,10 @@ serving backend actually sees:
   applicable route can, with the failure named in the telemetry.
 * **Structured telemetry** — queue time, solve time, iterations,
   attempts, named failures, and the route that finally served the job.
+
+Scalar jobs and the column slices of batched blocks are the work units
+of one executor wave, slices first, so a block keeps every worker busy
+while the scalar jobs queue behind it.
 
 Workers share operator construction within a scheduler group through a
 per-process build memo: the first job of a group pays for the mutation
@@ -30,17 +34,19 @@ import functools
 import os
 import time
 from concurrent.futures import (
-    CancelledError,
+    FIRST_COMPLETED,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
+    wait,
 )
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.service.jobspec import JobResult, SolveJob
+from repro.service.scheduler import BatchedSolveJob
 
 __all__ = [
     "MAX_DENSE_NU",
@@ -55,6 +61,10 @@ __all__ = [
 MAX_DENSE_NU = 10
 
 _POOL_KINDS = ("serial", "thread", "process")
+
+#: with a timeout set, how often (seconds) the pool looks for queued
+#: attempts that a worker has started, whose budget then starts counting
+_POLL_S = 0.005
 
 #: per-process memo of built (mutation, landscape) pairs, keyed by the
 #: job's problem hash — realizes the scheduler's operator sharing.
@@ -72,10 +82,10 @@ class JobTelemetry:
     failures are in ``failures``).
 
     ``batch`` is the block width the job was solved in: 1 for a scalar
-    solve, B > 1 when the job rode a batched
+    solve, B > 1 when the job rode a column slice of a batched
     :class:`~repro.service.scheduler.BatchedSolveJob` (its
-    ``solve_seconds`` is then the whole block's wall-clock divided by
-    B — the amortized per-column cost).
+    ``solve_seconds`` is then the slice's wall-clock divided by its
+    width B — the amortized per-column cost).
     """
 
     key: str
@@ -350,17 +360,46 @@ def _timed_call(fn, job):
     return result, t0, time.perf_counter()
 
 
+class _InlineExecutor:
+    """Runs each call at submission, on the calling thread; the wave
+    loop's executor for serial pools and single-worker runs."""
+
+    def submit(self, fn, *args) -> Future:
+        fut = Future()
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001 - stored, as an executor would
+            fut.set_exception(exc)
+        return fut
+
+    def __enter__(self) -> "_InlineExecutor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+
 # ----------------------------------------------------------------- pool
 @dataclass
 class _JobState:
     job: SolveJob
     routes: list[SolveJob]
+    slot: int = 0  # position of the job's outcome in ``WorkerPool.run``'s list
     route_idx: int = 0
     attempt: int = 0
     telemetry: JobTelemetry = None  # set in __post_init__
 
     def __post_init__(self) -> None:
         self.telemetry = JobTelemetry(key=self.job.cache_key(), label=self.job.label())
+
+    @classmethod
+    def degraded(cls, job: SolveJob, slot: int, note: str) -> "_JobState":
+        """A batched member re-queued on its scalar route chain, with
+        the block failure ``note`` named first in its telemetry."""
+        state = cls(job, fallback_routes(job), slot)
+        state.telemetry.failures.append(note)
+        state.telemetry.fallback_used = True
+        return state
 
     @property
     def current(self) -> SolveJob:
@@ -385,7 +424,7 @@ class _JobState:
         tele = self.telemetry
         tele.status = "solved"
         tele.route = _route_label(self.current)
-        tele.fallback_used = self.route_idx > 0
+        tele.fallback_used = tele.fallback_used or self.route_idx > 0
         tele.queue_seconds = max(0.0, t_start - submit_time)
         tele.solve_seconds = t_end - t_start
         tele.iterations = result.iterations
@@ -394,6 +433,30 @@ class _JobState:
     def fail(self) -> None:
         self.telemetry.status = "failed"
         self.telemetry.route = ""
+
+
+@dataclass
+class _Slice:
+    """Adjacent columns of a batched block, solved as one work unit;
+    ``slots`` are its members' positions in ``WorkerPool.run``'s list."""
+
+    bjob: BatchedSolveJob
+    slots: range
+
+
+def _slices(bjob: BatchedSolveJob, slots: range, workers: int) -> list[_Slice]:
+    """Cut ``bjob`` into ``k = min(workers, ⌊B/2⌋)`` near-equal column
+    slices (the whole block when ``k ≤ 1``), so no slice has one column
+    and at most one block's worth of columns is in flight per wave.  The
+    block power iteration is width-invariant, so every column gets the
+    bits the whole block would give it."""
+    b = bjob.batch
+    k = max(1, min(workers, b // 2))
+    cuts = [b * i // k for i in range(k + 1)]
+    return [
+        _Slice(replace(bjob, indices=bjob.indices[lo:hi], jobs=bjob.jobs[lo:hi]), slots[lo:hi])
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
 
 
 class WorkerPool:
@@ -409,7 +472,10 @@ class WorkerPool:
         (full isolation — required for hard timeout enforcement), or
         ``"serial"`` (in-line, deterministic; timeouts not enforced).
     timeout:
-        Per-attempt wall-clock budget in seconds (``None`` = unlimited).
+        Per-attempt wall-clock budget in seconds (``None`` = unlimited),
+        counted from the moment a worker starts the attempt, not from
+        its submission, so time spent queued behind other attempts is
+        never charged.
     retries:
         Extra attempts per route before falling back (0 = no retry).
     backoff:
@@ -482,59 +548,155 @@ class WorkerPool:
         return max(1, workers)
 
     # ----------------------------------------------------------------- run
-    def run(self, jobs: list[SolveJob]) -> list[tuple[JobResult | None, JobTelemetry]]:
-        """Solve ``jobs``; returns aligned ``(result, telemetry)`` pairs.
+    def run(
+        self, jobs: list[SolveJob | BatchedSolveJob]
+    ) -> list[tuple[JobResult | None, JobTelemetry]]:
+        """Solve ``jobs`` — :class:`SolveJob`\\ s and
+        :class:`~repro.service.scheduler.BatchedSolveJob` blocks — as the
+        work units of one wave loop.
 
-        A ``None`` result means every route failed; the telemetry names
-        each failure.
+        Returns ``(result, telemetry)`` pairs aligned with ``jobs``, a
+        block expanded into one pair per member, in order.  A ``None``
+        result means every route failed; the telemetry names each
+        failure.
+
+        Each block is cut into column slices, one per worker
+        (:func:`_slices`), submitted before the scalar jobs.  Degradation
+        is per failure scope: a slice that raises or times out re-queues
+        **every** member of that slice on its scalar route chain in the
+        next wave, and a slice's unconverged columns re-queue **those
+        columns only** — the other columns keep their batched results.
+        Each re-queued member's telemetry names the slice failure and
+        sets ``fallback_used``.
         """
-        states = [_JobState(job, fallback_routes(job)) for job in jobs]
-        if not states:
-            return []
-        workers = self.effective_workers(len(states))
-        if self.kind == "serial" or workers == 1:
-            return [self._run_serial(state) for state in states]
-        return self._run_executor(states, workers)
+        blocks, states, n = [], [], 0
+        for job in jobs:
+            if isinstance(job, BatchedSolveJob):
+                blocks.append((job, range(n, n + job.batch)))
+                n += job.batch
+            else:
+                states.append(_JobState(job, fallback_routes(job), n))
+                n += 1
+        workers = 1 if self.kind == "serial" else self.effective_workers(n)
+        slices = [piece for bjob, slots in blocks for piece in _slices(bjob, slots, workers)]
+        return self._run_waves(slices + states, n, workers)
 
-    # ------------------------------------------------------------- batched
     def run_batched(self, bjob) -> list[tuple[JobResult | None, JobTelemetry]]:
-        """Execute one :class:`~repro.service.scheduler.BatchedSolveJob`.
+        """Execute one :class:`~repro.service.scheduler.BatchedSolveJob`:
+        the one-block case of :meth:`run`.  The returned
+        ``(result, telemetry)`` pairs align with ``bjob.jobs``; a served
+        column has ``route="batched-power"`` and its slice width in
+        ``telemetry.batch``."""
+        return self.run([bjob])
 
-        The whole block rides a single
-        :class:`~repro.solvers.power.BlockPowerIteration` stream; the
-        returned ``(result, telemetry)`` pairs align with
-        ``bjob.jobs``.  Degradation is per *failure scope*:
+    # --------------------------------------------------------------- waves
+    def _executor(self, workers: int):
+        if workers == 1:
+            return _InlineExecutor()
+        if self.kind == "thread":
+            return ThreadPoolExecutor(max_workers=workers)
+        # Process workers pin their BLAS pools to one thread on
+        # startup: the pool (and, with threads > 1, each worker's
+        # panel engine) owns the parallelism — nested BLAS teams
+        # would oversubscribe the host (see repro.util.blas).
+        from repro.util.blas import pin_blas_env
 
-        * the block itself raising (bad build, kernel error) falls back
-          to scalar :meth:`run` for **every** member — each telemetry
-          names the block failure and ``fallback_used`` is set;
-        * individual unconverged columns fall back to the scalar route
-          chain for **those columns only** — the converged columns keep
-          their batched results.
-        """
-        jobs = list(bjob.jobs)
+        return ProcessPoolExecutor(max_workers=workers, initializer=pin_blas_env)
+
+    def _run_waves(
+        self, units: list, n: int, workers: int
+    ) -> list[tuple[JobResult | None, JobTelemetry]]:
+        """Submit every unit of a wave, settle them all, then run the
+        next wave: retries, and batched members re-queued as scalar jobs."""
+        outcomes: list[tuple[JobResult | None, JobTelemetry] | None] = [None] * n
+        wave = 0
+        with self._executor(workers) as pool:
+            while units:
+                attempts = []
+                for unit in units:
+                    if isinstance(unit, _Slice):
+                        fn, arg = self.batched_solve_fn, unit.bjob
+                    else:
+                        unit.telemetry.attempts += 1
+                        fn, arg = self.solve_fn, unit.current
+                    submitted = time.perf_counter()
+                    attempts.append((unit, submitted, pool.submit(_timed_call, fn, arg)))
+                units, retrying = [], False
+                for (unit, submitted, _), out in zip(attempts, self._settle(attempts)):
+                    if isinstance(unit, _Slice):
+                        units += self._settle_slice(unit, out, submitted, outcomes)
+                    elif not isinstance(out, Exception):
+                        outcomes[unit.slot] = (unit.finish(out, submitted), unit.telemetry)
+                    else:
+                        budget = 0 if isinstance(out, ValidationError) else self.retries
+                        if unit.record_failure(f"{type(out).__name__}: {out}", budget):
+                            unit.fail()
+                            outcomes[unit.slot] = (None, unit.telemetry)
+                        else:
+                            units.append(unit)
+                            retrying = True
+                if retrying:
+                    time.sleep(min(1.0, self.backoff * (2**wave)))
+                    wave += 1
+        return outcomes
+
+    def _settle(self, attempts: list) -> list:
+        """Each attempt's ``_timed_call`` output, or the exception it
+        raised.  With a ``timeout``, an attempt still running that long
+        after a worker started it is abandoned as a :class:`TimeoutError`
+        (a thread attempt keeps running; its result is discarded).  A
+        start is stamped when the executor marks the future running,
+        observed at least every ``_POLL_S`` seconds."""
+        futures = [fut for _, _, fut in attempts]
+        expired = set()
+        if self.timeout is not None:
+            started: dict[Future, float] = {}
+            pending = set(futures)
+            while pending:
+                now = time.perf_counter()
+                for fut in pending - started.keys():
+                    if fut.running():
+                        started[fut] = now
+                running = pending & started.keys()
+                late = {f for f in running if now - started[f] >= self.timeout and not f.done()}
+                expired |= late
+                pending -= late
+                waits = [started[f] + self.timeout - now for f in running - late]
+                if len(waits) < len(pending):  # a queued attempt may start meanwhile
+                    waits.append(_POLL_S)
+                wait(pending, timeout=max(0.0, min(waits, default=0.0)), return_when=FIRST_COMPLETED)
+                pending = {fut for fut in pending if not fut.done()}
+        outs = []
+        for fut in futures:
+            if fut in expired:
+                outs.append(TimeoutError(f"exceeded {self.timeout:g}s budget"))
+                continue
+            try:
+                outs.append(fut.result())
+            except Exception as exc:  # noqa: BLE001 - a failing attempt is data here
+                outs.append(exc)
+        return outs
+
+    def _settle_slice(self, unit: _Slice, out, submitted: float, outcomes: list) -> list[_JobState]:
+        """Record a slice's converged columns in ``outcomes``; returns the
+        members to re-queue as scalar jobs (all of them when the slice
+        failed)."""
+        jobs, slots = unit.bjob.jobs, unit.slots
         b = len(jobs)
-        t0 = time.perf_counter()
-        try:
-            results = self.batched_solve_fn(bjob)
-            if len(results) != b:
-                raise ValidationError(
-                    f"batched worker returned {len(results)} results for {b} jobs"
-                )
-        except Exception as exc:  # noqa: BLE001 - block falls back to scalar
-            note = f"batched[B={b}]: {type(exc).__name__}: {exc}"
-            outcomes = self.run(jobs)
-            for _, tele in outcomes:
-                tele.failures.insert(0, note)
-                tele.fallback_used = True
-            return outcomes
-        elapsed = time.perf_counter() - t0
-
-        outcomes: list[tuple[JobResult | None, JobTelemetry] | None] = [None] * b
-        pending: list[int] = []
-        for k, (job, result) in enumerate(zip(jobs, results)):
+        if not isinstance(out, Exception) and len(out[0]) != b:
+            out = ValidationError(f"batched worker returned {len(out[0])} results for {b} jobs")
+        if isinstance(out, Exception):
+            note = f"batched[B={b}]: {type(out).__name__}: {out}"
+            return [_JobState.degraded(job, slot, note) for job, slot in zip(jobs, slots)]
+        results, t_start, t_end = out
+        note = (
+            f"batched-power: column did not converge within "
+            f"{unit.bjob.max_iterations} sweeps"
+        )
+        requeue = []
+        for job, slot, result in zip(jobs, slots, results):
             if not result.converged:
-                pending.append(k)
+                requeue.append(_JobState.degraded(job, slot, note))
                 continue
             tele = JobTelemetry(
                 key=job.cache_key(),
@@ -542,103 +704,10 @@ class WorkerPool:
                 status="solved",
                 route="batched-power",
                 attempts=1,
-                solve_seconds=elapsed / b,
+                queue_seconds=max(0.0, t_start - submitted),
+                solve_seconds=(t_end - t_start) / b,
                 iterations=result.iterations,
                 batch=b,
             )
-            outcomes[k] = (result, tele)
-        if pending:
-            note = (
-                f"batched-power: column did not converge within "
-                f"{bjob.max_iterations} sweeps"
-            )
-            scalar = self.run([jobs[k] for k in pending])
-            for k, (result, tele) in zip(pending, scalar):
-                tele.failures.insert(0, note)
-                tele.fallback_used = True
-                outcomes[k] = (result, tele)
-        return outcomes
-
-    # -------------------------------------------------------------- serial
-    def _run_serial(self, state: _JobState) -> tuple[JobResult | None, JobTelemetry]:
-        wave = 0
-        while True:
-            state.telemetry.attempts += 1
-            submit = time.perf_counter()
-            try:
-                out = _timed_call(self.solve_fn, state.current)
-            except Exception as exc:  # noqa: BLE001 - a failing route falls back
-                budget = 0 if isinstance(exc, ValidationError) else self.retries
-                exhausted = state.record_failure(f"{type(exc).__name__}: {exc}", budget)
-                if exhausted:
-                    state.fail()
-                    return None, state.telemetry
-                time.sleep(min(1.0, self.backoff * (2**wave)))
-                wave += 1
-                continue
-            return state.finish(out, submit), state.telemetry
-
-    # ------------------------------------------------------------ executor
-    def _run_executor(
-        self, states: list[_JobState], workers: int
-    ) -> list[tuple[JobResult | None, JobTelemetry]]:
-        outcomes: list[tuple[JobResult | None, JobTelemetry]] = [None] * len(states)
-        active = list(range(len(states)))
-        wave = 0
-        if self.kind == "thread":
-            executor = ThreadPoolExecutor(max_workers=workers)
-        else:
-            # Process workers pin their BLAS pools to one thread on
-            # startup: the pool (and, with threads > 1, each worker's
-            # panel engine) owns the parallelism — nested BLAS teams
-            # would oversubscribe the host (see repro.util.blas).
-            from repro.util.blas import pin_blas_env
-
-            executor = ProcessPoolExecutor(
-                max_workers=workers, initializer=pin_blas_env
-            )
-        with executor as pool:
-            while active:
-                submissions = []
-                for i in active:
-                    states[i].telemetry.attempts += 1
-                    fut = pool.submit(_timed_call, self.solve_fn, states[i].current)
-                    submissions.append((i, fut, time.perf_counter()))
-                retry_wave = []
-                for i, fut, submitted in submissions:
-                    state = states[i]
-                    try:
-                        if self.timeout is None:
-                            out = fut.result()
-                        else:
-                            remaining = max(0.0, submitted + self.timeout - time.perf_counter())
-                            out = fut.result(timeout=remaining)
-                    except FutureTimeoutError:
-                        fut.cancel()
-                        if state.record_failure(
-                            f"TimeoutError: exceeded {self.timeout:g}s budget", self.retries
-                        ):
-                            state.fail()
-                            outcomes[i] = (None, state.telemetry)
-                        else:
-                            retry_wave.append(i)
-                        continue
-                    except CancelledError:
-                        state.record_failure("CancelledError: attempt cancelled", 0)
-                        state.fail()
-                        outcomes[i] = (None, state.telemetry)
-                        continue
-                    except Exception as exc:  # noqa: BLE001 - worker raised
-                        budget = 0 if isinstance(exc, ValidationError) else self.retries
-                        if state.record_failure(f"{type(exc).__name__}: {exc}", budget):
-                            state.fail()
-                            outcomes[i] = (None, state.telemetry)
-                        else:
-                            retry_wave.append(i)
-                        continue
-                    outcomes[i] = (state.finish(out, submitted), state.telemetry)
-                active = retry_wave
-                if active:
-                    time.sleep(min(1.0, self.backoff * (2**wave)))
-                    wave += 1
-        return outcomes
+            outcomes[slot] = (result, tele)
+        return requeue

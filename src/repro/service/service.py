@@ -160,10 +160,11 @@ class SolverService:
     """A queryable solver backend over cache + scheduler + worker pool.
 
     Cache misses that share an operator, form, ``tol`` and
-    ``max_iterations`` are solved together in one
-    :class:`~repro.solvers.power.BlockPowerIteration` whenever at least
-    two of them are batchable power jobs; each gets the same bits it
-    would get alone.
+    ``max_iterations`` are solved together in
+    :class:`~repro.solvers.power.BlockPowerIteration` column slices
+    whenever at least two of them are batchable power jobs; each gets
+    the same bits it would get alone.  The blocks and the scalar jobs
+    go to the pool in one :meth:`WorkerPool.run` call.
 
     Parameters
     ----------
@@ -252,20 +253,13 @@ class SolverService:
             blocks = plan_batched_jobs(plan, to_solve)
             covered = {i for block in blocks for i in block.indices}
             singles = [u for u in to_solve if u not in covered]
-            for block in blocks:
-                outcomes = self.pool.run_batched(block)
-                for uidx, (result, tele) in zip(block.indices, outcomes):
-                    results[uidx] = result
-                    telemetry[uidx] = tele
-                    if result is not None:
-                        self.cache.store(plan.unique_jobs[uidx], result)
-            if singles:
-                outcomes = self.pool.run([plan.unique_jobs[u] for u in singles])
-                for uidx, (result, tele) in zip(singles, outcomes):
-                    results[uidx] = result
-                    telemetry[uidx] = tele
-                    if result is not None:
-                        self.cache.store(plan.unique_jobs[uidx], result)
+            units = blocks + [plan.unique_jobs[u] for u in singles]
+            slots = [u for block in blocks for u in block.indices] + singles
+            for uidx, (result, tele) in zip(slots, self.pool.run(units)):
+                results[uidx] = result
+                telemetry[uidx] = tele
+                if result is not None:
+                    self.cache.store(plan.unique_jobs[uidx], result)
 
         return BatchReport(
             jobs=plan.jobs,

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -53,32 +52,45 @@ def _tile_rows(b: int) -> int:
     return max(_PARTIALS, 1 << max(rows.bit_length() - 1, 0))
 
 
-def _tiled_sums(step, *blocks: np.ndarray) -> np.ndarray:
+def _row_tile(coef: np.ndarray, rows: int) -> np.ndarray:
+    """Per-column coefficients ``(B,)`` repeated down ``rows`` rows, so a
+    tile's elementwise step is a same-shape ufunc call: broadcasting a
+    ``(B,)`` row runs one short inner loop per row.  For ``B = 1`` the
+    broadcast is the faster call, so the row is returned as it is."""
+    if coef.size < 2:
+        return coef
+    return np.repeat(coef[None, :], rows, axis=0)  # a broadcast fill is the slow loop again
+
+
+def _tiled_sums(step, *blocks: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
     """Per-column sums of ``step`` over ``(n, B)`` blocks, in the fixed
     order of :func:`column_sums`.
 
     ``step(out, *tiles)`` gets the same rows of every block and writes
     their elementwise values into ``out``; it may also update the tiles
-    in place.  The rows are walked in tiles of :func:`_tile_rows` rows,
-    so the values never leave the cache.  Each tile is written below the
-    running partials (row 0 of the buffer) and the buffer is reduced
-    along its rows, so every partial still adds its rows one by one in
-    row order, exactly as one reduction of the whole block.
+    in place.  Per-column coefficients ``coef`` (shape ``(B,)``) reach
+    ``step`` as one more tile argument (:func:`_row_tile`).  The rows are
+    walked in tiles of :func:`_tile_rows` rows, so the values never leave
+    the cache.  Each tile is written below the running partials (row 0
+    of the buffer) and the buffer is reduced along its rows, so every
+    partial still adds its rows one by one in row order, exactly as one
+    reduction of the whole block.
     """
     n, b = blocks[0].shape
     p = min(_PARTIALS, n & -n)
+    rows = min(n, _tile_rows(b)) if p == _PARTIALS else n
+    coefs = () if coef is None else (_row_tile(coef, rows),)
     if p < 2:  # odd n: no fixed order (never the case for N = 2**ν)
         out = np.empty((n, b))
-        step(out, *blocks)
+        step(out, *blocks, *coefs)
         return np.add.reduce(out)
-    rows = min(n, _tile_rows(b)) if p == _PARTIALS else n
     buf = np.empty((1 + rows // p, p * b))  # partial k of column j at k·b + j
     tile = buf[1:].reshape(rows, b)
-    step(tile, *[a[:rows] for a in blocks])
+    step(tile, *[a[:rows] for a in blocks], *coefs)
     acc = np.add.reduce(buf[1:])
     for lo in range(rows, n, rows):
         t = min(rows, n - lo)
-        step(tile[:t], *[a[lo : lo + t] for a in blocks])
+        step(tile[:t], *[a[lo : lo + t] for a in blocks], *[c[:t] for c in coefs])
         buf[0] = acc
         np.add.reduce(buf[: 1 + t // p], out=acc)
     sums = np.add.reduce(acc.reshape(p // 2, 2 * b))
@@ -101,14 +113,14 @@ def _abs(out, x):
     np.abs(x, out=out)
 
 
-def _shift_abs(out, y, x, *, mu):
-    """Pass A: ``y −= μ∘x`` in place (``mu`` may be ``None``); ``out = |y|``."""
+def _shift_abs(out, y, x, mu=None):
+    """Pass A: ``y −= μ∘x`` in place (no shift without ``mu``); ``out = |y|``."""
     if mu is not None:
         y -= np.multiply(x, mu, out=out)
     np.abs(y, out=out)
 
 
-def _scale_residual(out, y, x, *, lam):
+def _scale_residual(out, y, x, lam):
     """Pass B: ``y /= λ`` in place; ``out = (y − x)²``."""
     y /= lam
     np.subtract(y, x, out=out)
@@ -178,8 +190,7 @@ class _PowerLoop:
             else:
                 y = op.matmat(x)
             # Pass A: shift, then the 1-norm estimate (y > 0 near the fixed point)
-            mu_act = mu[active] if shifted else None
-            lam_act = _tiled_sums(partial(_shift_abs, mu=mu_act), y, x)
+            lam_act = _tiled_sums(_shift_abs, y, x, coef=mu[active] if shifted else None)
             # Fail fast: a NaN/inf iterate never recovers.  A finite λ > 0
             # also keeps the residual finite, as x is normalized.
             if not (lam_act.min() > 0.0 and lam_act.max() < np.inf):
@@ -193,7 +204,7 @@ class _PowerLoop:
                 )
             # Pass B: normalize; residual of the *normalized* pair,
             # ‖W x − λ x‖₂ = λ‖y − x‖₂.
-            sq = _tiled_sums(partial(_scale_residual, lam=lam_act), y, x)
+            sq = _tiled_sums(_scale_residual, y, x, coef=lam_act)
             res_act = lam_act * np.sqrt(sq)
 
             if self.record_history:

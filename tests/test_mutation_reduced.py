@@ -1,5 +1,7 @@
 """Tests for the reduced mutation matrix QΓ (Eq. 14, corrected)."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from repro.bitops.classes import error_class_indices, error_class_representative
 from repro.exceptions import ValidationError
 from repro.mutation import UniformMutation, reduced_mutation_matrix
 from repro.mutation.reduced import reduced_mutation_matrix_reference
+from repro.util.binomial import log_binomial
 
 
 class TestAgainstFullMatrix:
@@ -50,6 +53,40 @@ class TestConvolutionEqualsTripleSum:
             reduced_mutation_matrix_reference(nu, p),
             atol=1e-13,
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _log_binomial_row(n):
+    """``log C(n, k)`` for ``k = 0..n``, one ``log_binomial`` call per entry."""
+    return np.array([log_binomial(n, k) for k in range(n + 1)])
+
+
+def _per_entry_matrix(nu, p):
+    """The convolution construction of ``QΓ`` with every log-binomial
+    weight from its own ``log_binomial`` call."""
+
+    def pmf(n, log_success, log_fail):
+        if n == 0:
+            return np.ones(1)
+        i = np.arange(n + 1, dtype=np.float64)
+        with np.errstate(under="ignore"):
+            return np.exp(_log_binomial_row(n) + i * log_success + (n - i) * log_fail)
+
+    log_p, log_1mp = np.log(p), np.log1p(-p)
+    return np.array(
+        [np.convolve(pmf(nu - d, log_p, log_1mp), pmf(d, log_1mp, log_p)) for d in range(nu + 1)]
+    )
+
+
+class TestLgammaTable:
+    """The log-binomial weights come from one ``lgamma`` table per matrix,
+    with the operations of the per-entry formula in its order."""
+
+    @pytest.mark.parametrize("p", [1e-4, 0.01, 0.1, 0.5])
+    def test_bitwise_equal_to_per_entry_formula(self, p):
+        for nu in [*range(1, 65), 200, 1000]:  # rows d = 0 and d = ν hold n = 0
+            got = reduced_mutation_matrix(nu, p)
+            assert got.tobytes() == _per_entry_matrix(nu, p).tobytes(), nu
 
 
 class TestStochasticity:

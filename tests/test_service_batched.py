@@ -8,6 +8,7 @@ answers every job with bitwise the same result as the scalar route.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -216,6 +217,109 @@ class TestRunBatched:
         outcomes = pool.run_batched(block)
         assert all(r is not None for r, _ in outcomes)
         assert all(t.fallback_used for _, t in outcomes)
+
+
+def wide_block(b):
+    """One block of ``b`` shifted-power jobs sharing ``Q``, one random
+    landscape seed per column."""
+    jobs = [
+        SolveJob(nu=NU, p=0.02, method="power", shift=True, tol=1e-10,
+                 landscape="random", seed=s)
+        for s in range(1, b + 1)
+    ]
+    (block,) = plan_batched_jobs(plan_batch(jobs))
+    return block
+
+
+def _recording(widths):
+    def solve(bjob):
+        widths.append(bjob.batch)
+        return execute_batched_job(bjob)
+
+    return solve
+
+
+class TestSlicedBlocks:
+    """A block on a multi-worker pool runs as one column slice per worker."""
+
+    def test_sliced_block_bitwise_equal_to_unsliced(self):
+        block = wide_block(16)
+        whole = WorkerPool(kind="serial").run_batched(block)
+        sliced = WorkerPool(2, kind="thread").run_batched(block)
+        for (rw, tw), (rs, ts) in zip(whole, sliced):
+            assert tw.batch == 16 and ts.batch == 8
+            assert ts.route == "batched-power" and not ts.fallback_used
+            assert (rs.eigenvalue, rs.residual, rs.iterations) == (
+                rw.eigenvalue, rw.residual, rw.iterations
+            )
+            assert rs.concentrations.tobytes() == rw.concentrations.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("b", [2, 3, 4, 5, 9])
+    def test_slice_rule(self, workers, b):
+        widths = []
+        pool = WorkerPool(workers, kind="thread", batched_solve_fn=_recording(widths))
+        outcomes = pool.run_batched(wide_block(b))
+        k = max(1, min(workers, b // 2))
+        assert len(widths) == k and sum(widths) == b
+        assert min(widths) >= 2 and max(widths) - min(widths) <= 1
+        assert sorted(t.batch for _, t in outcomes) == sorted(w for w in widths for _ in range(w))
+        assert all(t.route == "batched-power" for _, t in outcomes)
+
+    def test_serial_pool_never_slices(self):
+        widths = []
+        WorkerPool(4, kind="serial", batched_solve_fn=_recording(widths)).run_batched(
+            wide_block(8)
+        )
+        assert widths == [8]
+
+    def test_failing_slice_degrades_only_its_members(self):
+        block = wide_block(4)
+        first = block.jobs[0]
+
+        def flaky(bjob):
+            if first in bjob.jobs:
+                raise RuntimeError("slice exploded")
+            return execute_batched_job(bjob)
+
+        outcomes = WorkerPool(2, kind="thread", batched_solve_fn=flaky).run_batched(block)
+        for result, tele in outcomes[:2]:
+            assert result is not None and result.converged
+            assert tele.fallback_used and tele.batch == 1
+            assert tele.failures[0] == "batched[B=2]: RuntimeError: slice exploded"
+        for result, tele in outcomes[2:]:
+            assert result is not None
+            assert tele.route == "batched-power" and tele.batch == 2
+            assert not tele.fallback_used and tele.failures == []
+
+    def test_slice_timeout_sends_members_to_scalar_route(self):
+        def sleepy(bjob):
+            time.sleep(0.6)
+            return execute_batched_job(bjob)
+
+        pool = WorkerPool(2, kind="thread", timeout=0.2, retries=0, batched_solve_fn=sleepy)
+        outcomes = pool.run_batched(wide_block(4))
+        for result, tele in outcomes:
+            # the scalar attempts queue behind the abandoned slices; their
+            # budgets start when a worker picks them up
+            assert result is not None and result.converged
+            assert tele.route != "batched-power" and tele.batch == 1
+            assert tele.fallback_used
+            assert tele.failures[0].startswith("batched[B=2]: TimeoutError")
+
+    def test_thread_service_matches_serial_service(self):
+        jobs = [*wide_block(4).jobs, SolveJob(nu=NU, p=0.01),
+                SolveJob(nu=NU, p=0.02, method="dense", landscape="random", seed=9)]
+        serial = SolverService(kind="serial").submit(jobs)
+        threaded = SolverService(kind="thread", workers=2).submit(jobs)
+        assert serial.passed and threaded.passed
+        assert serial.n_batched == threaded.n_batched == 4
+        assert [t.batch for t in threaded.telemetry].count(2) == 4
+        for rs, rt in zip(serial.results, threaded.results):
+            assert (rt.eigenvalue, rt.residual, rt.iterations) == (
+                rs.eigenvalue, rs.residual, rs.iterations
+            )
+            assert rt.concentrations.tobytes() == rs.concentrations.tobytes()
 
 
 class TestServiceBatched:

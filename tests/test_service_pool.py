@@ -153,6 +153,22 @@ class TestFaultTolerance:
             assert result is None and tele.status == "failed"
             assert any("TimeoutError" in f for f in tele.failures)
 
+    def test_timeout_counts_from_attempt_start(self):
+        """Four 0.1 s jobs on two workers under a 0.15 s budget: the two
+        that wait for a worker are not charged for the wait."""
+
+        def tenth(job):
+            time.sleep(0.1)
+            return execute_job(job)
+
+        jobs = [SolveJob(nu=4, p=p) for p in (0.01, 0.02, 0.03, 0.04)]
+        pool = WorkerPool(2, kind="thread", timeout=0.15, retries=0, solve_fn=tenth)
+        outcomes = pool.run(jobs)
+        for result, tele in outcomes:
+            assert result is not None and tele.status == "solved"
+            assert tele.failures == []
+        assert max(tele.queue_seconds for _, tele in outcomes) > 0.05
+
     def test_thread_pool_matches_serial(self):
         jobs = [SolveJob(nu=6, p=p) for p in (0.01, 0.02, 0.03)]
         serial = WorkerPool(1, kind="serial").run(jobs)

@@ -331,6 +331,25 @@ class TestTiledReducer:
         _assert_same_epilogue(x, y, None, counter)
         assert counter == [256, 192] * 2
 
+    @pytest.mark.parametrize("b", [1, 2, 3, 16])
+    def test_row_tiled_coefficients_match_whole_block_chain(self, monkeypatch, b):
+        """μ and λ handed over as ``coef=`` (row tiles for B ≥ 2), as the
+        power loop does, give the old chain's bits, partial last tiles
+        and odd n included."""
+        from repro.solvers import power
+
+        monkeypatch.setattr(power, "_TILE_BYTES", 8 * b * 256)
+        rng = np.random.default_rng(9)
+        for n in (3, 64, 7 * 64, 1 << 12):
+            x = rng.random((n, b))
+            y = 3.0 * rng.random((n, b)) - 0.5
+            for mu in (None, 0.3 * rng.random(b)):
+                got_y = y.copy()
+                lam = power._tiled_sums(power._shift_abs, got_y, x, coef=mu)
+                sq = power._tiled_sums(power._scale_residual, got_y, x, coef=lam)
+                for got, want in zip((lam, sq, got_y), _old_epilogue(x, y, mu)):
+                    np.testing.assert_array_equal(got, want)
+
     def test_nan_in_last_tile_names_sweep_and_column(self, monkeypatch):
         from repro.solvers import power
 
