@@ -10,13 +10,11 @@ Stage structure (block size ``B = N/R``, ranks indexed by the high bits):
 * **cross stages** — span ``h = B·2^d`` for hypercube dimension
   ``d = 0 … r−1``: the pair partner of every element sits in the block
   of the partner rank ``k ^ 2^d``.  Both ranks exchange their full
-  blocks, then each computes *its own* output row of the 2×2 mix:
-
-      lower rank (bit d = 0):  block ← m00·block + m01·partner
-      upper rank (bit d = 1):  block ← m10·partner + m11·block
-
-  — one ``B``-element exchange and one axpy-like pass per cross stage,
-  exactly the distributed-FFT pattern.
+  blocks; stacked as one ``(2·B, 1)`` view (lower rank first), the pair
+  is a one-group radix-2 :class:`~repro.transforms.batched.FusedStage`
+  of span ``B``, run by the kernel's own sweep — one ``B``-element
+  exchange and one pass per cross stage, exactly the distributed-FFT
+  pattern.
 
 Communication per matvec: ``r = log₂R`` exchanges of ``8·B`` bytes.
 Compute per rank: the full ν stages over ``B`` elements, costed by
@@ -35,7 +33,12 @@ from repro.distributed.cluster import ClusterProfile
 from repro.distributed.partition import PartitionedVector, split_stages
 from repro.exceptions import ValidationError
 from repro.operators.batched import plan_costs
-from repro.transforms.batched import batched_butterfly_transform, fused_stage_plan
+from repro.transforms.batched import (
+    FusedStage,
+    _apply_fused,
+    batched_butterfly_transform,
+    fused_stage_plan,
+)
 
 __all__ = ["DistributedFmmp"]
 
@@ -71,6 +74,10 @@ class DistributedFmmp:
         # panel engine classifies its sweeps with).
         self.local_stages, self.cross_stages = split_stages(self.nu, cluster.ranks)
         self._local_plan = fused_stage_plan(self.factors[: self.local_stages])
+        self._cross_plan = [
+            FusedStage(span=self.block_size, radix=2, matrix=m)
+            for m in self.factors[self.local_stages :]
+        ]
 
     # ------------------------------------------------------------- numerics
     def apply(self, v: PartitionedVector) -> PartitionedVector:
@@ -82,20 +89,18 @@ class DistributedFmmp:
             v.blocks[k] = batched_butterfly_transform(
                 block.reshape(-1, 1), self._local_plan
             ).reshape(-1)
-        # Cross stages: hypercube dimension d pairs rank k with k ^ 2^d.
-        for d in range(self.cross_stages):
-            m = self.factors[self.local_stages + d]
+        # Cross stages: hypercube dimension d pairs rank k with k ^ 2^d;
+        # the stacked pair is one radix-2 sweep of span B.
+        for d, stage in enumerate(self._cross_plan):
             bit = 1 << d
             for k in range(self.cluster.ranks):
                 if k & bit:
                     continue  # handled together with the partner
                 partner = k ^ bit
-                lo = v.blocks[k]
-                hi = v.blocks[partner]
-                new_lo = m[0, 0] * lo + m[0, 1] * hi
-                new_hi = m[1, 0] * lo + m[1, 1] * hi
-                v.blocks[k] = new_lo
-                v.blocks[partner] = new_hi
+                pair = np.concatenate((v.blocks[k], v.blocks[partner])).reshape(-1, 1)
+                mixed = np.empty_like(pair)
+                _apply_fused(pair, mixed, stage)
+                v.blocks[k], v.blocks[partner] = np.split(mixed.reshape(-1), 2)
         return v
 
     # ------------------------------------------------------------- modeling

@@ -132,8 +132,8 @@ class ImplicitOperator(abc.ABC):
 class FormMixin:
     """Shared handling of the right/symmetric/left forms (Eqs. 3–5).
 
-    Subclasses call :meth:`_init_form` during construction and wrap their
-    pure-``Q`` product with :meth:`_apply_form`.
+    Subclasses call :meth:`_init_form` during construction; those that
+    run a pure-``Q`` product wrap it with :meth:`_apply_form`.
     """
 
     def _init_form(self, landscape: FitnessLandscape, form: str) -> None:

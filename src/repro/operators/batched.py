@@ -22,16 +22,14 @@ Two modes:
   :class:`~repro.solvers.power.BlockPowerIteration` and the service's
   batched jobs use.
 
-Grouped mutation models have no 2×2 butterfly; they fall back to a
-per-column Kronecker contraction (still one operator instance, same
-interface).
-
-The module also holds what every butterfly operator shares: the plan
-runner :func:`fused_product` and the one cost function
-:func:`plan_costs`, which counts bytes and flops from the same
-:class:`~repro.transforms.batched.FusedStage` list the kernel runs.
-``Fmmp``, ``BatchedFmmp`` and ``TransposedFmmp`` build that list once,
-at construction, and cost it with :func:`plan_costs`; the paper's
+The module also holds what every butterfly operator shares: the one
+plan builder :func:`mutation_plan` (2×2 factors or the group blocks of
+Eq. 11, optionally transposed), the plan runner :func:`fused_product`
+and the one cost function :func:`plan_costs`, which counts bytes and
+flops from the same :class:`~repro.transforms.batched.FusedStage` list
+the kernel runs.  ``Fmmp``, ``BatchedFmmp`` and ``TransposedFmmp``
+build that list once, at construction, and cost it with
+:func:`plan_costs`; the paper's
 stage-by-stage model (:func:`repro.perf.costs.fmmp_costs`) and the
 distributed model (:class:`repro.distributed.fmmp.DistributedFmmp`)
 cost the radix-2 plan.
@@ -51,8 +49,12 @@ from repro.mutation.grouped import GroupedMutation
 from repro.mutation.persite import PerSiteMutation
 from repro.mutation.uniform import UniformMutation
 from repro.operators.base import FORMS, ImplicitOperator, OperatorCosts
-from repro.transforms.batched import FusedStage, batched_butterfly_transform, fused_stage_plan
-from repro.transforms.kronecker import kron_matvec
+from repro.transforms.batched import (
+    FusedStage,
+    batched_butterfly_transform,
+    fused_stage_plan,
+    grouped_stage_plan,
+)
 from repro.transforms.parallel import (
     auto_panels,
     get_engine,
@@ -60,9 +62,7 @@ from repro.transforms.parallel import (
     resolve_threads,
 )
 
-__all__ = ["BatchedFmmp", "plan_costs", "kron_costs"]
-
-_VARIANTS = ("eq9", "eq10")
+__all__ = ["BatchedFmmp", "mutation_plan", "plan_costs"]
 
 
 def form_scales(form: str, f, sqrt_f):
@@ -81,6 +81,26 @@ def panel_engine(nu: int, batch: int, threads: int):
     if threads == 1:
         return 1, None
     return auto_panels(nu, batch, threads=threads), get_engine(threads)
+
+
+def mutation_plan(
+    mutation: MutationModel, variant: str = "eq9", *, transpose: bool = False
+) -> list[FusedStage]:
+    """The fused plan of ``Q`` (of ``Qᵀ = ⊗ M_iᵀ`` with ``transpose=True``):
+    :func:`~repro.transforms.batched.fused_stage_plan` of the per-bit 2×2
+    factors, or :func:`~repro.transforms.batched.grouped_stage_plan` of the
+    group blocks (Eq. 11).  Any other model raises, naming its type."""
+    if isinstance(mutation, (UniformMutation, PerSiteMutation)):
+        factors = mutation.factors_per_bit()
+        build = fused_stage_plan
+    elif isinstance(mutation, GroupedMutation):
+        factors = mutation.blocks()
+        build = grouped_stage_plan
+    else:
+        raise ValidationError(
+            f"no butterfly plan for mutation model {type(mutation).__name__}"
+        )
+    return build([f.T for f in factors] if transpose else factors, variant=variant)
 
 
 def fused_product(block, plan, pre, post, *, panels=1, engine=None, out=None, scratch=None):
@@ -150,28 +170,6 @@ def plan_costs(
     )
 
 
-def kron_costs(
-    mutation: GroupedMutation, form: str, batch: int, f_size: int
-) -> OperatorCosts:
-    """Costs of ``batch`` Kronecker-contraction products (grouped models).
-
-    Per column: ``N·2^{g_i}`` multiply-adds and one read and one write of
-    the vector per group, plus the form's diagonal passes (read vector
-    and diagonal, write vector).  ``f_size`` is the number of stored
-    fitness values.
-    """
-    n = float(mutation.n)
-    groups = mutation.group_sizes
-    contraction = sum(2.0 * n * (1 << g) for g in groups)
-    scale_passes = 2.0 if form == "symmetric" else 1.0
-    return OperatorCosts(
-        flops=batch * (contraction + scale_passes * n),
-        bytes_moved=batch * 8.0 * (2.0 * n * len(groups) + 3.0 * scale_passes * n),
-        storage_bytes=8.0 * f_size,
-        batch=batch,
-    )
-
-
 class BatchedFmmp(ImplicitOperator):
     """Stage-fused multi-vector ``W``-product sharing one butterfly stream.
 
@@ -192,8 +190,7 @@ class BatchedFmmp(ImplicitOperator):
         default 1).  With ``threads > 1`` :meth:`matmat` splits the same
         fused plan into :func:`repro.transforms.parallel.auto_panels` row
         panels on the panel engine; the output is bit-identical to the
-        serial kernel, so ``threads`` changes only wall time.  Grouped
-        models keep their serial per-column fallback.
+        serial kernel, so ``threads`` changes only wall time.
 
     Examples
     --------
@@ -216,8 +213,6 @@ class BatchedFmmp(ImplicitOperator):
     ):
         if form not in FORMS:
             raise ValidationError(f"form must be one of {FORMS}, got {form!r}")
-        if variant not in _VARIANTS:
-            raise ValidationError(f"variant must be one of {_VARIANTS}, got {variant!r}")
         self.mutation = mutation
         self.form = form
         self.variant = variant
@@ -253,13 +248,8 @@ class BatchedFmmp(ImplicitOperator):
         self._gathered = None
 
         self.threads = resolve_threads(threads)
-        self.panels, self._engine = 1, None
-        self._plan = self._blocks = None
-        if isinstance(mutation, (UniformMutation, PerSiteMutation)):
-            self._plan = fused_stage_plan(mutation.factors_per_bit(), variant=variant)
-            self.panels, self._engine = panel_engine(mutation.nu, self.batch, self.threads)
-        elif isinstance(mutation, GroupedMutation):
-            self._blocks = mutation.blocks()
+        self._plan = mutation_plan(mutation, variant)
+        self.panels, self._engine = panel_engine(mutation.nu, self.batch, self.threads)
 
     # --------------------------------------------------------------- state
     @property
@@ -344,30 +334,16 @@ class BatchedFmmp(ImplicitOperator):
         if b == 0:
             return np.empty((self.n, 0), dtype=np.float64)
         pre, post = self._scales(columns)
-        if self._plan is not None:
-            return fused_product(
-                arr,
-                self._plan,
-                pre,
-                post,
-                panels=self.panels,
-                engine=self._engine,
-                out=out,
-                scratch=scratch,
-            )
-        # Grouped / generic fallback: per-column contraction with the
-        # same scale folding semantics.
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
-        result = np.empty((self.n, b), dtype=np.float64) if out is None else out
-        for j in range(b):
-            w = arr[:, j].copy()
-            if pre is not None:
-                w *= pre if pre.ndim == 1 else pre[:, j]
-            q = kron_matvec(self._blocks, w) if self._blocks is not None else self.mutation.apply(w)
-            if post is not None:
-                q = q * (post if post.ndim == 1 else post[:, j])
-            result[:, j] = q
-        return result
+        return fused_product(
+            arr,
+            self._plan,
+            pre,
+            post,
+            panels=self.panels,
+            engine=self._engine,
+            out=out,
+            scratch=scratch,
+        )
 
     def matvec(self, v: np.ndarray, *, column: int = 0) -> np.ndarray:
         """Single-column product ``W_column · v`` (oracle convenience)."""
@@ -384,11 +360,7 @@ class BatchedFmmp(ImplicitOperator):
     def costs(self, *, batch: int | None = None) -> OperatorCosts:
         """Costs of one ``(N, batch)`` product (defaults to this
         operator's own column count): :func:`plan_costs` of its fused
-        plan, or :func:`kron_costs` for grouped models."""
+        plan."""
         b = self.batch if batch is None else batch
-        if b < 1:
-            raise ValidationError(f"batch must be >= 1, got {b}")
-        if self._plan is None:
-            return kron_costs(self.mutation, self.form, b, self._f.size)
         shape = (self.n, b) if self.per_column else (self.n,)
         return plan_costs(self._plan, self.n, b, *form_scales(self.form, shape, shape))

@@ -3,9 +3,10 @@
 Exact ``W·v`` in ``Θ(N log₂ N)`` with no matrix storage at all: the
 Kronecker factorization of ``Q`` turns the product into a ν-stage
 butterfly (Eq. 9 / Eq. 10, Algorithm 1).  Works unchanged for the
-generalized mutation models of Sec. 2.2 — per-site factors run through
-the same butterfly, grouped factors through the multilinear Kronecker
-contraction.
+generalized mutation models of Sec. 2.2: per-site 2×2 factors fuse into
+radix ≤ 8 sweeps, and each ``2^g×2^g`` group block of Eq. 11 is one
+radix-``2^g`` sweep of the same plan
+(:func:`repro.operators.batched.mutation_plan`), run by the same kernel.
 
 Two stage orders are provided, mirroring the two recursions:
 
@@ -25,42 +26,36 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.landscapes.base import FitnessLandscape
 from repro.mutation.base import MutationModel
-from repro.mutation.grouped import GroupedMutation
-from repro.mutation.persite import PerSiteMutation
-from repro.mutation.uniform import UniformMutation
 from repro.operators.base import FormMixin, ImplicitOperator, OperatorCosts
 from repro.operators.batched import (
     form_scales,
     fused_product,
-    kron_costs,
+    mutation_plan,
     panel_engine,
     plan_costs,
 )
-from repro.transforms.batched import fused_stage_plan
-from repro.transforms.kronecker import kron_matvec
 from repro.transforms.parallel import resolve_threads
 from repro.util.scratch import ScratchPool
 
 __all__ = ["Fmmp"]
 
-_VARIANTS = ("eq9", "eq10")
-
 
 class Fmmp(ImplicitOperator, FormMixin):
     """Fast mutation matrix product operator for ``W`` (Eqs. 3–5 forms).
 
-    For 2×2-factored models (uniform, per-site) :meth:`matvec` is the
-    one-column case of :meth:`repro.operators.batched.BatchedFmmp.matmat`:
-    the fused stage plan, built once at construction, run by
+    :meth:`matvec` is the one-column case of
+    :meth:`repro.operators.batched.BatchedFmmp.matmat`: the fused stage
+    plan, built once at construction, run by
     :func:`repro.transforms.batched.batched_butterfly_transform` on an
     ``(N, 1)`` view, with the ``F``/``F^{1/2}`` scalings folded in as
-    pre/post scales.  Grouped models run the Kronecker contraction.
+    pre/post scales.
 
     Parameters
     ----------
     mutation:
-        Any :class:`~repro.mutation.base.MutationModel`; butterfly path
-        for 2×2-factored models, Kronecker contraction for grouped ones.
+        A uniform, per-site or grouped
+        :class:`~repro.mutation.base.MutationModel`; any other model
+        raises :class:`~repro.exceptions.ValidationError`.
     landscape:
         The fitness landscape.
     form:
@@ -74,8 +69,7 @@ class Fmmp(ImplicitOperator, FormMixin):
         into :func:`repro.transforms.parallel.auto_panels` row panels on the
         panel engine (:mod:`repro.transforms.parallel`); the output is
         bit-identical to ``threads=1``, so ``threads`` changes only wall
-        time.  Grouped models have no butterfly to parallelize and stay
-        on their serial contraction.
+        time.
 
     Examples
     --------
@@ -100,33 +94,21 @@ class Fmmp(ImplicitOperator, FormMixin):
             raise ValidationError(
                 f"mutation (nu={mutation.nu}) and landscape (nu={landscape.nu}) disagree"
             )
-        if variant not in _VARIANTS:
-            raise ValidationError(f"variant must be one of {_VARIANTS}, got {variant!r}")
         self.mutation = mutation
         self.variant = variant
         self.n = mutation.n
         self._init_form(landscape, form)
         self.threads = resolve_threads(threads)
-        self.panels, self._engine = 1, None
-
-        self._plan = self._blocks = None
-        if isinstance(mutation, (UniformMutation, PerSiteMutation)):
-            self._plan = fused_stage_plan(mutation.factors_per_bit(), variant=variant)
-            self.panels, self._engine = panel_engine(mutation.nu, 1, self.threads)
-            # The fused kernel's (N, 1) scratch block, acquired per call
-            # from a bounded keyed pool so concurrent workers can share
-            # one operator instance.
-            self._scratch_pool = ScratchPool()
-        elif isinstance(mutation, GroupedMutation):
-            self._blocks = mutation.blocks()
+        self._plan = mutation_plan(mutation, variant)
+        self.panels, self._engine = panel_engine(mutation.nu, 1, self.threads)
+        # The fused kernel's (N, 1) scratch block, acquired per call
+        # from a bounded keyed pool so concurrent workers can share
+        # one operator instance.
+        self._scratch_pool = ScratchPool()
 
     # ------------------------------------------------------------- product
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = self.check(v)
-        if self._plan is None:
-            if self._blocks is not None:
-                return self._apply_form(v, lambda w: kron_matvec(self._blocks, w))
-            return self._apply_form(v, self.mutation.apply)
         pre, post = form_scales(self.form, self._f, self._sqrt_f)
         shape = (self.n, 1)
         scratch = self._scratch_pool.acquire(shape)
@@ -151,12 +133,8 @@ class Fmmp(ImplicitOperator, FormMixin):
     def costs(self, *, batch: int = 1) -> OperatorCosts:
         """Costs of one product on ``batch`` columns: :func:`plan_costs`
         of the fused plan :meth:`matvec` runs (``⌈ν/3⌉`` radix ≤ 8
-        sweeps plus the form's diagonal passes), or :func:`kron_costs` for
-        grouped models.  The paper's stage-by-stage count is
+        sweeps, or one sweep per group block, plus the form's diagonal
+        passes).  The paper's stage-by-stage count is
         :func:`repro.perf.costs.fmmp_costs`."""
-        if batch < 1:
-            raise ValidationError(f"batch must be >= 1, got {batch}")
-        if self._plan is None:
-            return kron_costs(self.mutation, self.form, batch, self._f.size)
         shape = (self.n,)
         return plan_costs(self._plan, self.n, batch, *form_scales(self.form, shape, shape))

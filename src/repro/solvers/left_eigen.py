@@ -21,38 +21,17 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.landscapes.base import FitnessLandscape
 from repro.mutation.base import MutationModel
-from repro.mutation.grouped import GroupedMutation
-from repro.mutation.persite import PerSiteMutation
-from repro.mutation.uniform import UniformMutation
 from repro.operators.base import FORMS, ImplicitOperator, OperatorCosts
-from repro.operators.batched import form_scales, kron_costs, plan_costs
+from repro.operators.batched import form_scales, fused_product, mutation_plan, plan_costs
 from repro.operators.fmmp import Fmmp
 from repro.solvers.power import PowerIteration
 from repro.solvers.result import SolveResult
-from repro.transforms.batched import batched_butterfly_transform, fused_stage_plan
-from repro.transforms.kronecker import kron_matvec
 
 __all__ = ["TransposedFmmp", "left_eigenvector", "reproductive_values"]
 
 #: ``(Q·F)ᵀ = F·Qᵀ`` and ``(F·Q)ᵀ = Qᵀ·F``: transposing swaps the side the
 #: right and left forms scale on; the symmetric form keeps both.
 _ADJOINT_FORM = {"right": "left", "symmetric": "symmetric", "left": "right"}
-
-
-def _transposed_mutation(mutation: MutationModel) -> MutationModel:
-    """The mutation model whose ``Q`` is the transpose of the input's."""
-    if isinstance(mutation, UniformMutation):
-        return mutation  # symmetric
-    if isinstance(mutation, PerSiteMutation):
-        return PerSiteMutation([f.T for f in mutation.factors_per_bit()])
-    if isinstance(mutation, GroupedMutation):
-        # NOTE: transposed blocks are *row* stochastic; GroupedMutation
-        # validates column stochasticity, so build via the generic path.
-        raise ValidationError(
-            "transpose of a grouped model is not column stochastic; "
-            "use TransposedFmmp which transposes implicitly"
-        )
-    raise ValidationError(f"unsupported mutation model {type(mutation).__name__}")
 
 
 class TransposedFmmp(ImplicitOperator):
@@ -74,24 +53,12 @@ class TransposedFmmp(ImplicitOperator):
         self.n = mutation.n
         self._f = landscape.values()
         self._sqrt_f = np.sqrt(self._f)
-        self._plan = self._blocks_t = None
-        if isinstance(mutation, GroupedMutation):
-            self._blocks_t = [b.T for b in mutation.blocks()]
-        elif isinstance(mutation, (UniformMutation, PerSiteMutation)):
-            self._plan = fused_stage_plan([f.T for f in mutation.factors_per_bit()])
-        else:
-            raise ValidationError(f"unsupported mutation model {type(mutation).__name__}")
+        self._plan = mutation_plan(mutation, transpose=True)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = self.check(v)
         pre, post = form_scales(_ADJOINT_FORM[self.form], self._f, self._sqrt_f)
-        if self._plan is not None:
-            out = batched_butterfly_transform(
-                v.reshape(self.n, 1), self._plan, pre_scale=pre, post_scale=post
-            )
-            return out.reshape(self.n)
-        w = kron_matvec(self._blocks_t, v if pre is None else pre * v)
-        return w if post is None else post * w
+        return fused_product(v.reshape(self.n, 1), self._plan, pre, post).reshape(self.n)
 
     @property
     def is_symmetric(self) -> bool:
@@ -99,9 +66,7 @@ class TransposedFmmp(ImplicitOperator):
 
     def costs(self) -> OperatorCosts:
         """Costs of its own product: :func:`plan_costs` of the
-        transposed plan, or :func:`kron_costs` for grouped models."""
-        if self._plan is None:
-            return kron_costs(self.mutation, self.form, 1, self._f.size)
+        transposed plan."""
         shape = (self.n,)
         adjoint = _ADJOINT_FORM[self.form]
         return plan_costs(self._plan, self.n, 1, *form_scales(adjoint, shape, shape))

@@ -160,14 +160,20 @@ def _cg_solve(
     *,
     tol: float,
     max_iterations: int,
+    outer: int,
 ) -> np.ndarray:
-    """Plain conjugate gradients on an implicit (possibly shifted) matrix."""
+    """Plain conjugate gradients on an implicit (possibly shifted) matrix.
+
+    Fails fast: a non-finite step length or residual (a NaN/inf product)
+    raises :class:`ConvergenceError` naming the ``outer`` iteration and
+    the inner step, instead of running on to ``max_iterations``.
+    """
     x = np.zeros_like(b)
     r = b.copy()
     pvec = r.copy()
     rs = float(r @ r)
     b_norm = float(np.linalg.norm(b)) or 1.0
-    for _ in range(max_iterations):
+    for step in range(1, max_iterations + 1):
         ap = matvec(pvec)
         denom = float(pvec @ ap)
         if abs(denom) < 1e-300:
@@ -176,6 +182,12 @@ def _cg_solve(
         x += alpha * pvec
         r -= alpha * ap
         rs_new = float(r @ r)
+        if not (np.isfinite(alpha) and np.isfinite(rs_new)):
+            raise ConvergenceError(
+                f"CG inverse iteration {outer}, inner CG step {step}: alpha={alpha}, "
+                f"squared residual={rs_new} (not finite: a non-finite product W·v)",
+                iterations=outer,
+            )
         if np.sqrt(rs_new) < tol * b_norm:
             break
         pvec = r + (rs_new / rs) * pvec
@@ -220,7 +232,9 @@ def cg_inverse_iteration(
         # Tighten the inner solve as the outer iteration converges: the
         # achievable eigen-residual is floored by the linear-solve error.
         inner_tol = min(cg_tol, max(1e-14, 1e-3 * residual if np.isfinite(residual) else cg_tol))
-        y = _cg_solve(shifted, x, tol=inner_tol, max_iterations=cg_max_iterations)
+        y = _cg_solve(
+            shifted, x, tol=inner_tol, max_iterations=cg_max_iterations, outer=it
+        )
         if not np.all(np.isfinite(y)) or np.linalg.norm(y) == 0.0:
             raise ConvergenceError(
                 "inner CG solve failed (indefinite shift too far inside the spectrum?)",
@@ -230,6 +244,12 @@ def cg_inverse_iteration(
         wx = operator.matvec(x)
         lam = float(x @ wx)
         residual = float(np.linalg.norm(wx - lam * x))
+        if not (np.isfinite(lam) and np.isfinite(residual)):
+            raise ConvergenceError(
+                f"CG inverse iteration {it}: lambda={lam}, residual={residual} "
+                "(not finite: a non-finite product W·v)",
+                iterations=it,
+            )
         history.append(IterationRecord(it, lam, residual))
         if residual < tol:
             break

@@ -11,13 +11,13 @@ semantics:
   transcription of the paper's Algorithm 1 as its executable spec,
 * :mod:`repro.transforms.fwht` — the fast Walsh–Hadamard transform used to
   diagonalize ``Q``,
-* :mod:`repro.transforms.kronecker` — matvec with an arbitrary Kronecker
-  product of small dense factors (Eq. 11 generality),
+* :mod:`repro.transforms.kronecker` — the reference matvec with an
+  arbitrary Kronecker product of small dense factors (Eq. 11),
 * :mod:`repro.transforms.batched` — the stage-fused, cache-blocked
   multi-vector butterfly kernel (radix-8 stage fusion, folded diagonal
-  scalings, one scratch block) that backs every product built from 2×2
-  factors: ``butterfly_transform``, ``fwht``, ``Fmmp.matvec`` and the
-  batched ``matmat`` operators,
+  scalings, one scratch block) that backs every mutation product, 2×2
+  factors and grouped blocks alike: ``butterfly_transform``, ``fwht``,
+  ``Fmmp.matvec`` and the batched ``matmat`` operators,
 * :mod:`repro.transforms.parallel` — the same fused plan split into row
   panels across threads, bit-identical to the serial kernel.
 """

@@ -32,11 +32,16 @@ Walsh-spectrum block):
   its own.
 * **one scratch block** — the whole transform ping-pongs between the
   output block and a single reusable ``(N, B)`` scratch buffer.
-* **one plan** — :func:`fused_stage_plan` builds the list of
-  :class:`FusedStage` sweeps once per operator; the kernel only runs
-  it, the panel engine (:mod:`repro.transforms.parallel`) runs the same
-  list on row panels, and :func:`repro.operators.batched.plan_costs`
-  counts its bytes and flops from it.
+* **one plan** — :func:`fused_stage_plan` (2×2 factors) or
+  :func:`grouped_stage_plan` (the ``2^g×2^g`` group blocks of Eq. 11)
+  builds the list of :class:`FusedStage` sweeps once per operator; the
+  kernel only runs it, the panel engine
+  (:mod:`repro.transforms.parallel`) runs the same list on row panels,
+  and :func:`repro.operators.batched.plan_costs` counts its bytes and
+  flops from it.
+* **wide stages run column by column** — a radix > 8 stage (a group
+  block of ≥ 4 bits) is not bit-stable across batch widths, so a plan
+  holding one runs each column through the one-column schedule.
 
 Stages acting on distinct bits commute (see
 :mod:`repro.transforms.butterfly`), so every fusion above is *exact* up
@@ -58,6 +63,7 @@ from repro.exceptions import ValidationError
 __all__ = [
     "FusedStage",
     "fused_stage_plan",
+    "grouped_stage_plan",
     "fused_stage_count",
     "batched_butterfly_transform",
 ]
@@ -79,12 +85,12 @@ class FusedStage:
     span:
         Pair distance of the *lowest* bit this sweep mixes (``2**s``).
     radix:
-        ``2**k`` for ``k`` adjacent radix-2 stages fused into one sweep:
-        2 for a plain stage, 4 or 8 for two or three fused bits.
+        ``2**k`` for the ``k`` adjacent bits the sweep mixes: 2, 4 or 8
+        for fused 2×2 factors, ``2^g`` for a group block of ``g`` bits.
     matrix:
-        The ``(radix, radix)`` mixing matrix ``kron(M_{s+k-1}, …, M_s)``
-        (the highest bit is the high bit of the combined index — exactly
-        the C-order reshape convention).
+        The ``(radix, radix)`` mixing matrix, ``kron(M_{s+k-1}, …, M_s)``
+        or the group block (the highest bit is the high bit of the
+        combined index — exactly the C-order reshape convention).
     """
 
     span: int
@@ -95,7 +101,7 @@ class FusedStage:
 #: Largest radix :func:`fused_stage_plan` accepts (and its default): a
 #: radix-8 stage mixes three adjacent bits.  Radix 16 is rejected: its
 #: ``(16, 16) × (16, z)`` products are not bit-stable across batch
-#: widths (see ``docs/performance.md``).
+#: widths (see ``docs/performance.md``); wider group blocks run column by column.
 MAX_RADIX = 8
 
 
@@ -156,6 +162,35 @@ def fused_stage_plan(
         plan.append(FusedStage(span=1 << lo, radix=1 << size, matrix=matrix))
         start += size
     return plan
+
+
+def grouped_stage_plan(
+    blocks: Sequence[np.ndarray], *, variant: str = "eq9"
+) -> list[FusedStage]:
+    """Build the sweep schedule of a grouped model ``⊗ Q_{G_i}`` (Eq. 11).
+
+    ``blocks[0]`` acts on the most significant bits (the paper's ⊗ order,
+    as in the reference matvec of :mod:`repro.transforms.kronecker`).
+    Each ``2^g × 2^g`` block is one radix-``2^g`` stage, spanning
+    ``2^(bits of the blocks after it)``.  ``variant="eq9"`` runs the
+    groups in ascending span order, ``"eq10"`` in descending order.
+    """
+    if variant not in ("eq9", "eq10"):
+        raise ValidationError(f"variant must be 'eq9' or 'eq10', got {variant!r}")
+    if len(blocks) == 0:
+        raise ValidationError("at least one group block is required")
+    plan: list[FusedStage] = []
+    span = 1
+    for idx in reversed(range(len(blocks))):
+        matrix = np.ascontiguousarray(blocks[idx], dtype=np.float64)
+        r = matrix.shape[0]
+        if matrix.shape != (r, r) or r < 2 or r & (r - 1):
+            raise ValidationError(
+                f"group block {idx} must be a 2^g x 2^g matrix, got shape {matrix.shape}"
+            )
+        plan.append(FusedStage(span=span, radix=r, matrix=matrix))
+        span *= r
+    return plan if variant == "eq9" else plan[::-1]
 
 
 def _check_block(block: np.ndarray, n: int | None = None, name: str = "block") -> np.ndarray:
@@ -298,8 +333,11 @@ def batched_butterfly_transform(
         The fused sweep schedule, built once by :func:`fused_stage_plan`
         from one 2×2 factor per bit (``factors[s]`` acts on bit ``s`` —
         same convention as
-        :func:`repro.transforms.butterfly.butterfly_transform`); the
-        stage order and radix are fixed there.
+        :func:`repro.transforms.butterfly.butterfly_transform`) or by
+        :func:`grouped_stage_plan` from group blocks; the stage order
+        and radix are fixed there.  A plan with a stage of radix above
+        :data:`MAX_RADIX` runs column by column, so every column has the
+        bits it has alone.
     pre_scale, post_scale:
         Optional diagonal scalings folded into the first / last sweep:
         shape ``(N,)`` (shared by all columns) or ``(N, B)`` (per
@@ -318,6 +356,28 @@ def batched_butterfly_transform(
         The transformed ``(N, B)`` block (``out`` if given).
     """
     steps, out, post = _schedule(block, plan, pre_scale, post_scale, out, scratch)
+    n, b = out.shape
+    if b > 1 and max(stage.radix for stage in plan) > MAX_RADIX:
+        # Radix > 8 products are not bit-stable across batch widths: run
+        # every column through the one-column schedule instead, on
+        # contiguous (B, N) copies of the block and its per-column scales.
+        work, pre, post = (
+            a if a is None or a.ndim == 1 else np.ascontiguousarray(a.T)
+            for a in (steps[0][0], _check_scale(pre_scale, n, b, "pre_scale"), post)
+        )
+        res, col_scratch = np.empty((b, n)), np.empty((n, 1))
+        for j in range(b):
+            pre_j, post_j = (s if s is None or s.ndim == 1 else s[j] for s in (pre, post))
+            batched_butterfly_transform(
+                work[j].reshape(n, 1),
+                plan,
+                pre_scale=pre_j,
+                post_scale=post_j,
+                out=res[j].reshape(n, 1),
+                scratch=col_scratch,
+            )
+        out[:] = res.T
+        return out
     for src, dst, op in steps:
         if isinstance(op, FusedStage):
             _apply_fused(src, dst, op)

@@ -409,7 +409,8 @@ def parallel_butterfly_transform(
     panels:
         Panel count ``R`` (power of two); ``None`` auto-picks the
         smallest power of two ``>= threads``, clamped to
-        :func:`max_panels` of the plan's largest radix.
+        :func:`max_panels` of the plan's largest radix.  A plan with a
+        stage of radix above ``MAX_RADIX`` always runs as one panel.
     threads:
         Participant count; ``None`` reads ``REPRO_NUM_THREADS``
         (default 1).  Ignored when ``engine`` is given.
@@ -421,8 +422,10 @@ def parallel_butterfly_transform(
     threads_n = engine.threads if engine is not None else resolve_threads(threads)
     radix = max(stage.radix for stage in plan)
     panels_n = resolve_panels(panels, nu, threads=threads_n, radix=radix)
-    if panels_n == 1:
-        # One panel ⇒ the partitioned schedule is the serial schedule.
+    if panels_n == 1 or radix > MAX_RADIX:
+        # One panel ⇒ the partitioned schedule is the serial schedule.  A
+        # radix > 8 plan runs there too: the serial kernel takes it column
+        # by column, the only schedule that keeps its bits.
         return batched_butterfly_transform(
             block,
             plan,

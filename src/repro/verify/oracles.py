@@ -52,11 +52,11 @@ from repro.model.concentrations import class_concentrations
 from repro.model.quasispecies import QuasispeciesModel
 from repro.mutation.spectral import apply_uniform_q_spectral
 from repro.mutation.uniform import UniformMutation
+from repro.operators.batched import mutation_plan
 from repro.operators.fmmp import Fmmp
 from repro.operators.smvp import Smvp
 from repro.operators.xmvp import Xmvp
 from repro.solvers.kron_solver import KroneckerSolveResult
-from repro.transforms.batched import fused_stage_plan
 from repro.transforms.parallel import get_engine, parallel_butterfly_transform
 from repro.verify.invariants import DENSE_NU, relative_error
 from repro.verify.report import CheckResult
@@ -172,14 +172,12 @@ def _parallel_matvec(
 
     A 4-panel split (clamped for tiny ν) forces the panel-partitioned
     sweep schedule even at ``threads = 1``; with more threads the same
-    schedule runs on real barrier-synchronized workers.  Either way the
-    result must match the serial kernels to machine precision (the
-    engine's own contract is stronger: bitwise).
+    schedule runs on real barrier-synchronized workers (a grouped plan
+    with a block of ≥ 4 bits runs as one panel).  Either way the result
+    must match the serial kernels to machine precision (the engine's own
+    contract is stronger: bitwise).
     """
-    if not hasattr(mutation, "factors_per_bit"):
-        # Grouped models have no 2x2 butterfly to split into panels.
-        return Fmmp(mutation, landscape, form="right").matvec
-    plan = fused_stage_plan(mutation.factors_per_bit())
+    plan = mutation_plan(mutation)
     f = landscape.values()
     engine = get_engine(threads)
 
@@ -337,16 +335,9 @@ def solver_routes(model: QuasispeciesModel) -> list[SolverRoute]:
 
 
 def _identity_mutation(mutation) -> bool:
-    """True when ``Q = I`` exactly (the error-free corner ``p = 0``)."""
-    if isinstance(mutation, UniformMutation):
-        return mutation.p == 0.0
-    factors = getattr(mutation, "factors_per_bit", None)
-    if factors is None:
-        return False
-    try:
-        return all(np.array_equal(f, np.eye(f.shape[0])) for f in factors())
-    except Exception:  # noqa: BLE001 - structure probe only
-        return False
+    """True when ``Q = I`` exactly (the error-free corner ``p = 0``): every
+    stage of its plan is an identity."""
+    return all(np.array_equal(s.matrix, np.eye(s.radix)) for s in mutation_plan(mutation))
 
 
 def _perron_degenerate(model: QuasispeciesModel) -> bool:

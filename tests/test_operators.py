@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from repro.exceptions import ValidationError
 from repro.landscapes import RandomLandscape, SinglePeakLandscape, TabulatedLandscape
 from repro.mutation import GroupedMutation, PerSiteMutation, UniformMutation, site_factor
+from repro.mutation.base import MutationModel
 import repro.operators.batched as batched_module
-import repro.operators.fmmp as fmmp_module
 import repro.transforms.batched as transforms_batched
 from repro.operators import (
     BatchedFmmp,
@@ -28,6 +28,7 @@ from repro.operators import (
     convert_eigenvector,
 )
 from repro.operators.shifted import conservative_shift
+from repro.solvers import TransposedFmmp
 
 
 @pytest.fixture
@@ -158,15 +159,21 @@ class TestOneEngine:
     """``Fmmp.matvec`` is the one-column case of ``BatchedFmmp.matmat``:
     one call of the fused kernel, the same bits."""
 
-    @pytest.mark.parametrize("kind", ["uniform", "persite"])
+    @pytest.mark.parametrize("kind", ["uniform", "persite", "grouped"])
     @pytest.mark.parametrize("form", ["right", "symmetric", "left"])
     @pytest.mark.parametrize("variant", ["eq9", "eq10"])
     def test_matvec_is_one_fused_call(self, monkeypatch, kind, form, variant):
         nu = 7
         if kind == "uniform":
             mut = UniformMutation(nu, 0.03)
-        else:
+        elif kind == "persite":
             mut = PerSiteMutation.from_error_rates(np.linspace(0.01, 0.2, nu))
+        else:  # a 4-bit (radix-16) group, a 2-bit group and one site
+            rng = np.random.default_rng(3)
+            blocks = [rng.uniform(0.1, 1.0, (d, d)) for d in (16, 4)]
+            mut = GroupedMutation(
+                [b / b.sum(axis=0) for b in blocks] + [site_factor(0.02)]
+            )
         ls = RandomLandscape(nu, seed=5)
         v = np.random.default_rng(2).random(1 << nu)
         want = BatchedFmmp(mut, ls, form=form, variant=variant).matmat(v.reshape(-1, 1))
@@ -176,14 +183,22 @@ class TestOneEngine:
         assert len(calls) == 1
         assert np.array_equal(got, want[:, 0])
 
-    def test_grouped_model_runs_the_kronecker_contraction(self, monkeypatch):
-        nu = 4
-        mut = GroupedMutation([site_factor(0.1) for _ in range(nu)])
-        op = Fmmp(mut, RandomLandscape(nu, seed=1))
-        fused = _spy(monkeypatch, batched_module, "batched_butterfly_transform")
-        kron = _spy(monkeypatch, fmmp_module, "kron_matvec")
-        op.matvec(np.ones(1 << nu))
-        assert (len(fused), len(kron)) == (0, 1)
+    def test_model_without_a_plan_is_rejected_by_name(self):
+        """Every model runs a plan; there is no silent ``mutation.apply``
+        fallback left for an unknown one."""
+
+        class IdentityMutation(MutationModel):
+            nu, n, is_symmetric = 4, 16, True
+
+            def apply(self, v, *, out=None):
+                return np.array(v, dtype=np.float64)
+
+            def dense(self):
+                return np.eye(self.n)
+
+        for op in (Fmmp, BatchedFmmp, TransposedFmmp):
+            with pytest.raises(ValidationError, match="IdentityMutation"):
+                op(IdentityMutation(), RandomLandscape(4, seed=1))
 
 
 class TestPlanBuiltOnce:

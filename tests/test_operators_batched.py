@@ -31,12 +31,22 @@ def build_mutation(kind, nu, p, seed):
     if kind == "persite":
         rng = np.random.default_rng(seed)
         return PerSiteMutation.from_error_rates(rng.uniform(0.0, 0.4, nu))
-    # grouped: one 4-dim stochastic block plus 2x2 site factors
+    # grouped: one 4-dim stochastic block plus 2x2 site factors (one site
+    # factor alone at nu = 1)
+    if nu == 1:
+        return GroupedMutation([site_factor(p)])
     rng = np.random.default_rng(seed)
     block = rng.uniform(0.1, 1.0, (4, 4))
     block /= block.sum(axis=0, keepdims=True)
     blocks = [block] + [site_factor(p) for _ in range(nu - 2)]
     return GroupedMutation(blocks)
+
+
+def grouped_mutation(groups, seed):
+    """Random column-stochastic group blocks of ``groups`` bits (MSB first)."""
+    rng = np.random.default_rng(seed)
+    blocks = [rng.uniform(0.1, 1.0, (1 << g, 1 << g)) for g in groups]
+    return GroupedMutation([b / b.sum(axis=0, keepdims=True) for b in blocks])
 
 
 class TestBatchedMatchesScalar:
@@ -90,7 +100,7 @@ class TestBatchWidthBits:
     ``BatchedFmmp``: batch width changes wall time, never bits."""
 
     @pytest.mark.parametrize("nu", range(1, 11))
-    @pytest.mark.parametrize("kind", ["uniform", "persite"])
+    @pytest.mark.parametrize("kind", ["uniform", "persite", "grouped"])
     @pytest.mark.parametrize("variant", ["eq9", "eq10"])
     @pytest.mark.parametrize("form", ["right", "symmetric", "left"])
     def test_matvec_equals_column_of_b16_matmat(self, nu, kind, variant, form):
@@ -103,6 +113,70 @@ class TestBatchWidthBits:
         for j in range(16):
             scalar = Fmmp(mutation, lands[j], form=form, variant=variant)
             assert np.array_equal(scalar.matvec(block[:, j]), got[:, j]), f"column {j}"
+
+
+class TestGroupedPlanBits:
+    """Grouped models (Eq. 11) run their own plan, one sweep per block.
+    Blocks of ≥ 4 bits make radix ≥ 16 stages, which run column by
+    column; either way a lone column is bitwise the same column of every
+    wider block, serial or threaded."""
+
+    GROUPS = [
+        [1] * 10,
+        [2] * 5,
+        [3, 3, 3, 1],
+        [4, 4, 2],
+        [5, 5],
+        [6, 4],
+        [6, 3, 1],
+        [1, 4, 2, 3],
+        [3, 5, 2],
+    ]
+
+    @pytest.mark.parametrize("groups", GROUPS, ids=lambda g: "-".join(map(str, g)))
+    @pytest.mark.parametrize("variant", ["eq9", "eq10"])
+    @pytest.mark.parametrize("form", ["right", "symmetric"])
+    def test_lone_column_equals_every_width_and_threads(self, groups, variant, form):
+        mutation = grouped_mutation(groups, seed=sum(groups) + len(groups))
+        nu = mutation.nu
+        lands = [RandomLandscape(nu, c=4.0, sigma=1.0, seed=j) for j in range(16)]
+        block = np.random.default_rng(len(groups)).standard_normal((1 << nu, 16))
+        lone = [
+            Fmmp(mutation, lands[j], form=form, variant=variant).matvec(block[:, j])
+            for j in range(16)
+        ]
+        threaded = BatchedFmmp(mutation, lands, form=form, variant=variant, threads=2)
+        assert threaded.panels == 2
+        products = {"threads=2": threaded.matmat(block)}
+        for b in (2, 3, 4, 5, 9, 16):
+            op = BatchedFmmp(mutation, lands[:b], form=form, variant=variant)
+            products[f"B={b}"] = op.matmat(block[:, :b])
+        for name, got in products.items():
+            for j in range(got.shape[1]):
+                assert np.array_equal(lone[j], got[:, j]), f"{name} column {j}"
+        scalar = Fmmp(mutation, lands[0], form=form, variant=variant, threads=2)
+        assert np.array_equal(scalar.matvec(block[:, 0]), lone[0])
+
+    def test_wide_plan_runs_column_by_column(self, monkeypatch):
+        """A radix > 8 plan sends every column of a block through the
+        one-column schedule; a radix ≤ 8 plan runs the block in one call."""
+        import repro.transforms.batched as kernel
+
+        calls = []
+        real = kernel._apply_fused
+
+        def spy(src, dst, stage):
+            calls.append(src.shape[1])
+            return real(src, dst, stage)
+
+        monkeypatch.setattr(kernel, "_apply_fused", spy)
+        lands = [RandomLandscape(8, seed=j) for j in range(3)]
+        block = np.ones((256, 3))
+        BatchedFmmp(grouped_mutation([4, 4], seed=0), lands).matmat(block)
+        assert calls == [1, 1] * 3
+        calls.clear()
+        BatchedFmmp(grouped_mutation([3, 3, 2], seed=0), lands).matmat(block)
+        assert calls == [3, 3, 3]
 
 
 class TestPerColumnMode:

@@ -188,3 +188,25 @@ class TestCgInverseIteration:
             cg_inverse_iteration(
                 Fmmp(mut, ls, form="right"), start=ls.values(), mu=10.0
             )
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    @pytest.mark.parametrize("step", [1, 4, 9, 40])
+    def test_nonfinite_product_fails_fast(self, problem, poison, step):
+        """A product that turns non-finite on its k-th call stops the
+        solver within k + 2 products, naming the outer iteration (and the
+        inner CG step when the product was inside CG), instead of running
+        all inner steps and blaming the shift."""
+        nu, p, mut, ls, _ = problem
+        op = _PoisonedFmmp(mut, ls, form="symmetric")
+        op.step, op.poison = step, poison
+        with pytest.raises(ConvergenceError, match="not finite") as exc_info:
+            cg_inverse_iteration(op, start=np.sqrt(ls.values()), mu=ls.fmax * 1.05)
+        assert op.calls <= step + 2
+        message = str(exc_info.value)
+        assert f"CG inverse iteration {exc_info.value.iterations}" in message
+        assert "indefinite" not in message
+        if step == 1:  # the first product of the first inner CG solve
+            assert "CG inverse iteration 1, inner CG step 1: alpha=" in message
+        if step == 9:  # eight inner steps, then the outer W·x of iteration 1
+            assert "CG inverse iteration 1: lambda=" in message

@@ -21,6 +21,7 @@ from repro.exceptions import ValidationError
 from repro.landscapes import RandomLandscape
 from repro.mutation import GroupedMutation, PerSiteMutation, UniformMutation, site_factor
 from repro.operators import Fmmp
+from repro.operators.batched import mutation_plan
 from repro.transforms import batched_butterfly_transform, fused_stage_plan
 from repro.transforms.parallel import (
     PanelEngine,
@@ -113,9 +114,8 @@ class TestBitIdentity:
     )
     def test_operator_matches_serial_bitwise(self, nu, p, kind, form, threads, seed):
         """Fmmp(threads=T) == Fmmp(threads=1), bitwise — and both equal
-        the panel engine run with the operator's own panel count.
-        Grouped models stay on the serial contraction and satisfy the
-        bitwise bar trivially."""
+        the panel engine run with the operator's own panel count, for
+        grouped models too (their own plan, one sweep per block)."""
         mutation = build_mutation(kind, nu, p, seed)
         land = RandomLandscape(nu, c=4.0, sigma=1.0, seed=seed)
         rng = np.random.default_rng(seed + 1)
@@ -124,22 +124,21 @@ class TestBitIdentity:
         op = Fmmp(mutation, land, form=form, threads=threads)
         got = op.matvec(v)
         assert np.array_equal(want, got)
-        if kind != "grouped":
-            f = land.values()
-            pre, post = {
-                "right": (f, None),
-                "symmetric": (np.sqrt(f), np.sqrt(f)),
-                "left": (None, f),
-            }[form]
-            engine = parallel_butterfly_transform(
-                v.reshape(-1, 1),
-                fused_stage_plan(mutation.factors_per_bit()),
-                pre_scale=pre,
-                post_scale=post,
-                panels=op.panels,
-                engine=get_engine(threads),
-            )
-            assert np.array_equal(got, engine.reshape(-1))
+        f = land.values()
+        pre, post = {
+            "right": (f, None),
+            "symmetric": (np.sqrt(f), np.sqrt(f)),
+            "left": (None, f),
+        }[form]
+        engine = parallel_butterfly_transform(
+            v.reshape(-1, 1),
+            mutation_plan(mutation),
+            pre_scale=pre,
+            post_scale=post,
+            panels=op.panels,
+            engine=get_engine(threads),
+        )
+        assert np.array_equal(got, engine.reshape(-1))
 
     @pytest.mark.parametrize("nu", [3, 4, 5])
     @pytest.mark.parametrize("panels", [2, 4, 8])
