@@ -1,14 +1,15 @@
 """Power-loop split bench → ``benchmarks/out/power_loop_split.txt``.
 
 Times one block-power sweep split into **kernel** time (the fused
-``matmat``/``matvec`` product) and **loop** time (everything else the
+``matmat`` product) and **loop** time (everything else the
 sweep does: the shift, the 1-norm eigenvalue estimate, the
 normalisation and the residual).  Two points:
 
 * ν = 18, B = 16 — ``BlockPowerIteration`` on a per-column
   ``BatchedFmmp`` (the ``block-nu18-b16`` perfbench workload's loop);
 * ν = 20, B = 1 — ``PowerIteration`` on a shifted ``Fmmp`` (the
-  ``pi-fmmp-nu20`` loop).
+  ``pi-fmmp-nu20`` loop, which drives ``Fmmp`` through ``matmat`` on
+  its own blocks).
 
 A sweep's loop time is measured as a difference, so the start block,
 the result building and the concentration conversion cancel out: the
@@ -82,7 +83,7 @@ def _scalar_point():
     base = Fmmp(mutation, land, threads=1)
     op = ShiftedOperator(base, conservative_shift(mutation, land))
     clock = [0.0]
-    base.matvec = _timed(base.matvec, clock)
+    base.matmat = _timed(base.matmat, clock)
     start = land.start_vector()
 
     def solve(sweeps):

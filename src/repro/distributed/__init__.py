@@ -18,9 +18,10 @@ is modeled exactly like the device layer models kernels):
   distributed-FFT communication pattern;
 * norms/residuals use modeled hypercube allreduces;
 * :class:`~repro.distributed.power.DistributedPowerIteration` runs the
-  whole solve with per-rank roofline compute plus link-model
-  communication accounting, while executing the numerics for real
-  (asserted equal to the serial solver).
+  whole solve on the one power loop
+  (:class:`~repro.solvers.power.PowerIteration`) with per-rank roofline
+  compute plus link-model communication accounting, while executing the
+  numerics for real (asserted equal to the serial solver).
 """
 
 from repro.distributed.cluster import CommLink, ClusterProfile

@@ -1,10 +1,15 @@
 """Distributed power iteration over the partitioned fast matvec.
 
-Each iteration, per rank: the diagonal ``F`` product on the local block,
-the distributed butterfly (local stages + hypercube exchanges), a local
-partial 1-norm + modeled allreduce for λ, local normalization, local
-partial residual + allreduce, block copy.  Numerics execute for real;
-time is per-rank roofline compute plus the α–β communication model.
+The numerics run on the one power loop
+(:class:`~repro.solvers.power.PowerIteration`: start check, fail-fast
+λ, residual, history).  Its product scatters the iterate over the
+ranks, scales each rank's block by its block of ``F``, runs the
+distributed butterfly (:class:`~repro.distributed.fmmp.DistributedFmmp`:
+local stages + hypercube exchanges) and gathers the result.  Time is
+modeled per iteration: per-rank roofline compute for the diagonal
+product, the butterfly and the loop's block-local passes (abs-sum,
+scale, residual map, copy), plus the α–β cost of the exchanges and of
+the two allreduces (λ and the residual).
 
 This realizes the paper's stated future direction — the *memory* wall
 falls as ``N/R`` per rank while the communication cost grows only like
@@ -20,11 +25,15 @@ import numpy as np
 from repro.distributed.cluster import ClusterProfile
 from repro.distributed.fmmp import DistributedFmmp
 from repro.distributed.partition import PartitionedVector
-from repro.exceptions import ConvergenceError, ValidationError
+from repro.exceptions import ValidationError
 from repro.landscapes.base import FitnessLandscape
 from repro.mutation.persite import PerSiteMutation
 from repro.mutation.uniform import UniformMutation
-from repro.solvers.result import IterationRecord, SolveResult
+from repro.operators.base import ImplicitOperator, OperatorCosts
+from repro.operators.batched import plan_costs
+from repro.solvers.power import PowerIteration
+from repro.solvers.result import SolveResult
+from repro.transforms.batched import fused_stage_plan
 
 __all__ = ["DistributedPowerIteration", "DistributedRunReport"]
 
@@ -104,13 +113,6 @@ class DistributedPowerIteration:
         """Execute the solve; numerics real, time modeled."""
         cl = self.cluster
         r = cl.ranks
-        x0 = self.landscape.start_vector() if start is None else np.asarray(start, float)
-        if x0.shape != (self.n,):
-            raise ValidationError(f"start vector must have shape ({self.n},)")
-        x0 = x0 / np.abs(x0).sum()
-
-        f = PartitionedVector.scatter(self.landscape.values(), r)
-        x = PartitionedVector.scatter(x0, r)
         b = float(self.op.block_size)
 
         # ---- per-iteration modeled costs (ranks are symmetric) --------
@@ -126,47 +128,18 @@ class DistributedPowerIteration:
         )
         comm_per_iter = self.op.comm_time_per_matvec() + 2.0 * cl.allreduce_time()
 
-        history: list[IterationRecord] = []
-        lam = 0.0
-        residual = np.inf
-        iterations = 0
-        for iterations in range(1, self.max_iterations + 1):
-            w = PartitionedVector([xb * fb for xb, fb in zip(x.blocks, f.blocks)])
-            self.op.apply(w)
-            lam = float(sum(np.abs(blk).sum() for blk in w.blocks))  # allreduce
-            if lam <= 0.0:
-                raise ConvergenceError("iterate collapsed", iterations=iterations)
-            for blk in w.blocks:
-                blk /= lam
-            r2 = float(
-                sum(((wb - xb) ** 2).sum() for wb, xb in zip(w.blocks, x.blocks))
-            )  # allreduce
-            residual = lam * float(np.sqrt(max(r2, 0.0)))
-            x = w
-            history.append(IterationRecord(iterations, lam, residual))
-            if residual < self.tol:
-                break
-
-        converged = residual < self.tol
-        if not converged and raise_on_fail:
-            raise ConvergenceError(
-                f"distributed power iteration did not reach tol={self.tol}",
-                iterations=iterations,
-                residual=residual,
-            )
-
-        xg = np.abs(x.gather())
-        xg /= xg.sum()
-        result = SolveResult(
-            eigenvalue=lam,
-            eigenvector=xg,
-            concentrations=xg,
-            iterations=iterations,
-            residual=residual,
-            converged=converged,
-            method=f"Distributed-Pi(Fmmp) on {r} x {node.name}",
-            history=history,
+        solver = PowerIteration(
+            _DistributedW(self.op, self.landscape.values()),
+            tol=self.tol,
+            max_iterations=self.max_iterations,
+            record_history=True,
         )
+        result = solver.solve(
+            self.landscape.start_vector() if start is None else start,
+            raise_on_fail=raise_on_fail,
+            method_name=f"Distributed-Pi(Fmmp) on {r} x {node.name}",
+        )
+        iterations = result.iterations
         return DistributedRunReport(
             result=result,
             ranks=r,
@@ -176,3 +149,29 @@ class DistributedPowerIteration:
             comm_bytes_per_rank=iterations * self.op.comm_bytes_per_matvec(),
             memory_per_rank_bytes=8.0 * b * 3.0,  # x, w, f blocks
         )
+
+
+class _DistributedW(ImplicitOperator):
+    """``W·v = Q·(F∘v)`` on the simulated cluster: scatter ``v``, scale
+    each rank's block by its ``F`` block, apply the distributed
+    butterfly, gather."""
+
+    def __init__(self, op: DistributedFmmp, f: np.ndarray):
+        self.op = op
+        self.n = op.n
+        self._f = PartitionedVector.scatter(f, op.cluster.ranks)
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        x = PartitionedVector.scatter(self.check(v), self.op.cluster.ranks)
+        w = PartitionedVector([xb * fb for xb, fb in zip(x.blocks, self._f.blocks)])
+        return self.op.apply(w).gather()
+
+    @property
+    def is_symmetric(self) -> bool:
+        return False
+
+    def costs(self) -> OperatorCosts:
+        """The paper's radix-2 plan over all ``N`` elements, with the
+        ``F`` pre-scale."""
+        plan = fused_stage_plan(self.op.factors, max_radix=2)
+        return plan_costs(plan, self.n, 1, (self.n,))

@@ -1,38 +1,39 @@
-"""``BatchedFmmp`` — the multi-vector fast mutation matrix product.
+"""``BatchedFmmp`` — the one butterfly operator (Sec. 2, Algorithms 1–2).
 
-The service scheduler groups jobs by :attr:`SolveJob.operator_key`, i.e.
-by mutation operator ``Q`` (ν, p, model, seed) but *not* by landscape.
-Jobs in one group therefore share the expensive part of ``W = Q·F`` —
-the ν-stage butterfly — and differ only in the cheap diagonal ``F``.
-This operator exploits exactly that: ``B`` right-hand sides (optionally
-each with its *own* landscape) ride one stage-fused butterfly stream
-(:func:`repro.transforms.batched.batched_butterfly_transform`), with the
-per-column ``F`` / ``F^{1/2}`` scalings folded in as ``(N, B)``
-pre/post-scale blocks.
+``W·V = form(Q, F)·V`` for an ``(N, B)`` block ``V``, exact, in
+``Θ(N log₂ N)`` per column and with no matrix storage: the Kronecker
+factorization of ``Q`` is one fused stage plan (:func:`mutation_plan`),
+built once at construction and run by
+:func:`repro.transforms.batched.batched_butterfly_transform` — or, with
+``threads > 1``, by the panel engine with the same bits — with the
+``F`` / ``F^{1/2}`` scalings of the forms (Eqs. 3–5) folded in as pre-
+and post-scales.
 
-Two modes:
+Every butterfly product is a case of this class:
 
-* **shared landscape** (``per_column=False``): one
-  :class:`~repro.landscapes.base.FitnessLandscape`, behaves like a
-  drop-in :class:`~repro.operators.fmmp.Fmmp` whose :meth:`matmat` is
-  fused — this is what the verification oracle exercises;
-* **per-column landscapes** (``per_column=True``): a sequence of ``B``
-  landscapes, column ``j`` of ``matmat`` computes ``W_j · v_j`` with
-  ``W_j = form(Q, F_j)`` — this is what
-  :class:`~repro.solvers.power.BlockPowerIteration` and the service's
-  batched jobs use.
+* **per-column landscapes** — a sequence of ``B`` landscapes; column
+  ``j`` of :meth:`BatchedFmmp.matmat` is ``W_j · v_j`` with
+  ``W_j = form(Q, F_j)``.  The service scheduler groups jobs by
+  mutation operator ``Q``, so a group's jobs share the butterfly and
+  differ only in the diagonal; this is what
+  :class:`~repro.solvers.power.BlockPowerIteration` and the batched jobs
+  run;
+* **shared landscape** — one landscape for every column;
+  :class:`~repro.operators.fmmp.Fmmp` is this case, its ``matvec`` the
+  one-column ``matmat``;
+* **transposed** — :class:`~repro.solvers.left_eigen.TransposedFmmp` is
+  the shared case with the plan of ``Qᵀ`` and the adjoint form's scales.
 
-The module also holds what every butterfly operator shares: the one
-plan builder :func:`mutation_plan` (2×2 factors or the group blocks of
-Eq. 11, optionally transposed), the plan runner :func:`fused_product`
-and the one cost function :func:`plan_costs`, which counts bytes and
-flops from the same :class:`~repro.transforms.batched.FusedStage` list
-the kernel runs.  ``Fmmp``, ``BatchedFmmp`` and ``TransposedFmmp``
-build that list once, at construction, and cost it with
-:func:`plan_costs`; the paper's
-stage-by-stage model (:func:`repro.perf.costs.fmmp_costs`) and the
-distributed model (:class:`repro.distributed.fmmp.DistributedFmmp`)
-cost the radix-2 plan.
+The power loop drives every case through :meth:`~BatchedFmmp.matmat`
+on its own blocks (``out=``, ``scratch=``).
+
+The module also holds the one plan builder :func:`mutation_plan` (2×2
+factors or the group blocks of Eq. 11, optionally transposed) and the
+one cost function :func:`plan_costs`, which counts bytes and flops from
+the same :class:`~repro.transforms.batched.FusedStage` list the kernel
+runs.  The paper's stage-by-stage model
+(:func:`repro.perf.costs.fmmp_costs`) and the distributed model
+(:class:`repro.distributed.fmmp.DistributedFmmp`) cost the radix-2 plan.
 """
 
 from __future__ import annotations
@@ -55,14 +56,13 @@ from repro.transforms.batched import (
     fused_stage_plan,
     grouped_stage_plan,
 )
-from repro.transforms.parallel import (
-    auto_panels,
-    get_engine,
-    parallel_butterfly_transform,
-    resolve_threads,
-)
+from repro.transforms.parallel import parallel_butterfly_transform, resolve_threads
 
 __all__ = ["BatchedFmmp", "mutation_plan", "plan_costs"]
+
+#: ``(Q·F)ᵀ = F·Qᵀ`` and ``(F·Q)ᵀ = Qᵀ·F``: transposing swaps the side the
+#: right and left forms scale on; the symmetric form keeps both.
+_ADJOINT_FORM = {"right": "left", "symmetric": "symmetric", "left": "right"}
 
 
 def form_scales(form: str, f, sqrt_f):
@@ -72,15 +72,6 @@ def form_scales(form: str, f, sqrt_f):
     if form == "symmetric":
         return sqrt_f, sqrt_f
     return None, f  # left
-
-
-def panel_engine(nu: int, batch: int, threads: int):
-    """``(panels, engine)`` for :func:`fused_product`: ``(1, None)`` at
-    ``threads == 1``, else the :func:`~repro.transforms.parallel.auto_panels`
-    pick and the shared :class:`~repro.transforms.parallel.PanelEngine`."""
-    if threads == 1:
-        return 1, None
-    return auto_panels(nu, batch, threads=threads), get_engine(threads)
 
 
 def mutation_plan(
@@ -101,28 +92,6 @@ def mutation_plan(
             f"no butterfly plan for mutation model {type(mutation).__name__}"
         )
     return build([f.T for f in factors] if transpose else factors, variant=variant)
-
-
-def fused_product(block, plan, pre, post, *, panels=1, engine=None, out=None, scratch=None):
-    """The one butterfly call behind :meth:`BatchedFmmp.matmat` and
-    :meth:`~repro.operators.fmmp.Fmmp.matvec`: the operator's fused plan
-    run by :func:`~repro.transforms.batched.batched_butterfly_transform`,
-    serially or — given an engine — split into row panels with the same
-    bits."""
-    if engine is None:
-        return batched_butterfly_transform(
-            block, plan, pre_scale=pre, post_scale=post, out=out, scratch=scratch
-        )
-    return parallel_butterfly_transform(
-        block,
-        plan,
-        pre_scale=pre,
-        post_scale=post,
-        panels=panels,
-        engine=engine,
-        out=out,
-        scratch=scratch,
-    )
 
 
 def plan_costs(
@@ -176,15 +145,17 @@ class BatchedFmmp(ImplicitOperator):
     Parameters
     ----------
     mutation:
-        The shared mutation model ``Q``.
+        The shared mutation model ``Q``: uniform, per-site or grouped;
+        any other model raises :class:`~repro.exceptions.ValidationError`.
     landscapes:
         Either a single :class:`FitnessLandscape` (shared by every
         column) or a sequence of ``B`` landscapes (one per column).
     form:
         ``right``/``symmetric``/``left`` (Eqs. 3–5), applied per column.
     variant:
-        Stage traversal order, ``"eq9"`` or ``"eq10"``; the fused plan
-        is built in that order once, here.
+        Stage traversal order, ``"eq9"`` (ascending spans, Algorithm 1)
+        or ``"eq10"`` (descending spans); the fused plan is built in that
+        order once, here.
     threads:
         Panel-engine thread count (``None`` reads ``REPRO_NUM_THREADS``,
         default 1).  With ``threads > 1`` :meth:`matmat` splits the same
@@ -201,6 +172,9 @@ class BatchedFmmp(ImplicitOperator):
     >>> op.matmat(np.ones((64, 3))).shape
     (64, 3)
     """
+
+    #: Run ``Wᵀ``: the plan of ``Qᵀ`` and the adjoint form's scales.
+    _transpose = False
 
     def __init__(
         self,
@@ -244,12 +218,12 @@ class BatchedFmmp(ImplicitOperator):
                 np.stack([land.values() for land in lands], axis=1), dtype=np.float64
             )
         self._sqrt_f = np.sqrt(self._f) if form == "symmetric" else None
+        self._scale_form = _ADJOINT_FORM[form] if self._transpose else form
         # (columns, F[:, columns], √F[:, columns]) of the last selection
         self._gathered = None
 
         self.threads = resolve_threads(threads)
-        self._plan = mutation_plan(mutation, variant)
-        self.panels, self._engine = panel_engine(mutation.nu, self.batch, self.threads)
+        self._plan = mutation_plan(mutation, variant, transpose=self._transpose)
 
     # --------------------------------------------------------------- state
     @property
@@ -284,7 +258,7 @@ class BatchedFmmp(ImplicitOperator):
                 )
                 self._gathered = gathered
             _, f, sf = gathered
-        return form_scales(self.form, f, sf)
+        return form_scales(self._scale_form, f, sf)
 
     def _check_columns(self, b: int, columns: Sequence[int] | None) -> None:
         if not self.per_column:
@@ -334,13 +308,16 @@ class BatchedFmmp(ImplicitOperator):
         if b == 0:
             return np.empty((self.n, 0), dtype=np.float64)
         pre, post = self._scales(columns)
-        return fused_product(
+        if self.threads == 1:
+            return batched_butterfly_transform(
+                arr, self._plan, pre_scale=pre, post_scale=post, out=out, scratch=scratch
+            )
+        return parallel_butterfly_transform(
             arr,
             self._plan,
-            pre,
-            post,
-            panels=self.panels,
-            engine=self._engine,
+            pre_scale=pre,
+            post_scale=post,
+            threads=self.threads,
             out=out,
             scratch=scratch,
         )
@@ -360,7 +337,9 @@ class BatchedFmmp(ImplicitOperator):
     def costs(self, *, batch: int | None = None) -> OperatorCosts:
         """Costs of one ``(N, batch)`` product (defaults to this
         operator's own column count): :func:`plan_costs` of its fused
-        plan."""
+        plan (``⌈ν/3⌉`` radix ≤ 8 sweeps, or one sweep per group block,
+        plus the form's diagonal passes).  The paper's stage-by-stage
+        count is :func:`repro.perf.costs.fmmp_costs`."""
         b = self.batch if batch is None else batch
         shape = (self.n, b) if self.per_column else (self.n,)
-        return plan_costs(self._plan, self.n, b, *form_scales(self.form, shape, shape))
+        return plan_costs(self._plan, self.n, b, *form_scales(self._scale_form, shape, shape))

@@ -27,7 +27,7 @@ from repro.transforms.parallel import (
     resolve_threads,
 )
 from repro.util.blas import blas_limit
-from repro.util.timing import TimingResult, median_time
+from repro.util.timing import median_time
 
 __all__ = [
     "ParallelMeasurement",
@@ -88,7 +88,9 @@ def measure_parallel_matmat(
     min_time: float = 0.01,
 ) -> ParallelMeasurement:
     """Time the serial fused kernel vs the panel engine on one block
-    (right form: the plan with a shared pre-scale).
+    (right form: the plan with a shared pre-scale): ``repeats`` rounds,
+    each timing both once in alternating order, so a load that comes
+    and goes hits both alike; each side reports its median.
 
     BLAS threading is pinned to one thread for the duration (engine
     threads are the parallelism; see :mod:`repro.util.blas`) so the
@@ -96,11 +98,10 @@ def measure_parallel_matmat(
     """
     threads = resolve_threads(threads)
     plan = fused_stage_plan(UniformMutation(nu, p).factors_per_bit())
-    radix = max(stage.radix for stage in plan)
     r = (
         auto_panels(nu, batch, threads=threads)
         if panels is None
-        else resolve_panels(panels, nu, threads=threads, radix=radix)
+        else resolve_panels(panels, nu, radix=max(stage.radix for stage in plan))
     )
     n = 1 << nu
     rng = np.random.default_rng(nu)
@@ -110,34 +111,26 @@ def measure_parallel_matmat(
     scratch = np.empty_like(block)
     engine = get_engine(threads)
 
+    runs = {
+        "serial": lambda: batched_butterfly_transform(
+            block, plan, pre_scale=pre, out=out, scratch=scratch
+        ),
+        "parallel": lambda: parallel_butterfly_transform(
+            block, plan, pre_scale=pre, panels=r, engine=engine, out=out, scratch=scratch
+        ),
+    }
+    samples: dict[str, list[float]] = {name: [] for name in runs}
     with blas_limit(1):
-        serial: TimingResult = median_time(
-            lambda: batched_butterfly_transform(
-                block, plan, pre_scale=pre, out=out, scratch=scratch
-            ),
-            repeats=repeats,
-            min_time=min_time,
-        )
-        parallel: TimingResult = median_time(
-            lambda: parallel_butterfly_transform(
-                block,
-                plan,
-                pre_scale=pre,
-                panels=r,
-                engine=engine,
-                out=out,
-                scratch=scratch,
-            ),
-            repeats=repeats,
-            min_time=min_time,
-        )
+        for k in range(repeats):
+            for name in ("serial", "parallel")[:: 1 if k % 2 == 0 else -1]:
+                samples[name].append(median_time(runs[name], repeats=1, min_time=min_time).median)
     return ParallelMeasurement(
         nu=nu,
         batch=batch,
         threads=threads,
         panels=r,
-        serial_s=serial.median,
-        parallel_s=parallel.median,
+        serial_s=float(np.median(samples["serial"])),
+        parallel_s=float(np.median(samples["parallel"])),
         bytes_moved=plan_costs(plan, n, batch, pre.shape).bytes_moved,
     )
 

@@ -10,8 +10,12 @@ Fisher notion; it weights each genotype by where its mutational lineage
 goes, not where it sits).
 
 Computed with the same machinery as everything else: the transpose
-matvec is just the butterfly with transposed factors (``(A⊗B)ᵀ =
-Aᵀ⊗Bᵀ``), wrapped in the adjoint of the landscape scaling.
+product is the butterfly with transposed factors (``(A⊗B)ᵀ = Aᵀ⊗Bᵀ``),
+wrapped in the adjoint of the landscape scaling — :class:`TransposedFmmp`
+is the one butterfly operator
+(:class:`~repro.operators.batched.BatchedFmmp`) built with the plan of
+``Qᵀ`` and the adjoint form's scales, so it shares ``Fmmp``'s kernel,
+thread-safe scratch, costs and power-loop route.
 """
 
 from __future__ import annotations
@@ -21,55 +25,27 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.landscapes.base import FitnessLandscape
 from repro.mutation.base import MutationModel
-from repro.operators.base import FORMS, ImplicitOperator, OperatorCosts
-from repro.operators.batched import form_scales, fused_product, mutation_plan, plan_costs
 from repro.operators.fmmp import Fmmp
 from repro.solvers.power import PowerIteration
 from repro.solvers.result import SolveResult
 
 __all__ = ["TransposedFmmp", "left_eigenvector", "reproductive_values"]
 
-#: ``(Q·F)ᵀ = F·Qᵀ`` and ``(F·Q)ᵀ = Qᵀ·F``: transposing swaps the side the
-#: right and left forms scale on; the symmetric form keeps both.
-_ADJOINT_FORM = {"right": "left", "symmetric": "symmetric", "left": "right"}
 
-
-class TransposedFmmp(ImplicitOperator):
+class TransposedFmmp(Fmmp):
     """Implicit ``Wᵀ·v`` at the same ``Θ(N log₂ N)`` cost.
 
     ``(Q·F)ᵀ = F·Qᵀ`` and ``Qᵀ = ⊗ M_iᵀ`` — the same butterfly with each
     2×2 (or 2^g×2^g) factor transposed, composed with the diagonal on
-    the correct side for each form (Eqs. 3–5).
+    the correct side for each form (Eqs. 3–5).  ``form`` names the form
+    of ``W``; its ``costs`` are :func:`~repro.operators.batched.plan_costs`
+    of the transposed plan.
     """
 
+    _transpose = True
+
     def __init__(self, mutation: MutationModel, landscape: FitnessLandscape, form: str = "right"):
-        if form not in FORMS:
-            raise ValidationError(f"form must be one of {FORMS}, got {form!r}")
-        if mutation.nu != landscape.nu:
-            raise ValidationError("mutation and landscape chain lengths disagree")
-        self.mutation = mutation
-        self.landscape = landscape
-        self.form = form
-        self.n = mutation.n
-        self._f = landscape.values()
-        self._sqrt_f = np.sqrt(self._f)
-        self._plan = mutation_plan(mutation, transpose=True)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = self.check(v)
-        pre, post = form_scales(_ADJOINT_FORM[self.form], self._f, self._sqrt_f)
-        return fused_product(v.reshape(self.n, 1), self._plan, pre, post).reshape(self.n)
-
-    @property
-    def is_symmetric(self) -> bool:
-        return self.form == "symmetric" and self.mutation.is_symmetric
-
-    def costs(self) -> OperatorCosts:
-        """Costs of its own product: :func:`plan_costs` of the
-        transposed plan."""
-        shape = (self.n,)
-        adjoint = _ADJOINT_FORM[self.form]
-        return plan_costs(self._plan, self.n, 1, *form_scales(adjoint, shape, shape))
+        super().__init__(mutation, landscape, form)
 
 
 def left_eigenvector(

@@ -153,18 +153,18 @@ class _PowerLoop:
         self.max_iterations = int(max_iterations)
         self.record_history = bool(record_history)
 
-    def _run(self, x, mu, lands, form, raise_on_fail, name, matvec=None):
-        """Iterate the owned ``(n, B)`` start block ``x`` with shifts ``mu``;
-        returns ``(results, sweeps)``.  ``matvec`` drives one column, else
-        the operator's ``matmat`` the active ones; a ``BatchedFmmp`` writes
-        into the loop's three blocks (iterate, product and its ping-pong
-        scratch), and deflation compacts their fronts.  Each sweep's
-        epilogue is two tiled passes (:func:`_tiled_sums`): the shift and
-        the 1-norm λ, then the normalisation and the residual.
+    def _run(self, op, x, mu, lands, form, raise_on_fail, name):
+        """Iterate the owned ``(n, B)`` start block ``x`` of ``op`` with
+        shifts ``mu``; returns ``(results, sweeps)``.  A ``BatchedFmmp``
+        (so every ``Fmmp``) writes into the loop's three blocks (iterate,
+        product and its ping-pong scratch), and deflation compacts their
+        fronts; any other operator's ``matmat`` returns a fresh product.
+        Each sweep's epilogue is two tiled passes (:func:`_tiled_sums`):
+        the shift and the 1-norm λ, then the normalisation and the
+        residual.
         """
-        op = self.operator
         b = x.shape[1]
-        recycle = matvec is None and isinstance(op, BatchedFmmp)
+        recycle = isinstance(op, BatchedFmmp)
         scratch = np.empty_like(x) if recycle else None
         mass = _tiled_sums(_abs, x)
         bad = np.flatnonzero(~(np.isfinite(mass) & (mass > 0.0)))
@@ -182,9 +182,7 @@ class _PowerLoop:
         sweeps = 0
         while sweeps < self.max_iterations:
             sweeps += 1
-            if matvec is not None:
-                y = matvec(x.reshape(-1)).reshape(x.shape)
-            elif recycle:
+            if recycle:
                 columns = active if op.per_column and active.size < b else None
                 y = op.matmat(x, columns=columns, out=spare, scratch=scratch)
             else:
@@ -334,15 +332,15 @@ class PowerIteration(_PowerLoop):
             raise ValidationError(f"start vector must have shape ({n},), got {np.shape(start)}")
 
         name = method_name or f"Pi({type(op).__name__})"
-        # The start copy is passed, not named, so the loop frees it after one sweep.
+        # The start copy is passed, not named: the loop owns it as its first iterate.
         results, _ = self._run(
+            base,
             np.array(start, dtype=np.float64).reshape(n, 1),
             np.array([mu], dtype=np.float64),
             [landscape],
             form,
             raise_on_fail,
             name,
-            base.matvec,
         )
         return results[0]
 
@@ -515,6 +513,6 @@ class BlockPowerIteration(_PowerLoop):
 
         name = method_name or f"BPi({type(op).__name__})"
         results, sweeps = self._run(
-            self._start_block(starts, lands), mu, lands, form, raise_on_fail, name
+            op, self._start_block(starts, lands), mu, lands, form, raise_on_fail, name
         )
         return BlockSolveResult(columns=results, sweeps=sweeps)

@@ -110,41 +110,29 @@ def max_panels(nu: int, *, radix: int = MAX_RADIX) -> int:
     return max(1, (1 << nu) // radix)
 
 
-def resolve_panels(
-    panels: int | None,
-    nu: int,
-    *,
-    threads: int = 1,
-    radix: int = MAX_RADIX,
-) -> int:
-    """Resolve the panel count ``R`` (a power of two).
-
-    ``panels=None`` auto-picks the smallest power of two ``>= threads``;
-    explicit *and* auto values are clamped down to :func:`max_panels`
-    (small ν simply cannot host many panels — the clamp keeps sweeps
-    like ``R=4`` at ``ν=2`` well-defined instead of erroring).
+def resolve_panels(panels: int, nu: int, *, radix: int = MAX_RADIX) -> int:
+    """Validate an explicit panel count ``R`` (a positive power of two)
+    and clamp it down to :func:`max_panels` (small ν simply cannot host
+    many panels — the clamp keeps sweeps like ``R=4`` at ``ν=2``
+    well-defined instead of erroring).  The automatic pick is
+    :func:`auto_panels`.
     """
-    cap = max_panels(nu, radix=radix)
-    if panels is None:
-        r = 1
-        while r < threads:
-            r <<= 1
-        return min(r, cap)
     if isinstance(panels, bool) or not isinstance(panels, (int, np.integer)):
         raise ValidationError(f"panels must be an integer, got {panels!r}")
     panels = int(panels)
     if panels < 1 or (panels & (panels - 1)) != 0:
         raise ValidationError(f"panels must be a positive power of two, got {panels}")
-    return min(panels, cap)
+    return min(panels, max_panels(nu, radix=radix))
 
 
-#: Smallest block (``N·B`` doubles) the operators split into panels;
-#: below it the per-sweep barriers cost more than the panels save.
+#: Smallest block (``N·B`` doubles) the automatic rule splits into
+#: panels; below it the per-sweep barriers cost more than the panels save.
 AUTO_PANELS_MIN_ELEMENTS = 1 << 14
 
 
 def auto_panels(nu: int, batch: int, *, threads: int) -> int:
-    """Panel count the operators run a ``(2**ν, batch)`` product with.
+    """The one automatic panel count of a ``(2**ν, batch)`` product (what
+    :func:`parallel_butterfly_transform` picks for ``panels=None``).
 
     ``R = min(largest power of two <= threads, max_panels(ν))`` once the
     block holds ``N·B >= 2^14`` doubles, else ``R = 1`` (the serial
@@ -407,10 +395,10 @@ def parallel_butterfly_transform(
     block, plan, pre_scale, post_scale, out, scratch:
         As for the serial kernel.
     panels:
-        Panel count ``R`` (power of two); ``None`` auto-picks the
-        smallest power of two ``>= threads``, clamped to
-        :func:`max_panels` of the plan's largest radix.  A plan with a
-        stage of radix above ``MAX_RADIX`` always runs as one panel.
+        Panel count ``R`` (power of two), clamped to :func:`max_panels`
+        of the plan's largest radix; ``None`` picks :func:`auto_panels`
+        of the block's shape and the thread count.  A plan with a stage
+        of radix above ``MAX_RADIX`` always runs as one panel.
     threads:
         Participant count; ``None`` reads ``REPRO_NUM_THREADS``
         (default 1).  Ignored when ``engine`` is given.
@@ -421,7 +409,11 @@ def parallel_butterfly_transform(
     nu = _plan_bits(plan)
     threads_n = engine.threads if engine is not None else resolve_threads(threads)
     radix = max(stage.radix for stage in plan)
-    panels_n = resolve_panels(panels, nu, threads=threads_n, radix=radix)
+    if panels is None:
+        b = np.shape(block)[1] if np.ndim(block) == 2 else 1  # _schedule rejects other shapes
+        panels_n = auto_panels(nu, b, threads=threads_n)
+    else:
+        panels_n = resolve_panels(panels, nu, radix=radix)
     if panels_n == 1 or radix > MAX_RADIX:
         # One panel ⇒ the partitioned schedule is the serial schedule.  A
         # radix > 8 plan runs there too: the serial kernel takes it column

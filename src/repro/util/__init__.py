@@ -11,7 +11,6 @@ from repro.util.validation import (
 from repro.util.binomial import binomial, binomial_row, log_binomial
 from repro.util.timing import Timer, median_time
 from repro.util.rng import as_generator
-from repro.util.scratch import ScratchPool
 from repro.util.blas import (
     blas_limit,
     blas_thread_info,
@@ -32,7 +31,6 @@ __all__ = [
     "Timer",
     "median_time",
     "as_generator",
-    "ScratchPool",
     "blas_limit",
     "blas_thread_info",
     "have_threadpoolctl",

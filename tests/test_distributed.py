@@ -158,6 +158,18 @@ class TestDistributedPowerIteration:
         assert fracs[0] == 0.0
         assert fracs[0] < fracs[1] < fracs[2]
 
+    def test_nan_start_raises_before_the_first_sweep(self, problem, monkeypatch):
+        mut, ls, _ = problem
+        solver = DistributedPowerIteration(gpu_cluster(4), mut, ls, max_iterations=50)
+        sweeps = []
+        real = solver.op.apply
+        monkeypatch.setattr(solver.op, "apply", lambda v: sweeps.append(1) or real(v))
+        start = ls.start_vector()
+        start[5] = np.nan
+        with pytest.raises(ValidationError, match="finite nonzero mass"):
+            solver.run(start)
+        assert sweeps == []
+
     def test_mismatched_nu_rejected(self):
         with pytest.raises(ValidationError):
             DistributedPowerIteration(

@@ -47,33 +47,34 @@ class TestExampleDocCoverage:
 
 class TestPaperMapping:
     def test_mapping_references_resolve(self):
-        """Every `repro.xxx.yyy` module path named in the mapping doc
-        must import."""
+        """Every `repro.xxx.Yyy` module or attribute path named in the
+        docs (docs/*.md, README.md, DESIGN.md) must resolve."""
         import importlib
 
-        mapping = _read("docs/paper_mapping.md")
-        modules = set(re.findall(r"`(repro(?:\.[a-z_0-9]+)+)`", mapping))
-        failures = []
-        for name in sorted(modules):
+        def resolves(name: str) -> bool:
             parts = name.split(".")
             # Trailing attribute names are allowed; try progressively.
             for cut in range(len(parts), 1, -1):
                 try:
-                    mod = importlib.import_module(".".join(parts[:cut]))
-                    obj = mod
-                    ok = True
-                    for attr in parts[cut:]:
-                        if not hasattr(obj, attr):
-                            ok = False
-                            break
-                        obj = getattr(obj, attr)
-                    if ok:
-                        break
+                    obj = importlib.import_module(".".join(parts[:cut]))
                 except ImportError:
                     continue
-            else:
-                failures.append(name)
-        assert not failures, f"paper_mapping.md names unresolvable paths: {failures}"
+                for attr in parts[cut:]:
+                    if not hasattr(obj, attr):
+                        break
+                    obj = getattr(obj, attr)
+                else:
+                    return True
+            return False
+
+        docs = sorted((ROOT / "docs").glob("*.md")) + [ROOT / "README.md", ROOT / "DESIGN.md"]
+        failures = []
+        for path in docs:
+            text = path.read_text(encoding="utf-8")
+            for name in sorted(set(re.findall(r"`(repro(?:\.[A-Za-z_0-9]+)+)`", text))):
+                if not resolves(name):
+                    failures.append(f"{path.relative_to(ROOT)}: {name}")
+        assert not failures, f"docs name unresolvable paths: {failures}"
 
     def test_mapping_covers_every_paper_section(self):
         mapping = _read("docs/paper_mapping.md")

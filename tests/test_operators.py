@@ -29,6 +29,7 @@ from repro.operators import (
 )
 from repro.operators.shifted import conservative_shift
 from repro.solvers import TransposedFmmp
+from repro.transforms.parallel import auto_panels
 
 
 @pytest.fixture
@@ -200,6 +201,15 @@ class TestOneEngine:
             with pytest.raises(ValidationError, match="IdentityMutation"):
                 op(IdentityMutation(), RandomLandscape(4, seed=1))
 
+    def test_scalar_operators_take_one_landscape(self):
+        """``Fmmp`` and ``TransposedFmmp`` are the shared-landscape case;
+        a sequence of landscapes is ``BatchedFmmp``'s per-column case."""
+        mut, ls = UniformMutation(4, 0.02), RandomLandscape(4, seed=1)
+        for op in (Fmmp, TransposedFmmp):
+            with pytest.raises(ValidationError, match="one landscape"):
+                op(mut, [ls])
+        assert BatchedFmmp(mut, [ls]).per_column
+
 
 class TestPlanBuiltOnce:
     """Operators build their fused plan at construction; no product —
@@ -212,7 +222,7 @@ class TestPlanBuiltOnce:
         serial = Fmmp(mut, lands[0], form="symmetric")
         threaded = Fmmp(mut, lands[0], form="symmetric", threads=2)
         batched = BatchedFmmp(mut, lands)
-        assert threaded.panels == 2
+        assert auto_panels(nu, 1, threads=2) == 2
         original = transforms_batched.fused_stage_plan
         calls = []
 

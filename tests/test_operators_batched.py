@@ -5,10 +5,11 @@ and stage order, :meth:`BatchedFmmp.matmat` on an ``(N, B)`` block is
 bit-for-bit-tolerance equal to stacking the scalar :meth:`Fmmp.matvec`
 column by column.  A Hypothesis sweep drives the property over
 ``ν ∈ [2, 10]``; deterministic tests cover the per-column landscape
-mode, column subsetting, and the thread-safety of the scalar operator's
-scratch pool.
+mode, column subsetting, and the scalar products' per-thread scratch
+(reused on one thread, never shared between threads).
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -19,8 +20,10 @@ from hypothesis import strategies as st
 from repro.exceptions import ValidationError
 from repro.landscapes import RandomLandscape, SinglePeakLandscape
 from repro.mutation import GroupedMutation, PerSiteMutation, UniformMutation, site_factor
+import repro.operators.batched as batched_module
 from repro.operators import BatchedFmmp, Fmmp
-from repro.util.scratch import ScratchPool
+from repro.solvers import TransposedFmmp
+from repro.transforms.parallel import auto_panels
 
 common = settings(max_examples=12, deadline=None)
 
@@ -146,7 +149,7 @@ class TestGroupedPlanBits:
             for j in range(16)
         ]
         threaded = BatchedFmmp(mutation, lands, form=form, variant=variant, threads=2)
-        assert threaded.panels == 2
+        assert auto_panels(nu, 16, threads=2) == 2
         products = {"threads=2": threaded.matmat(block)}
         for b in (2, 3, 4, 5, 9, 16):
             op = BatchedFmmp(mutation, lands[:b], form=form, variant=variant)
@@ -297,34 +300,16 @@ class TestDefaultMatmat:
         assert out.shape == (8, 0)
 
 
-class TestScratchPoolThreadSafety:
-    """Regression: Fmmp._scratch used to be a shared pair of buffers, so
-    concurrent matvec calls on one operator corrupted each other."""
+class TestColumnScratch:
+    """One-column products run in a scratch block the operator keeps per
+    calling thread: reused across calls on a thread, never shared, so
+    concurrent callers may share one operator (a shared pair of buffers
+    once made concurrent matvec calls corrupt each other)."""
 
-    def test_pool_acquire_release_cycle(self):
-        pool = ScratchPool()
-        a = pool.acquire((8,))
-        b = pool.acquire((8,))
-        assert a.shape == (8,) and b.shape == (8,)
-        assert pool.idle((8,)) == 0
-        pool.release(a, b)
-        assert pool.idle((8,)) == 2
-        assert pool.acquire((8,)) is b  # LIFO reuse, no realloc
-        assert pool.acquire((8,)) is a
-
-    def test_pool_bounds_idle_buffers(self):
-        pool = ScratchPool(max_idle=2)
-        arrays = [pool.acquire((4,)) for _ in range(5)]
-        pool.release(*arrays)
-        assert pool.idle((4,)) == 2
-
-    def test_concurrent_matvec_is_correct(self):
-        nu = 9
-        mutation = UniformMutation(nu, 0.02)
-        land = RandomLandscape(nu, c=4.0, sigma=1.0, seed=0)
-        op = Fmmp(mutation, land)
+    @staticmethod
+    def _hammer(op):
         rng = np.random.default_rng(7)
-        vecs = [rng.standard_normal(1 << nu) for _ in range(8)]
+        vecs = [rng.standard_normal(op.n) for _ in range(8)]
         expected = [op.matvec(v) for v in vecs]
 
         results = [[None] * len(vecs) for _ in range(4)]
@@ -339,13 +324,52 @@ class TestScratchPoolThreadSafety:
                 errors.append(exc)
 
         threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
         for tid in range(4):
             for i in range(len(vecs)):
-                np.testing.assert_allclose(
-                    results[tid][i], expected[i], rtol=1e-12, atol=1e-14
-                )
+                assert np.array_equal(results[tid][i], expected[i])
+
+    def test_concurrent_transposed_matvec_is_correct(self):
+        nu = 9
+        mutation = PerSiteMutation.from_error_rates(np.linspace(0.01, 0.2, nu))
+        land = RandomLandscape(nu, c=4.0, sigma=1.0, seed=0)
+        self._hammer(TransposedFmmp(mutation, land, form="symmetric"))
+
+    def test_repeated_matvec_reuses_one_scratch_per_thread(self, monkeypatch):
+        nu = 8
+        op = Fmmp(UniformMutation(nu, 0.02), RandomLandscape(nu, seed=1))
+        real = batched_module.batched_butterfly_transform
+        seen = []
+
+        def spy(block, plan, **kwargs):
+            seen.append((threading.get_ident(), kwargs["scratch"]))
+            return real(block, plan, **kwargs)
+
+        monkeypatch.setattr(batched_module, "batched_butterfly_transform", spy)
+        v = op.landscape.start_vector()
+        want = [op.matvec(v) for _ in range(3)]
+        worker = threading.Thread(target=op.matvec, args=(v,))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and len(seen) == 4
+        (main, first), (_, second), (_, third), (other, theirs) = seen
+        assert first.shape == (op.n, 1)
+        assert second is first and third is first
+        assert other != main and theirs is not first
+        assert all(np.array_equal(w, want[0]) for w in want)
+
+    def test_concurrent_matvec_is_correct(self):
+        nu = 9
+        mutation = UniformMutation(nu, 0.02)
+        land = RandomLandscape(nu, c=4.0, sigma=1.0, seed=0)
+        self._hammer(Fmmp(mutation, land))

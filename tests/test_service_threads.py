@@ -16,7 +16,7 @@ from repro.exceptions import ValidationError
 from repro.service.jobspec import SolveJob
 from repro.service.pool import WorkerPool, execute_job
 from repro.service.service import _OPTION_KEYS, SolverService
-from repro.transforms.parallel import resolve_threads
+from repro.transforms.parallel import auto_panels, resolve_threads
 
 
 class TestOversubscriptionGuard:
@@ -85,7 +85,7 @@ class TestThreadsStayOutOfJobIdentity:
         results = {}
         for threads, panels in ((1, 1), (2, 2), (4, 4)):
             op = Fmmp(mutation, landscape, threads=threads)
-            assert op.panels == panels
+            assert auto_panels(14, 1, threads=threads) == panels
             results[threads] = PowerIteration(ShiftedOperator(op, mu), tol=1e-10).solve(
                 landscape.start_vector()
             )

@@ -57,6 +57,18 @@ class TestTransposedOperator:
         mut, ls = asymmetric
         assert TransposedFmmp(mut, ls).costs().flops == Fmmp(mut, ls).costs().flops
 
+    def test_is_the_one_butterfly_operator(self, asymmetric):
+        from repro.operators import BatchedFmmp, Fmmp
+        from repro.operators.batched import mutation_plan, plan_costs
+
+        mut, ls = asymmetric
+        op = TransposedFmmp(mut, ls)
+        assert isinstance(op, Fmmp) and isinstance(op, BatchedFmmp)
+        assert isinstance(Fmmp(mut, ls), BatchedFmmp)
+        # right form: Wᵀ = F·Qᵀ, the F scale moves after the product
+        n = mut.n
+        assert op.costs() == plan_costs(mutation_plan(mut, transpose=True), n, 1, None, (n,))
+
     def test_bad_form(self, asymmetric):
         mut, ls = asymmetric
         with pytest.raises(ValidationError):

@@ -137,12 +137,13 @@ class TestFailureModes:
 
 
 class _PoisonedFmmp(Fmmp):
-    """``Fmmp`` whose products carry one non-finite entry."""
+    """``Fmmp`` whose products carry one non-finite entry (``matvec`` is
+    the one-column ``matmat``, so both are poisoned)."""
 
     poison = np.nan
 
-    def matvec(self, v):
-        out = super().matvec(v)
+    def matmat(self, block, **kwargs):
+        out = super().matmat(block, **kwargs)
         out[3] = self.poison
         return out
 
@@ -188,11 +189,48 @@ class TestFailFast:
     def test_block_power_iteration_generic_operator(self, problem):
         mut, ls, _ = problem
         starts = np.stack([ls.start_vector()] * 2, axis=1)
+        # A ShiftedOperator has no fused matmat: the loop drives it
+        # column by column through the generic one.
+        generic = ShiftedOperator(_PoisonedFmmp(mut, ls), 0.0)
         with pytest.raises(ConvergenceError, match="not finite") as exc_info:
-            BlockPowerIteration(_PoisonedFmmp(mut, ls), tol=1e-15, max_iterations=1000).solve(
-                starts
-            )
+            BlockPowerIteration(generic, tol=1e-15, max_iterations=1000).solve(starts)
         assert exc_info.value.iterations <= 2
+
+
+class TestOneColumnRoute:
+    """``PowerIteration`` drives an ``Fmmp`` like a one-column block: one
+    fused call per sweep, into the loop's own blocks."""
+
+    def test_one_fused_call_per_sweep_into_loop_buffers(self, problem, monkeypatch):
+        import repro.operators.batched as batched_module
+
+        mut, ls, _ = problem
+        mu = conservative_shift(mut, ls)
+        real = batched_module.batched_butterfly_transform
+        calls = []
+
+        def spy(block, plan, **kwargs):
+            calls.append((kwargs["out"], kwargs["scratch"]))
+            return real(block, plan, **kwargs)
+
+        monkeypatch.setattr(batched_module, "batched_butterfly_transform", spy)
+        res = PowerIteration(ShiftedOperator(Fmmp(mut, ls), mu), tol=1e-12).solve(
+            ls.start_vector(), landscape=ls
+        )
+        monkeypatch.undo()
+        assert len(calls) == res.iterations > 2
+        scratch = calls[0][1]
+        assert scratch is not None and all(s is scratch for _, s in calls)
+        assert calls[0][0] is None  # the first product lands in a new block
+        outs = {id(out) for out, _ in calls[1:]}
+        assert len(outs) == 2 and id(scratch) not in outs  # then ping-pong
+
+        block = BlockPowerIteration(BatchedFmmp(mut, [ls]), shifts=[mu], tol=1e-12).solve()
+        col = block[0]
+        assert col.eigenvalue == res.eigenvalue
+        assert col.iterations == res.iterations
+        assert col.eigenvector.tobytes() == res.eigenvector.tobytes()
+        assert col.concentrations.tobytes() == res.concentrations.tobytes()
 
 
 class TestHistory:

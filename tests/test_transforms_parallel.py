@@ -6,8 +6,7 @@ count ``R`` and thread count ``T`` — the partitioned schedule reorders
 *which participant* touches which rows, never the arithmetic each row
 sees.  A Hypothesis sweep drives the property over ``ν ∈ [2, 10]``,
 all three eigenproblem forms and ``R ∈ {1, 2, 4, 8}``; deterministic
-tests pin down engine error handling and the keyed-LRU scratch pool
-under thread pressure.
+tests pin down engine error handling and the one automatic panel rule.
 """
 
 import threading
@@ -33,7 +32,6 @@ from repro.transforms.parallel import (
     resolve_threads,
     shutdown_engines,
 )
-from repro.util.scratch import ScratchPool
 
 common = settings(max_examples=15, deadline=None)
 
@@ -135,7 +133,7 @@ class TestBitIdentity:
             mutation_plan(mutation),
             pre_scale=pre,
             post_scale=post,
-            panels=op.panels,
+            panels=auto_panels(nu, 1, threads=threads),
             engine=get_engine(threads),
         )
         assert np.array_equal(got, engine.reshape(-1))
@@ -256,9 +254,33 @@ class TestBitIdentity:
 class TestResolution:
     def test_resolve_panels_clamps_to_max(self):
         assert max_panels(2) == 1
-        assert resolve_panels(4, 2, threads=4) == 1
-        assert resolve_panels(None, 10, threads=3) == 4
-        assert resolve_panels(None, 10, threads=1) == 1
+        assert resolve_panels(4, 2) == 1
+        assert resolve_panels(4, 10) == 4
+        assert resolve_panels(256, 10) == max_panels(10) == 128
+
+    @pytest.mark.parametrize("nu, batch, threads, want", [
+        (13, 2, 3, 2),  # N·B = 2^14: largest power of two <= 3 threads
+        (13, 1, 3, 1),  # N·B = 2^13: the serial kernel
+        (14, 1, 4, 4),
+        (10, 16, 8, 8),
+    ])
+    def test_no_panels_means_auto_panels_of_the_block(self, nu, batch, threads, want, monkeypatch):
+        """``panels=None`` is the one automatic rule, :func:`auto_panels`
+        of the block's shape — the rule the operators run with."""
+        import repro.transforms.parallel as parallel
+
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(auto_panels(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(parallel, "auto_panels", spy)
+        plan = fused_stage_plan(UniformMutation(nu, 0.03).factors_per_bit())
+        block = np.random.default_rng(nu).standard_normal((1 << nu, batch))
+        got = parallel_butterfly_transform(block, plan, threads=threads)
+        assert seen == [want]
+        assert np.array_equal(got, batched_butterfly_transform(block, plan))
 
     @pytest.mark.parametrize("radix", [2, 4, 8])
     def test_cap_is_n_over_the_largest_radix(self, radix):
@@ -418,74 +440,3 @@ class TestPanelReducer:
             parallel_butterfly_transform(block, fused_stage_plan(factors), panels=3)
         with pytest.raises(ValidationError):
             parallel_butterfly_transform(block, fused_stage_plan(factors), panels=0)
-
-
-class TestScratchPoolLRU:
-    def test_keys_are_shape_and_dtype(self):
-        pool = ScratchPool()
-        a = pool.acquire((8,))
-        b = pool.acquire((8,), dtype=np.float32)
-        pool.release(a, b)
-        assert pool.idle((8,)) == 1
-        assert pool.idle((8,), dtype=np.float32) == 1
-        assert pool.idle() == 2
-
-    def test_max_idle_bounds_each_key(self):
-        pool = ScratchPool(max_idle=2)
-        arrays = [pool.acquire((4, 2)) for _ in range(5)]
-        pool.release(*arrays)
-        assert pool.idle((4, 2)) == 2
-
-    def test_max_keys_evicts_lru_key(self):
-        pool = ScratchPool(max_keys=2)
-        for shape in ((2,), (3,), (4,)):
-            pool.release(pool.acquire(shape))
-        assert pool.idle((2,)) == 0  # LRU key evicted wholesale
-        assert pool.idle((3,)) == 1
-        assert pool.idle((4,)) == 1
-        assert len(pool.keys) == 2
-
-    def test_clear_drops_everything(self):
-        pool = ScratchPool()
-        pool.release(pool.acquire((4,)))
-        pool.clear()
-        assert pool.idle() == 0
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            ScratchPool(max_idle=0)
-        with pytest.raises(ValidationError):
-            ScratchPool(max_keys=0)
-
-    def test_threaded_stress_no_sharing(self):
-        """Hammer one pool from 4 threads; no buffer may ever be handed
-        to two owners at once, and idle counts stay bounded."""
-        pool = ScratchPool(max_idle=4, max_keys=4)
-        errors = []
-        live_ids = set()
-        lock = threading.Lock()
-
-        def worker(seed):
-            rng = np.random.default_rng(seed)
-            try:
-                for _ in range(200):
-                    shape = (int(rng.integers(1, 4)) * 8,)
-                    buf = pool.acquire(shape)
-                    with lock:
-                        assert id(buf) not in live_ids, "buffer double-issued"
-                        live_ids.add(id(buf))
-                    buf.fill(seed)
-                    assert (buf == seed).all()
-                    with lock:
-                        live_ids.discard(id(buf))
-                    pool.release(buf)
-            except Exception as exc:  # pragma: no cover - failure capture
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert pool.idle() <= 4 * 4
