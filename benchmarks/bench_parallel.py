@@ -1,12 +1,17 @@
 """Panel-engine thread-scaling bench → ``BENCH_parallel.json``.
 
 Measures the serial stage-fused kernel against the panel-parallel
-engine (:mod:`repro.transforms.parallel`) over ν = 18–20 and block
-widths B ∈ {1, 16}, with BLAS pinned to one thread so the engine owns
-all parallelism.  Records wall-clock, measured speedups, the bytes each
-product moves (:func:`repro.operators.batched.plan_costs` of the plan
-it runs) and effective bandwidth, plus the host's core/BLAS metadata,
-into ``BENCH_parallel.json`` at the repository root.
+engine (:mod:`repro.transforms.parallel`) split into one panel per
+thread, with BLAS pinned to one thread so the engine owns all
+parallelism.  The points run from below the crossover (B = 1 at
+ν = 14–17; B = 8 and 16 at ν = 12–14), which is where
+``AUTO_PANELS_MIN_ELEMENTS`` comes from, up to ν = 20.  Records
+wall-clock, measured speedups, what :func:`auto_panels` picks, the
+bytes each product moves (:func:`repro.operators.batched.plan_costs`
+of the plan it runs) and effective bandwidth, plus the host's core/BLAS
+metadata, into ``BENCH_parallel.json`` at the repository root.  The
+harness (:func:`measure_parallel_matmat`) lives here, next to the only
+bench that records it.
 
 Acceptance gate: a *measured* ≥ 1.8× speedup at 4 engine threads for
 ν ≥ 18.  A host with fewer than 4 cores cannot measure it; there the
@@ -20,22 +25,125 @@ Run as part of the perf tier::
 
 import json
 import os
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from conftest import report
-from repro.perf import measure_parallel_matmat
-from repro.transforms import auto_panels, shutdown_engines
-from repro.util.blas import blas_thread_info
+from repro.mutation import UniformMutation
+from repro.perf import plan_costs
+from repro.transforms import (
+    auto_panels,
+    batched_butterfly_transform,
+    fused_stage_plan,
+    parallel_butterfly_transform,
+    shutdown_engines,
+)
+from repro.util.blas import blas_limit, blas_thread_info
+from repro.util.timing import median_time
 
 GATE_THREADS = 4
 GATE_SPEEDUP = 1.8
 GATE_NU = 18
 THREAD_COUNTS = (1, 2, 4)
-#: (nu, batch) measured points — the B=16 column only at the pivot ν so
-#: the bench stays a few seconds even on slow hosts.
-POINTS = ((18, 1), (19, 1), (20, 1), (18, 16))
+#: (nu, batch) points below the crossover, where splitting into panels
+#: lost to the serial kernel, or at best tied, on the recording host, so
+#: ``auto_panels`` must keep them on one panel.
+BELOW_CROSSOVER = (
+    (14, 1), (15, 1), (16, 1), (17, 1),
+    (12, 8), (13, 8), (14, 8),
+    (12, 16), (13, 16),
+)
+#: (nu, batch) measured points: the ones below the crossover, then
+#: N·B = 2^18 and up (B = 16 only at ν = 14 and 18, so the bench stays
+#: well under a minute).
+POINTS = BELOW_CROSSOVER + ((14, 16), (18, 1), (19, 1), (20, 1), (18, 16))
 OUT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_parallel.json")
+
+
+@dataclass(frozen=True)
+class ParallelMeasurement:
+    """One measured serial-vs-threaded comparison point."""
+
+    nu: int
+    batch: int
+    threads: int
+    panels: int
+    serial_s: float
+    parallel_s: float
+    bytes_moved: float
+
+    @property
+    def speedup(self) -> float:
+        """Wall-clock speedup of the threaded transform over serial."""
+        return self.serial_s / self.parallel_s
+
+    @property
+    def parallel_gbs(self) -> float:
+        return self.bytes_moved / self.parallel_s / 1e9
+
+    def to_dict(self) -> dict:
+        return {
+            "nu": self.nu,
+            "batch": self.batch,
+            "threads": self.threads,
+            "panels": self.panels,
+            "auto_panels": auto_panels(self.nu, self.batch, threads=self.threads),
+            "serial_s": self.serial_s,
+            "parallel_s": self.parallel_s,
+            "bytes_moved": self.bytes_moved,
+            "speedup": self.speedup,
+            "serial_gbs": self.bytes_moved / self.serial_s / 1e9,
+            "parallel_gbs": self.parallel_gbs,
+        }
+
+
+def measure_parallel_matmat(
+    nu: int,
+    batch: int,
+    threads: int,
+    *,
+    p: float = 0.01,
+    repeats: int = 3,
+    min_time: float = 0.01,
+) -> ParallelMeasurement:
+    """Time the serial fused kernel against the panel engine split into
+    ``threads`` panels on one block (right form: the plan with a shared
+    pre-scale).  Each of ``repeats`` rounds times both once, in
+    alternating order, so a load that comes and goes hits both alike;
+    each side reports its median.  BLAS is pinned to one thread for the
+    duration, so the comparison is engine scaling, not BLAS scaling.
+    """
+    plan = fused_stage_plan(UniformMutation(nu, p).factors_per_bit())
+    n = 1 << nu
+    rng = np.random.default_rng(nu)
+    block = np.ascontiguousarray(rng.random((n, batch)) + 0.5)
+    pre = np.ascontiguousarray(rng.random(n) + 0.5)
+    out = np.empty_like(block)
+    scratch = np.empty_like(block)
+    runs = {
+        "serial": lambda: batched_butterfly_transform(
+            block, plan, pre_scale=pre, out=out, scratch=scratch
+        ),
+        "parallel": lambda: parallel_butterfly_transform(
+            block, plan, pre_scale=pre, panels=threads, threads=threads, out=out, scratch=scratch
+        ),
+    }
+    samples: dict[str, list[float]] = {name: [] for name in runs}
+    with blas_limit(1):
+        for k in range(repeats):
+            for name in ("serial", "parallel")[:: 1 if k % 2 == 0 else -1]:
+                samples[name].append(median_time(runs[name], repeats=1, min_time=min_time).median)
+    return ParallelMeasurement(
+        nu=nu,
+        batch=batch,
+        threads=threads,
+        panels=threads,
+        serial_s=float(np.median(samples["serial"])),
+        parallel_s=float(np.median(samples["parallel"])),
+        bytes_moved=plan_costs(plan, n, batch, pre.shape).bytes_moved,
+    )
 
 
 def _host_cores() -> int:
@@ -48,7 +156,7 @@ def measurements():
     for nu, batch in POINTS:
         for t in THREAD_COUNTS:
             out[(nu, batch, t)] = measure_parallel_matmat(
-                nu, batch, t, repeats=3, min_time=0.02
+                nu, batch, t, repeats=5, min_time=0.02
             )
     yield out
     shutdown_engines()
@@ -59,14 +167,15 @@ def test_thread_scaling_and_record(measurements):
     cores = _host_cores()
     lines = [
         f"Panel-parallel thread scaling (host cores={cores}, BLAS pinned to 1)",
-        f"{'nu':>3} {'B':>3} {'T':>2} {'R':>2} {'serial ms':>10} "
+        f"{'nu':>3} {'B':>3} {'T':>2} {'R':>2} {'auto':>4} {'serial ms':>10} "
         f"{'parallel ms':>12} {'speedup':>8} {'GB/s':>6}",
     ]
     points = []
     for (nu, batch, t), m in sorted(measurements.items()):
         points.append(m.to_dict())
         lines.append(
-            f"{nu:>3} {batch:>3} {t:>2} {m.panels:>2} {m.serial_s * 1e3:>10.3f} "
+            f"{nu:>3} {batch:>3} {t:>2} {m.panels:>2} "
+            f"{auto_panels(nu, batch, threads=t):>4} {m.serial_s * 1e3:>10.3f} "
             f"{m.parallel_s * 1e3:>12.3f} {m.speedup:>8.2f} {m.parallel_gbs:>6.2f}"
         )
 
@@ -122,22 +231,20 @@ def test_thread_scaling_and_record(measurements):
 
 @pytest.mark.perf_parallel
 def test_auto_panels_never_hurts_small_nu(measurements):
-    """The auto heuristic must keep tiny transforms on the serial kernel
-    (threading a barrier-dominated ν would only lose)."""
+    """The auto heuristic must keep tiny transforms, and every block
+    below the measured crossover, on the serial kernel (threading a
+    barrier-dominated sweep would only lose)."""
     for nu in (2, 4, 8):
         assert auto_panels(nu, 1, threads=GATE_THREADS) == 1
+    for nu, batch in BELOW_CROSSOVER:
+        for t in THREAD_COUNTS:
+            assert auto_panels(nu, batch, threads=t) == 1, (nu, batch, t)
     assert auto_panels(GATE_NU, 1, threads=GATE_THREADS) > 1
 
 
 @pytest.mark.perf_parallel
 def test_parallel_results_match_serial_bitwise():
     """The engine's core contract, re-checked at bench scale (ν = 18)."""
-    import numpy as np
-
-    from repro.mutation import UniformMutation
-    from repro.transforms import batched_butterfly_transform, fused_stage_plan, get_engine
-    from repro.transforms import parallel_butterfly_transform
-
     nu, b = 18, 4
     n = 1 << nu
     rng = np.random.default_rng(7)
@@ -146,6 +253,6 @@ def test_parallel_results_match_serial_bitwise():
     plan = fused_stage_plan(UniformMutation(nu, 0.01).factors_per_bit())
     ref = batched_butterfly_transform(block, plan, pre_scale=pre)
     got = parallel_butterfly_transform(
-        block, plan, pre_scale=pre, panels=4, engine=get_engine(GATE_THREADS)
+        block, plan, pre_scale=pre, panels=4, threads=GATE_THREADS
     )
     assert np.array_equal(ref, got)

@@ -20,7 +20,7 @@ import numpy as np
 from repro.device.kernel import Kernel, KernelCosts
 from repro.exceptions import DeviceError
 
-__all__ = ["make_group4_stage_kernel", "group4_stage_kernel_factory"]
+__all__ = ["make_group4_stage_kernel"]
 
 
 def _check_params(params) -> int:
@@ -68,8 +68,3 @@ def make_group4_stage_kernel(block: np.ndarray) -> Kernel:
         costs=KernelCosts(bytes_per_item=64.0, flops_per_item=28.0),
         buffer_names=("v",),
     )
-
-
-def group4_stage_kernel_factory(blocks: list[np.ndarray]) -> list[Kernel]:
-    """Kernels for a list of 4×4 blocks (one per 2-bit group)."""
-    return [make_group4_stage_kernel(b) for b in blocks]

@@ -12,9 +12,8 @@ accumulator in a register:
 
 — 8 bytes of traffic per mask per item (the gather) plus one write.
 This kernel implements exactly that; its cost spec therefore depends on
-the mask count, which is passed at construction.  It is the executable
-counterpart of ``PipelineCostModel(fused_xmvp=True)`` and the two are
-pinned together in the tests.
+the mask count (:func:`fused_xmvp_costs`), which
+``PipelineCostModel(fused_xmvp=True)`` reads too.
 """
 
 from __future__ import annotations
@@ -24,7 +23,13 @@ import numpy as np
 from repro.device.kernel import Kernel, KernelCosts
 from repro.exceptions import DeviceError
 
-__all__ = ["make_fused_xmvp_kernel"]
+__all__ = ["fused_xmvp_costs", "make_fused_xmvp_kernel"]
+
+
+def fused_xmvp_costs(mask_count: int) -> KernelCosts:
+    """Per-item cost of the fused kernel over ``mask_count`` masks: one
+    8-byte gather and 2 flops per mask, plus the 8-byte write."""
+    return KernelCosts(bytes_per_item=8.0 * (mask_count + 1.0), flops_per_item=2.0 * mask_count)
 
 
 def make_fused_xmvp_kernel(masks: np.ndarray, weights: np.ndarray) -> Kernel:
@@ -41,8 +46,8 @@ def make_fused_xmvp_kernel(masks: np.ndarray, weights: np.ndarray) -> Kernel:
     Returns
     -------
     Kernel
-        Reads ``w``, writes ``y``; per-item cost ``8·(len(masks)+1)``
-        bytes and ``2·len(masks)`` flops.
+        Reads ``w``, writes ``y``; per-item cost
+        :func:`fused_xmvp_costs` of ``len(masks)``.
     """
     masks = np.asarray(masks, dtype=np.int64).reshape(-1)
     weights = np.asarray(weights, dtype=np.float64).reshape(-1)
@@ -67,9 +72,6 @@ def make_fused_xmvp_kernel(masks: np.ndarray, weights: np.ndarray) -> Kernel:
         name="xmvp_fused",
         scalar_fn=scalar,
         batch_fn=batch,
-        costs=KernelCosts(
-            bytes_per_item=8.0 * (masks.size + 1.0),
-            flops_per_item=2.0 * masks.size,
-        ),
+        costs=fused_xmvp_costs(masks.size),
         buffer_names=("y", "w"),
     )

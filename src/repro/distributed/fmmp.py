@@ -123,8 +123,3 @@ class DistributedFmmp:
     def comm_bytes_per_matvec(self) -> float:
         """Bytes each rank sends per matvec."""
         return 8.0 * self.block_size * self.cross_stages
-
-    def matvec_time(self) -> float:
-        """Modeled wall-clock of one distributed matvec (ranks are
-        symmetric, so the max over ranks equals any rank's time)."""
-        return self.compute_time_per_matvec() + self.comm_time_per_matvec()

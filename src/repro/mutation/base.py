@@ -79,16 +79,6 @@ class MutationModel(abc.ABC):
         """Whether ``Q = Qᵀ`` (true for the uniform model)."""
 
     # ------------------------------------------------------- shared helpers
-    def apply_to_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Apply ``Q`` to each column of ``mat`` (convenience for tests)."""
-        mat = np.asarray(mat, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[0] != self.n:
-            raise ValidationError(f"expected shape ({self.n}, k), got {mat.shape}")
-        out = np.empty_like(mat)
-        for col in range(mat.shape[1]):
-            out[:, col] = self.apply(mat[:, col].copy())
-        return out
-
     def check_vector(self, v: np.ndarray, name: str = "v") -> np.ndarray:
         """Validate a state vector for this model's dimension."""
         return check_vector(v, self.n, name)

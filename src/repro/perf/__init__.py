@@ -14,9 +14,10 @@ Reproduces the paper's Sec. 4 methodology:
   :class:`~repro.device.profile.HardwareProfile`, including the full
   power-iteration pipeline with transfers (Fig. 3's quantity);
 * :mod:`~repro.perf.measure` — wall-clock measurement of the real NumPy
-  operators (Fig. 2's quantity); :mod:`~repro.perf.batched` and
-  :mod:`~repro.perf.parallel` measure batch-width and thread scaling of
-  the fused kernel (measured only — no model stands in for them);
+  operators (Fig. 2's quantity).  Batch-width and thread scaling of the
+  fused kernel are measured only, by ``benchmarks/bench_batched.py`` and
+  ``benchmarks/bench_parallel.py``, which hold their own harnesses — no
+  model stands in for them;
 * :mod:`~repro.perf.extrapolate` — complexity-law fits used exactly the
   way the paper extrapolated ``Pi(Xmvp(ν))`` beyond ν = 22;
 * :mod:`~repro.perf.speedup` — assembling Fig. 4's speedup series.
@@ -30,17 +31,6 @@ from repro.perf.costs import (
     operator_costs,
 )
 from repro.operators.batched import plan_costs
-from repro.perf.batched import (
-    BatchedMeasurement,
-    measure_batched_matmat,
-    measured_crossover,
-)
-from repro.perf.parallel import (
-    ParallelMeasurement,
-    measure_parallel_matmat,
-    measured_thread_scaling,
-    measured_thread_crossover,
-)
 from repro.perf.model import (
     predict_matvec_time,
     predict_power_iteration_time,
@@ -53,13 +43,6 @@ from repro.perf.speedup import speedup_series, SpeedupTable
 __all__ = [
     "fmmp_costs",
     "plan_costs",
-    "BatchedMeasurement",
-    "measure_batched_matmat",
-    "measured_crossover",
-    "ParallelMeasurement",
-    "measure_parallel_matmat",
-    "measured_thread_scaling",
-    "measured_thread_crossover",
     "xmvp_costs",
     "smvp_costs",
     "xmvp_mask_count",

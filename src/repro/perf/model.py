@@ -3,17 +3,30 @@
 The matvec model is the plain roofline formula from the cost descriptor.
 The pipeline model (:class:`PipelineCostModel`) analytically mirrors the
 kernel schedule of :class:`~repro.device.pipeline.DevicePowerIteration`
-— launch by launch — so that for any problem the analytic prediction and
-the simulated device's accounting agree *exactly* (asserted in
-tests/test_perf_model.py).  This is what lets the Fig. 3/4 benches
-extend to ν = 25 without hours of simulated execution, precisely as the
-paper extrapolated its reference curves.
+— launch by launch, each launch costed by the
+:class:`~repro.device.kernel.KernelCosts` of the kernel the pipeline
+launches — so that for any problem the analytic prediction and the
+simulated device's accounting agree *exactly* (asserted in
+tests/test_perf.py).  This is what lets the Fig. 3/4 benches extend to
+ν = 25 without hours of simulated execution, precisely as the paper
+extrapolated its reference curves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.device.kernel import KernelCosts
+from repro.device.kernels.elementwise import (
+    abs_kernel,
+    axpy_kernel,
+    copy_kernel,
+    diff_square_into_kernel,
+    multiply_into_kernel,
+    scale_kernel,
+)
+from repro.device.kernels.fmmp_kernel import fmmp_stage_kernel
+from repro.device.kernels.reduce_kernel import reduce_add_stage_kernel
+from repro.device.kernels.xmvp_fused import fused_xmvp_costs
+from repro.device.kernels.xmvp_kernel import xmvp_pass_kernel
 from repro.device.profile import HardwareProfile
 from repro.exceptions import ValidationError
 from repro.operators.base import OperatorCosts
@@ -21,22 +34,13 @@ from repro.perf.costs import xmvp_mask_count
 
 __all__ = ["predict_matvec_time", "predict_power_iteration_time", "PipelineCostModel"]
 
+#: One aggregated launch group: (per-item costs, work items, launches).
+_Launch = tuple[KernelCosts, float, int]
+
 
 def predict_matvec_time(profile: HardwareProfile, costs: OperatorCosts) -> float:
     """Roofline duration of one matvec on ``profile`` (no launch splits)."""
     return profile.kernel_time(costs.bytes_moved, costs.flops)
-
-
-@dataclass(frozen=True)
-class _KernelShape:
-    """Launch geometry + per-item costs of one pipeline kernel."""
-
-    items: float
-    bytes_per_item: float
-    flops_per_item: float
-
-    def time(self, profile: HardwareProfile) -> float:
-        return profile.kernel_time(self.bytes_per_item * self.items, self.flops_per_item * self.items)
 
 
 class PipelineCostModel:
@@ -55,7 +59,7 @@ class PipelineCostModel:
 
     Notes
     -----
-    Kernel shapes are kept in sync with
+    The launch schedule is kept in sync with
     :class:`repro.device.pipeline.DevicePowerIteration`; the unit test
     locks the two together by comparing against a real simulated run.
     """
@@ -85,8 +89,8 @@ class PipelineCostModel:
         self.fused_xmvp = bool(fused_xmvp)
 
     # ------------------------------------------------------------ schedule
-    def _iteration_kernels(self) -> list[tuple[_KernelShape, int]]:
-        """Launch schedule as ``(shape, count)`` pairs.
+    def _iteration_kernels(self) -> list[_Launch]:
+        """Launch schedule as ``(costs, items, count)`` triples.
 
         Identical launches are aggregated with a multiplier — the total
         time is exactly linear in the count (per-launch overhead and
@@ -94,52 +98,48 @@ class PipelineCostModel:
         tens of millions of mask passes of an exact Xmvp at ν = 25.
         """
         n = float(self.n)
-        shapes: list[tuple[_KernelShape, int]] = []
-        # w = F·x
-        shapes.append((_KernelShape(n, 24.0, 1.0), 1))
+        launches: list[_Launch] = [(multiply_into_kernel.costs, n, 1)]  # w = F·x
         # Q·w
         if self.operator == "fmmp":
-            shapes.append((_KernelShape(n / 2.0, 32.0, 6.0), self.nu))
+            launches.append((fmmp_stage_kernel.costs, n / 2.0, self.nu))
         elif self.fused_xmvp:
-            # One kernel: each item gathers w over every mask, keeps the
-            # accumulator in a register, writes once.
-            masks = xmvp_mask_count(self.nu, self.dmax)
-            shapes.append((_KernelShape(n, 8.0 * (masks + 1.0), 2.0 * masks), 1))
+            launches.append((fused_xmvp_costs(xmvp_mask_count(self.nu, self.dmax)), n, 1))
         else:
-            shapes.append((_KernelShape(n, 16.0, 0.0), 1))  # copy
-            shapes.append((_KernelShape(n, 16.0, 1.0), 1))  # scale by QΓ0
+            launches.append((copy_kernel.costs, n, 1))
+            launches.append((scale_kernel.costs, n, 1))  # by QΓ0
             passes = xmvp_mask_count(self.nu, self.dmax) - 1  # k >= 1 masks
-            shapes.append((_KernelShape(n, 24.0, 2.0), passes))
-            shapes.append((_KernelShape(n, 16.0, 0.0), 1))  # copy acc -> w
+            launches.append((xmvp_pass_kernel.costs, n, passes))
+            launches.append((copy_kernel.costs, n, 1))  # acc -> w
         if self.shifted:
-            shapes.append((_KernelShape(n, 24.0, 2.0), 1))  # axpy
+            launches.append((axpy_kernel.costs, n, 1))
         # λ: abs map + tree reduction
-        shapes.append((_KernelShape(n, 24.0, 1.0), 1))
-        shapes.extend(self._reduction_stages())
-        # normalize
-        shapes.append((_KernelShape(n, 16.0, 1.0), 1))
+        launches.append((abs_kernel.costs, n, 1))
+        launches.extend(self._reduction_stages())
+        launches.append((scale_kernel.costs, n, 1))  # normalize
         # residual: diff-square map + tree reduction
-        shapes.append((_KernelShape(n, 32.0, 2.0), 1))
-        shapes.extend(self._reduction_stages())
-        # x <- w
-        shapes.append((_KernelShape(n, 16.0, 0.0), 1))
-        return shapes
+        launches.append((diff_square_into_kernel.costs, n, 1))
+        launches.extend(self._reduction_stages())
+        launches.append((copy_kernel.costs, n, 1))  # x <- w
+        return launches
 
-    def _reduction_stages(self) -> list[tuple[_KernelShape, int]]:
+    def _reduction_stages(self) -> list[_Launch]:
         stages = []
         half = self.n // 2
         while half >= 1:
-            stages.append((_KernelShape(float(half), 24.0, 1.0), 1))
+            stages.append((reduce_add_stage_kernel.costs, float(half), 1))
             half //= 2
         return stages
 
     # ----------------------------------------------------------- predictions
     def launches_per_iteration(self) -> int:
-        return sum(count for _, count in self._iteration_kernels())
+        return sum(count for _, _, count in self._iteration_kernels())
 
     def iteration_time(self, profile: HardwareProfile) -> float:
         """Modeled duration of one full power-iteration step."""
-        return sum(count * shape.time(profile) for shape, count in self._iteration_kernels())
+        return sum(
+            count * profile.kernel_time(costs.bytes_per_item * items, costs.flops_per_item * items)
+            for costs, items, count in self._iteration_kernels()
+        )
 
     def scalar_readback_time(self, profile: HardwareProfile) -> float:
         """Two 8-byte reductions results polled per iteration."""

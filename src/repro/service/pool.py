@@ -22,10 +22,8 @@ Scalar jobs and the column slices of batched blocks are the work units
 of one executor wave, slices first, so a block keeps every worker busy
 while the scalar jobs queue behind it.
 
-Workers share operator construction within a scheduler group through a
-per-process build memo: the first job of a group pays for the mutation
-Q-factor tables / FWHT plan, subsequent jobs in the same group reuse
-them.
+Each attempt builds its own mutation model and landscape and drops them
+when it returns; nothing built for a job outlives it.
 """
 
 from __future__ import annotations
@@ -65,11 +63,6 @@ _POOL_KINDS = ("serial", "thread", "process")
 #: with a timeout set, how often (seconds) the pool looks for queued
 #: attempts that a worker has started, whose budget then starts counting
 _POLL_S = 0.005
-
-#: per-process memo of built (mutation, landscape) pairs, keyed by the
-#: job's problem hash — realizes the scheduler's operator sharing.
-_BUILD_MEMO: dict[str, tuple] = {}
-_BUILD_MEMO_CAP = 32
 
 
 @dataclass
@@ -188,18 +181,6 @@ def _same_route(a: SolveJob, b: SolveJob) -> bool:
     )
 
 
-def _built(job: SolveJob):
-    """(mutation, landscape) for ``job``, via the per-process memo."""
-    key = job.operator_key() + ":" + job.cache_key()
-    hit = _BUILD_MEMO.get(key)
-    if hit is None:
-        hit = (job.build_mutation(), job.build_landscape())
-        if len(_BUILD_MEMO) >= _BUILD_MEMO_CAP:
-            _BUILD_MEMO.pop(next(iter(_BUILD_MEMO)))
-        _BUILD_MEMO[key] = hit
-    return hit
-
-
 def _result_gamma(res, nu: int) -> np.ndarray:
     """Error-class concentrations from any route's result object."""
     from repro.model.concentrations import class_concentrations
@@ -219,7 +200,7 @@ def _solve_shift_invert(job: SolveJob) -> JobResult:
     from repro.operators.fmmp import Fmmp
     from repro.solvers.shift_invert import cg_inverse_iteration
 
-    mutation, landscape = _built(job)
+    mutation, landscape = job.build_mutation(), job.build_landscape()
     if not mutation.is_symmetric:
         raise ValidationError(
             "shift-invert (CG inverse iteration) needs the symmetric form, "
@@ -281,7 +262,7 @@ def execute_job(job: SolveJob, *, threads: int | None = None) -> JobResult:
     if method == "shift-invert":
         return _solve_shift_invert(job)
 
-    mutation, landscape = _built(job)
+    mutation, landscape = job.build_mutation(), job.build_landscape()
     model = QuasispeciesModel(landscape, mutation)
     res = model.solve(
         job.method,

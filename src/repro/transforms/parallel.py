@@ -127,7 +127,10 @@ def resolve_panels(panels: int, nu: int, *, radix: int = MAX_RADIX) -> int:
 
 #: Smallest block (``N·B`` doubles) the automatic rule splits into
 #: panels; below it the per-sweep barriers cost more than the panels save.
-AUTO_PANELS_MIN_ELEMENTS = 1 << 14
+#: Measured with ``benchmarks/bench_parallel.py`` (2 cores, BLAS pinned,
+#: alternating rounds): two panels lost at 2^14–2^16 (0.15–0.65×), at
+#: best broke even at 2^17 (0.82–1.07×) and won from 2^18 (1.22–1.42×).
+AUTO_PANELS_MIN_ELEMENTS = 1 << 18
 
 
 def auto_panels(nu: int, batch: int, *, threads: int) -> int:
@@ -135,7 +138,7 @@ def auto_panels(nu: int, batch: int, *, threads: int) -> int:
     :func:`parallel_butterfly_transform` picks for ``panels=None``).
 
     ``R = min(largest power of two <= threads, max_panels(ν))`` once the
-    block holds ``N·B >= 2^14`` doubles, else ``R = 1`` (the serial
+    block holds ``N·B >= 2^18`` doubles, else ``R = 1`` (the serial
     kernel).
     """
     threads = resolve_threads(threads)
@@ -380,7 +383,6 @@ def parallel_butterfly_transform(
     post_scale: np.ndarray | None = None,
     panels: int | None = None,
     threads: int | None = None,
-    engine: PanelEngine | None = None,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -401,13 +403,11 @@ def parallel_butterfly_transform(
         of radix above ``MAX_RADIX`` always runs as one panel.
     threads:
         Participant count; ``None`` reads ``REPRO_NUM_THREADS``
-        (default 1).  Ignored when ``engine`` is given.
-    engine:
-        A :class:`PanelEngine` to run on (defaults to the shared
-        :func:`get_engine` pool for ``threads``).
+        (default 1).  The product runs on the shared :func:`get_engine`
+        pool for that count.
     """
     nu = _plan_bits(plan)
-    threads_n = engine.threads if engine is not None else resolve_threads(threads)
+    threads_n = resolve_threads(threads)
     radix = max(stage.radix for stage in plan)
     if panels is None:
         b = np.shape(block)[1] if np.ndim(block) == 2 else 1  # _schedule rejects other shapes
@@ -428,7 +428,7 @@ def parallel_butterfly_transform(
         )
     steps, out, post = _schedule(block, plan, pre_scale, post_scale, out, scratch)
     n, b = out.shape
-    eng = engine if engine is not None else get_engine(threads_n)
+    eng = get_engine(threads_n)
     nt = eng.threads
 
     def participant(t: int) -> None:

@@ -14,7 +14,6 @@ from repro.util.rng import as_generator
 from repro.util.blas import (
     blas_limit,
     blas_thread_info,
-    have_threadpoolctl,
     pin_blas_env,
 )
 
@@ -33,6 +32,5 @@ __all__ = [
     "as_generator",
     "blas_limit",
     "blas_thread_info",
-    "have_threadpoolctl",
     "pin_blas_env",
 ]

@@ -31,7 +31,6 @@ from collections.abc import Iterator
 
 __all__ = [
     "BLAS_ENV_VARS",
-    "have_threadpoolctl",
     "pin_blas_env",
     "blas_limit",
     "blas_thread_info",
@@ -51,11 +50,6 @@ try:  # pragma: no cover - exercised only where threadpoolctl exists
     import threadpoolctl as _threadpoolctl
 except ImportError:  # the container image does not ship it
     _threadpoolctl = None
-
-
-def have_threadpoolctl() -> bool:
-    """Whether runtime (exact) BLAS limiting is available."""
-    return _threadpoolctl is not None
 
 
 def pin_blas_env(limit: int = 1, *, overwrite: bool = True) -> dict[str, str]:

@@ -57,7 +57,7 @@ from repro.operators.fmmp import Fmmp
 from repro.operators.smvp import Smvp
 from repro.operators.xmvp import Xmvp
 from repro.solvers.kron_solver import KroneckerSolveResult
-from repro.transforms.parallel import get_engine, parallel_butterfly_transform
+from repro.transforms.parallel import parallel_butterfly_transform
 from repro.verify.invariants import DENSE_NU, relative_error
 from repro.verify.report import CheckResult
 from repro.verify.spec import ProblemSpec
@@ -179,12 +179,11 @@ def _parallel_matvec(
     """
     plan = mutation_plan(mutation)
     f = landscape.values()
-    engine = get_engine(threads)
 
     def matvec(v: np.ndarray) -> np.ndarray:
         block = np.asarray(v, dtype=np.float64).reshape(-1, 1)
         out = parallel_butterfly_transform(
-            block, plan, pre_scale=f, panels=4, engine=engine
+            block, plan, pre_scale=f, panels=4, threads=threads
         )
         return out.reshape(-1)
 

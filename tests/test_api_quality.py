@@ -1,7 +1,12 @@
 """API-surface quality gates: exports, docstrings, misc small paths."""
 
+import ast
+import collections
 import importlib
+import inspect
+import os
 import pkgutil
+import tokenize
 
 import numpy as np
 import pytest
@@ -62,6 +67,90 @@ class TestDocumentation:
 
     def test_version_exposed(self):
         assert repro.__version__.count(".") == 2
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(REPO, "src")
+#: where a reference keeps a public name alive
+REFERENCE_DIRS = ("src", "benchmarks", "examples", "perfbench", "tests")
+
+
+def _identifiers(path: str) -> tuple[collections.Counter, set[str]]:
+    """Identifier tokens of a Python file, and its string literals that
+    are a bare identifier (``getattr``-style references); docstrings and
+    comments are not references."""
+    names, strings = collections.Counter(), set()
+    with open(path, "rb") as fh:
+        for tok in tokenize.tokenize(fh.readline):
+            if tok.type == tokenize.NAME:
+                names[tok.string] += 1
+            elif tok.type == tokenize.STRING:
+                try:
+                    value = ast.literal_eval(tok.string)
+                except (ValueError, SyntaxError):
+                    continue
+                if isinstance(value, str) and value.isidentifier():
+                    strings.add(value)
+    return names, strings
+
+
+def _reference_files() -> dict[str, tuple[collections.Counter, set[str]]]:
+    """Identifiers per file; package ``__init__`` re-exports do not
+    count as references."""
+    files = {}
+    for top in REFERENCE_DIRS:
+        for dirpath, _, names in os.walk(os.path.join(REPO, top)):
+            for name in names:
+                path = os.path.join(dirpath, name)
+                if not name.endswith(".py"):
+                    continue
+                if name == "__init__.py" and path.startswith(SRC + os.sep):
+                    continue
+                files[path] = _identifiers(path)
+    return files
+
+
+def _public_names(mod):
+    """``mod.__all__`` plus the public methods and properties of the
+    classes it defines there."""
+    for name in getattr(mod, "__all__", []):
+        yield name, name
+        obj = getattr(mod, name)
+        if inspect.isclass(obj) and obj.__module__ == mod.__name__:
+            for attr, value in vars(obj).items():
+                if attr.startswith("_"):
+                    continue
+                if inspect.isfunction(value) or isinstance(
+                    value, (property, staticmethod, classmethod)
+                ):
+                    yield f"{name}.{attr}", attr
+
+
+class TestNoDeadNames:
+    def test_every_public_name_is_referenced(self):
+        """Every exported name, and every public method or property of an
+        exported class, is used somewhere besides its own definition: in
+        another file of ``src``, ``benchmarks``, ``examples``,
+        ``perfbench`` or ``tests``, or elsewhere in its own module (where
+        its ``__all__`` entry does not count)."""
+        files = _reference_files()
+        dead = []
+        for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+            if info.ispkg:
+                continue
+            mod = importlib.import_module(info.name)
+            path = os.path.abspath(mod.__file__)
+            own_names, _ = files[path]
+            for label, name in _public_names(mod):
+                if own_names[name] > 1:  # the definition itself is one
+                    continue
+                if not any(
+                    names[name] or name in strings
+                    for other, (names, strings) in files.items()
+                    if other != path
+                ):
+                    dead.append(f"{info.name}.{label}")
+        assert not dead, f"public names nothing references: {dead}"
 
 
 class TestTopLevelApi:

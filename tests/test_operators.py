@@ -216,7 +216,7 @@ class TestPlanBuiltOnce:
     serial, batched or on the panel engine — rebuilds it."""
 
     def test_products_never_rebuild_the_plan(self, monkeypatch):
-        nu = 14  # N = 2^14: threads=2 splits the product into 2 panels
+        nu = 18  # N = 2^18: threads=2 splits the product into 2 panels
         mut = PerSiteMutation.from_error_rates(np.linspace(0.01, 0.2, nu))
         lands = [RandomLandscape(nu, seed=s) for s in range(3)]
         serial = Fmmp(mut, lands[0], form="symmetric")

@@ -148,15 +148,16 @@ class TestGroupedPlanBits:
             Fmmp(mutation, lands[j], form=form, variant=variant).matvec(block[:, j])
             for j in range(16)
         ]
-        threaded = BatchedFmmp(mutation, lands, form=form, variant=variant, threads=2)
-        assert auto_panels(nu, 16, threads=2) == 2
-        products = {"threads=2": threaded.matmat(block)}
+        # 16 copies of the block: N·B = 2^18, so threads=2 splits it in two
+        threaded = BatchedFmmp(mutation, lands * 16, form=form, variant=variant, threads=2)
+        assert auto_panels(nu, 16 * 16, threads=2) == 2
+        products = {"threads=2": threaded.matmat(np.tile(block, 16))}
         for b in (2, 3, 4, 5, 9, 16):
             op = BatchedFmmp(mutation, lands[:b], form=form, variant=variant)
             products[f"B={b}"] = op.matmat(block[:, :b])
         for name, got in products.items():
             for j in range(got.shape[1]):
-                assert np.array_equal(lone[j], got[:, j]), f"{name} column {j}"
+                assert np.array_equal(lone[j % 16], got[:, j]), f"{name} column {j}"
         scalar = Fmmp(mutation, lands[0], form=form, variant=variant, threads=2)
         assert np.array_equal(scalar.matvec(block[:, 0]), lone[0])
 

@@ -19,13 +19,7 @@ from repro.mutation import GroupedMutation, PerSiteMutation, UniformMutation, si
 from repro.operators import BatchedFmmp, Fmmp
 from repro.operators.base import OperatorCosts
 from repro.operators.batched import form_scales
-from repro.perf import (
-    BatchedMeasurement,
-    fmmp_costs,
-    measure_batched_matmat,
-    operator_costs,
-    plan_costs,
-)
+from repro.perf import fmmp_costs, operator_costs, plan_costs
 from repro.solvers import TransposedFmmp
 from repro.transforms.batched import fused_stage_count, fused_stage_plan
 
@@ -241,20 +235,6 @@ class TestPaperModelParity:
 
 
 class TestMeasurement:
-    def test_measure_small_problem(self):
-        m = measure_batched_matmat(6, 4, repeats=1, min_time=1e-4)
-        assert isinstance(m, BatchedMeasurement)
-        assert m.single_s > 0.0 and m.batched_s > 0.0
-        assert np.isfinite(m.per_vector_speedup)
-        d = m.to_dict()
-        assert d["nu"] == 6 and d["batch"] == 4
-        assert d["per_vector_speedup"] == pytest.approx(m.per_vector_speedup)
-        assert d["single_gbs"] > 0.0 and d["batched_gbs"] > 0.0
-        n = 1 << 6
-        plan = fused_stage_plan(factors(6))
-        assert m.single_bytes == plan_costs(plan, n, 1, (n,)).bytes_moved
-        assert m.batched_bytes == plan_costs(plan, n, 4, (n,)).bytes_moved
-
     def test_scalar_model_still_available(self):
         # Algorithm 1's stage-by-stage bytes model stays available
         assert fmmp_costs(8).bytes_moved > 0.0

@@ -5,7 +5,9 @@ degrade gracefully down the fallback chain with the failure named in the
 telemetry; timeouts are enforced and reported.
 """
 
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -76,6 +78,23 @@ class TestExecuteJob:
         reduced = execute_job(SolveJob(nu=5, p=0.02))
         result = execute_job(job)
         assert result.eigenvalue == pytest.approx(reduced.eigenvalue, abs=1e-8)
+
+    def test_built_landscape_freed_after_the_job(self, monkeypatch):
+        """Nothing a job builds outlives it: once ``execute_job`` returns
+        and a collection runs, its landscape is gone."""
+        built = []
+        build = SolveJob.build_landscape
+
+        def tracked(job):
+            landscape = build(job)
+            built.append(weakref.ref(landscape))
+            return landscape
+
+        monkeypatch.setattr(SolveJob, "build_landscape", tracked)
+        result = execute_job(SolveJob(nu=6, p=0.02, landscape="random", seed=3, method="power"))
+        assert result.converged and built
+        gc.collect()
+        assert all(ref() is None for ref in built)
 
 
 class _Poisoned:

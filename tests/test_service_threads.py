@@ -73,19 +73,19 @@ class TestThreadsStayOutOfJobIdentity:
             assert other.concentrations.tobytes() == serial.concentrations.tobytes()
 
     def test_power_iteration_bytes_do_not_depend_on_threads(self):
-        """At nu=14 the panel engine really splits the product (R=2 for
+        """At nu=18 the panel engine really splits the product (R=2 for
         2 threads, R=4 for 4) and the solve still matches serial bytes."""
         from repro.operators import Fmmp, ShiftedOperator
         from repro.operators.shifted import conservative_shift
         from repro.solvers.power import PowerIteration
 
-        job = SolveJob(nu=14, p=0.01, landscape="random", seed=3)
+        job = SolveJob(nu=18, p=0.01, landscape="random", seed=3)
         mutation, landscape = job.build_mutation(), job.build_landscape()
         mu = conservative_shift(mutation, landscape)
         results = {}
         for threads, panels in ((1, 1), (2, 2), (4, 4)):
             op = Fmmp(mutation, landscape, threads=threads)
-            assert auto_panels(14, 1, threads=threads) == panels
+            assert auto_panels(18, 1, threads=threads) == panels
             results[threads] = PowerIteration(ShiftedOperator(op, mu), tol=1e-10).solve(
                 landscape.start_vector()
             )

@@ -11,6 +11,7 @@ from repro.landscapes import (
     RandomLandscape,
     SinglePeakLandscape,
 )
+from repro.model import QuasispeciesModel
 from repro.model.concentrations import class_concentrations
 from repro.mutation import UniformMutation
 from repro.operators import dense_w
@@ -113,6 +114,63 @@ class TestExactness:
         np.testing.assert_allclose(
             red.concentrations, class_concentrations(full.concentrations, nu), atol=1e-11
         )
+
+
+def limit_master_class(sigma, a):
+    """Cerf & Dalmau's ν → ∞ limit of [Γ₀] at p = a/ν on a sharp peak σ."""
+    return (sigma * np.exp(-a) - 1.0) / (sigma - 1.0)
+
+
+class TestClassBasis:
+    """The solve runs on ``QΓᵀ·diag(FΓ)``, whose Perron vector is [Γ_k]
+    itself, so no binomial rescale amplifies the eigensolver's error."""
+
+    def test_moderate_nu_matches_limit_law(self):
+        """σ = 3, a = 0.5, ν = 60: [Γ₀] = 0.40983 against the limit's
+        0.40980 (a representative-basis solve gave 0.0005 here)."""
+        sigma, a, nu = 3.0, 0.5, 60
+        res = ReducedSolver(nu, a / nu, SinglePeakLandscape(nu, sigma, 1.0)).solve()
+        assert abs(res.concentrations[0] - limit_master_class(sigma, a)) < 1e-3
+        assert res.residual < 1e-12
+
+    @pytest.mark.parametrize("nu", [10, 12, 14])
+    @pytest.mark.parametrize("p", [0.01, 0.03])
+    @pytest.mark.parametrize(
+        "landscape_cls,kwargs",
+        [
+            (SinglePeakLandscape, dict(f_peak=2.0, f_rest=1.0)),
+            (LinearLandscape, dict(f0=2.0, fnu=1.0)),
+        ],
+    )
+    def test_matches_full_power_solve(self, nu, p, landscape_cls, kwargs):
+        ls = landscape_cls(nu, **kwargs)
+        red = ReducedSolver(nu, p, ls).solve()
+        full = QuasispeciesModel(ls, p=p).solve("power", operator="fmmp", shift=True, tol=1e-14)
+        assert red.eigenvalue == pytest.approx(full.eigenvalue, rel=1e-12)
+        np.testing.assert_allclose(
+            red.concentrations, class_concentrations(full.concentrations, nu), rtol=0, atol=1e-12
+        )
+
+    def test_representatives_rescale_to_classes(self):
+        """``eigenvector`` keeps meaning vΓ: [Γ_k] ∝ C(ν,k)·vΓ_k."""
+        from repro.util.binomial import binomial_row
+
+        nu = 30
+        res = ReducedSolver(nu, 0.02, SinglePeakLandscape(nu, 3.0, 1.0)).solve()
+        weighted = binomial_row(nu) * res.eigenvector
+        np.testing.assert_allclose(weighted / weighted.sum(), res.concentrations, rtol=1e-12)
+
+    def test_chain_beyond_float_binomials(self):
+        """ν = 1030: C(ν, ν/2) overflows float64, yet the solve works and
+        lands within 1e-3 of the limit law."""
+        sigma, a, nu = 3.0, 0.5, 1030
+        res = ReducedSolver(nu, a / nu, SinglePeakLandscape(nu, sigma, 1.0)).solve()
+        assert res.converged and res.residual < 1e-12
+        np.testing.assert_allclose(res.concentrations.sum(), 1.0)
+        assert abs(res.concentrations[0] - limit_master_class(sigma, a)) < 1e-3
+        assert np.all(np.isfinite(res.eigenvector))
+        np.testing.assert_allclose(res.eigenvector.sum(), 1.0)
+        assert res.eigenvector[nu // 2] == 0.0  # below 1e-308 of vΓ_0: flushed
 
 
 class TestScalability:

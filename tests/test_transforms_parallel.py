@@ -94,7 +94,7 @@ class TestBitIdentity:
                 pre_scale=pre,
                 post_scale=post,
                 panels=panels,
-                engine=get_engine(threads),
+                threads=threads,
             )
             assert np.array_equal(want, got), (
                 f"bit mismatch at nu={nu} kind={kind} form={form} "
@@ -134,7 +134,7 @@ class TestBitIdentity:
             pre_scale=pre,
             post_scale=post,
             panels=auto_panels(nu, 1, threads=threads),
-            engine=get_engine(threads),
+            threads=threads,
         )
         assert np.array_equal(got, engine.reshape(-1))
 
@@ -167,7 +167,7 @@ class TestBitIdentity:
                 pre_scale=pre,
                 post_scale=post,
                 panels=panels,
-                engine=get_engine(threads),
+                threads=threads,
             )
             assert np.array_equal(want, got), f"T={threads}"
 
@@ -178,7 +178,7 @@ class TestBitIdentity:
         block = np.ascontiguousarray(rng.standard_normal((1 << nu, 3)))
         want = batched_butterfly_transform(block, fused_stage_plan(factors, variant="eq10"))
         got = parallel_butterfly_transform(
-            block, fused_stage_plan(factors, variant="eq10"), panels=4, engine=get_engine(2)
+            block, fused_stage_plan(factors, variant="eq10"), panels=4, threads=2
         )
         assert np.array_equal(want, got)
 
@@ -198,7 +198,7 @@ class TestBitIdentity:
                 fused_stage_plan(factors),
                 pre_scale=pre,
                 panels=4,
-                engine=get_engine(t),
+                threads=t,
             )
             for t in (1, 2, 4, 2, 1)
         ]
@@ -222,7 +222,7 @@ class TestBitIdentity:
             want = batched_butterfly_transform(block, plan, pre_scale=pre)
             for panels in (2, 4, 8, 16, 32, 64):
                 got = parallel_butterfly_transform(
-                    block, plan, pre_scale=pre, panels=panels, engine=get_engine(2)
+                    block, plan, pre_scale=pre, panels=panels, threads=2
                 )
                 assert np.array_equal(want, got), f"nu={nu} R={panels}"
 
@@ -235,7 +235,7 @@ class TestBitIdentity:
         scratch = np.empty_like(block)
         plan = fused_stage_plan(factors)
         got = parallel_butterfly_transform(
-            block, plan, panels=2, engine=get_engine(2), out=out, scratch=scratch
+            block, plan, panels=2, threads=2, out=out, scratch=scratch
         )
         assert got is out
         assert np.array_equal(got, batched_butterfly_transform(block, plan))
@@ -259,10 +259,10 @@ class TestResolution:
         assert resolve_panels(256, 10) == max_panels(10) == 128
 
     @pytest.mark.parametrize("nu, batch, threads, want", [
-        (13, 2, 3, 2),  # N·B = 2^14: largest power of two <= 3 threads
-        (13, 1, 3, 1),  # N·B = 2^13: the serial kernel
-        (14, 1, 4, 4),
-        (10, 16, 8, 8),
+        (17, 2, 3, 2),  # N·B = 2^18: largest power of two <= 3 threads
+        (17, 1, 3, 1),  # N·B = 2^17: the serial kernel
+        (18, 1, 4, 4),
+        (14, 16, 8, 8),
     ])
     def test_no_panels_means_auto_panels_of_the_block(self, nu, batch, threads, want, monkeypatch):
         """``panels=None`` is the one automatic rule, :func:`auto_panels`
@@ -305,7 +305,7 @@ class TestResolution:
         factors = UniformMutation(6, 0.03).factors_per_bit()
         plan = fused_stage_plan(factors, max_radix=max_radix)
         block = np.random.default_rng(0).standard_normal((64, 2))
-        got = parallel_butterfly_transform(block, plan, panels=64, engine=get_engine(2))
+        got = parallel_butterfly_transform(block, plan, panels=64, threads=2)
         assert seen == [64 // max_radix]
         assert np.array_equal(got, batched_butterfly_transform(block, plan))
 
@@ -383,7 +383,7 @@ class TestPanelEngine:
 
 class TestAutoPanels:
     """``R = min(largest power of two <= T, max_panels(ν))`` once the
-    block holds ``N·B >= 2^14`` doubles, else the serial kernel."""
+    block holds ``N·B >= 2^18`` doubles, else the serial kernel."""
 
     def test_serial_for_small_transforms(self):
         for nu in (2, 4, 6, 8):
@@ -398,13 +398,13 @@ class TestAutoPanels:
 
     def test_respects_max_panels_cap(self):
         assert auto_panels(18, 1, threads=64) <= max_panels(18)
-        assert auto_panels(2, 1 << 14, threads=8) == max_panels(2) == 1
+        assert auto_panels(2, 1 << 18, threads=8) == max_panels(2) == 1
 
     def test_threshold_and_power_of_two_rule(self):
-        assert auto_panels(13, 1, threads=8) == 1  # N·B = 2^13
-        assert auto_panels(13, 2, threads=8) == 8  # N·B = 2^14
-        assert auto_panels(14, 1, threads=3) == 2
-        assert auto_panels(10, 16, threads=4) == 4
+        assert auto_panels(17, 1, threads=8) == 1  # N·B = 2^17
+        assert auto_panels(17, 2, threads=8) == 8  # N·B = 2^18
+        assert auto_panels(18, 1, threads=3) == 2
+        assert auto_panels(14, 16, threads=4) == 4
 
 
 class TestPanelReducer:
@@ -419,10 +419,10 @@ class TestPanelReducer:
         block = np.ascontiguousarray(rng.standard_normal((1 << nu, 1)))
         pre = rng.uniform(0.5, 2.0, 1 << nu)
         serial = parallel_butterfly_transform(
-            block, fused_stage_plan(factors), pre_scale=pre, panels=4, engine=get_engine(1)
+            block, fused_stage_plan(factors), pre_scale=pre, panels=4, threads=1
         )
         threaded = parallel_butterfly_transform(
-            block, fused_stage_plan(factors), pre_scale=pre, panels=4, engine=get_engine(2)
+            block, fused_stage_plan(factors), pre_scale=pre, panels=4, threads=2
         )
         assert serial.tobytes() == threaded.tobytes()
 
@@ -430,7 +430,7 @@ class TestPanelReducer:
         factors = UniformMutation(2, 0.02).factors_per_bit()
         with pytest.raises(ValidationError, match="rows"):
             parallel_butterfly_transform(
-                np.zeros((6, 1)), fused_stage_plan(factors), panels=4, engine=get_engine(2)
+                np.zeros((6, 1)), fused_stage_plan(factors), panels=4, threads=2
             )
 
     def test_bad_panel_counts_rejected(self):
