@@ -20,7 +20,7 @@ from repro.bitops.classes import (
     masks_up_to_distance,
 )
 from repro.bitops.graycode import gray_code, gray_permutation, inverse_permutation
-from repro.bitops.panels import panel_bounds, split_stages, stage_is_local
+from repro.bitops.panels import split_stages
 
 __all__ = [
     "popcount",
@@ -36,7 +36,5 @@ __all__ = [
     "gray_code",
     "gray_permutation",
     "inverse_permutation",
-    "panel_bounds",
     "split_stages",
-    "stage_is_local",
 ]

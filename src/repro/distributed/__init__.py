@@ -27,9 +27,7 @@ is modeled exactly like the device layer models kernels):
 from repro.distributed.cluster import CommLink, ClusterProfile
 from repro.distributed.partition import (
     PartitionedVector,
-    panel_bounds,
     split_stages,
-    stage_is_local,
 )
 from repro.distributed.fmmp import DistributedFmmp
 from repro.distributed.power import DistributedPowerIteration, DistributedRunReport
@@ -38,9 +36,7 @@ __all__ = [
     "CommLink",
     "ClusterProfile",
     "PartitionedVector",
-    "panel_bounds",
     "split_stages",
-    "stage_is_local",
     "DistributedFmmp",
     "DistributedPowerIteration",
     "DistributedRunReport",

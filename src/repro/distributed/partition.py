@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bitops.panels import panel_bounds, split_stages, stage_is_local
+from repro.bitops.panels import split_stages
 from repro.exceptions import ValidationError
 from repro.util.validation import check_power_of_two
 
 __all__ = [
     "PartitionedVector",
-    "panel_bounds",
     "split_stages",
-    "stage_is_local",
 ]
 
 

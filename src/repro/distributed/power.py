@@ -30,10 +30,9 @@ from repro.landscapes.base import FitnessLandscape
 from repro.mutation.persite import PerSiteMutation
 from repro.mutation.uniform import UniformMutation
 from repro.operators.base import ImplicitOperator, OperatorCosts
-from repro.operators.batched import plan_costs
+from repro.perf.costs import fmmp_costs
 from repro.solvers.power import PowerIteration
 from repro.solvers.result import SolveResult
-from repro.transforms.batched import fused_stage_plan
 
 __all__ = ["DistributedPowerIteration", "DistributedRunReport"]
 
@@ -172,6 +171,5 @@ class _DistributedW(ImplicitOperator):
 
     def costs(self) -> OperatorCosts:
         """The paper's radix-2 plan over all ``N`` elements, with the
-        ``F`` pre-scale."""
-        plan = fused_stage_plan(self.op.factors, max_radix=2)
-        return plan_costs(plan, self.n, 1, (self.n,))
+        ``F`` pre-scale as its own pass."""
+        return fmmp_costs(self.op.nu)

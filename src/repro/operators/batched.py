@@ -109,9 +109,9 @@ def plan_costs(
     spends ``2r − 1`` flops per element (``r`` multiplies and ``r − 1``
     adds, ``r`` the stage's radix).  ``pre`` and ``post`` are the shapes
     of the diagonal scales (``None`` when absent): ``(n,)`` shared by all
-    columns or ``(n, batch)`` per column.  Each scale pass reads the
-    block and the scale and writes the block, one flop per element.
-    ``storage_bytes`` is the larger scale.
+    columns or ``(n, batch)`` per column.  A scale rides on the first or
+    last sweep's chunks, so it costs only its own read plus one flop per
+    element.  ``storage_bytes`` is the larger scale.
     """
     if batch < 1:
         raise ValidationError(f"batch must be >= 1, got {batch}")
@@ -129,7 +129,7 @@ def plan_costs(
                 f"{name} scale must have shape ({n},) or ({n}, {batch}), got {shape}"
             )
         sizes.append(math.prod(shape))
-        bytes_moved += 8.0 * (2.0 * nb + sizes[-1])
+        bytes_moved += 8.0 * sizes[-1]
         flops += nb
     return OperatorCosts(
         flops=flops,

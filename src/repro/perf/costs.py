@@ -19,7 +19,8 @@ operator    flops                                      complexity class
 The ``Fmmp`` row is not a formula of its own: it is
 :func:`repro.operators.batched.plan_costs` of the paper's radix-2 plan
 (ν stages of Algorithm 1: ``max_radix=2``, no stage fusion), the same
-cost function the operators apply to the fused plans they run.
+cost function the operators apply to the fused plans they run, plus the
+paper's separate diagonal launch.
 """
 
 from __future__ import annotations
@@ -53,17 +54,22 @@ def xmvp_mask_count(nu: int, dmax: int) -> int:
 def fmmp_costs(nu: int, *, scale_passes: int = 1) -> OperatorCosts:
     """Fmmp per-matvec costs of the paper's stage-by-stage butterfly.
 
-    :func:`~repro.operators.batched.plan_costs` of the radix-2 plan: ν
-    sweeps of the N-vector plus ``scale_passes`` (1 or 2) diagonal
-    passes.  Costs depend only on the plan's shape, so identity factors
-    stand in for the mutation factors.
+    :func:`~repro.operators.batched.plan_costs` of the radix-2 plan (ν
+    sweeps of the N-vector) plus ``scale_passes`` (1 or 2) diagonal
+    passes, each its own launch: it reads the vector and the scale and
+    writes the vector.  Costs depend only on the plan's shape, so
+    identity factors stand in for the mutation factors.
     """
     nu = _check(nu)
     if scale_passes not in (1, 2):
         raise ValidationError(f"scale_passes must be 1 or 2, got {scale_passes!r}")
     n = 1 << nu
-    plan = fused_stage_plan([np.eye(2)] * nu, max_radix=2)
-    return plan_costs(plan, n, 1, (n,), (n,) if scale_passes == 2 else None)
+    sweeps = plan_costs(fused_stage_plan([np.eye(2)] * nu, max_radix=2), n)
+    return OperatorCosts(
+        flops=sweeps.flops + scale_passes * n,
+        bytes_moved=sweeps.bytes_moved + scale_passes * 24.0 * n,
+        storage_bytes=8.0 * n,
+    )
 
 
 def xmvp_costs(nu: int, dmax: int, *, scale_passes: float = 1.0) -> OperatorCosts:

@@ -14,12 +14,13 @@ semantics:
 * :mod:`repro.transforms.kronecker` — the reference matvec with an
   arbitrary Kronecker product of small dense factors (Eq. 11),
 * :mod:`repro.transforms.batched` — the stage-fused, cache-blocked
-  multi-vector butterfly kernel (radix-8 stage fusion, folded diagonal
-  scalings, one scratch block) that backs every mutation product, 2×2
+  multi-vector butterfly kernel (radix-8 stage fusion, sweeps walked in
+  cache-sized chunks, diagonal scalings riding on the first and last
+  sweep, one scratch block) that backs every mutation product, 2×2
   factors and grouped blocks alike: ``butterfly_transform``, ``fwht``,
   ``Fmmp.matvec`` and the batched ``matmat`` operators,
-* :mod:`repro.transforms.parallel` — the same fused plan split into row
-  panels across threads, bit-identical to the serial kernel.
+* :mod:`repro.transforms.parallel` — the same chunk lists shared out
+  among threads, bit-identical to the serial kernel.
 """
 
 from repro.transforms.butterfly import (

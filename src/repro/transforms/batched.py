@@ -15,30 +15,34 @@ Walsh-spectrum block):
   sweep runs as one 2-D GEMM over the ``(N/r, r)`` rows of the block
   instead of ``N/r`` separate matrix–vector products (about 10× faster
   at ν = 20 on a 2-core host, see ``docs/performance.md``).
-* **stage fusion** — each stage is one fused ``matmul``/``einsum`` call
-  (a single read stream and a single write stream, ≤ 3 passes counting a
-  folded diagonal scale) instead of several elementwise passes.
+* **stage fusion** — each stage is one ``matmul`` per chunk (a single
+  read stream and a single write stream) instead of several elementwise
+  passes.
 * **radix-8 fusion** — 2×2 stages acting on distinct bits commute, so
   a run of up to three adjacent bits ``s..s+2`` combines into one 8×8
   factor ``kron(M_{s+2}, M_{s+1}, M_s)`` applied to groups of 8,
   cutting the sweeps over the block from ``ν`` to ``⌈ν/3⌉``.  Radix 16
   would save one more sweep at ν ≥ 20 but is not bit-stable across
   batch widths, so :data:`MAX_RADIX` is 8.
-* **diagonal folding** — the ``F`` (and ``F^{1/2}``) scalings of the
-  eigenproblem forms (Eqs. 3–5) fold into the sweep schedule: the
-  pre-scale becomes the leading write of the ping-pong chain (replacing
-  the first sweep's read of the caller's block) and the post-scale an
-  in-place epilogue on the output block, so neither needs a buffer of
-  its own.
-* **one scratch block** — the whole transform ping-pongs between the
-  output block and a single reusable ``(N, B)`` scratch buffer.
+* **chunked sweeps** — every sweep walks its ``(g, r, z)`` view as an
+  ordered list of chunks of about 256 KiB (:func:`_chunks`), so a chunk
+  stays in L2 from its read to its write and the widest-span sweep no
+  longer runs as one huge, cache-hostile GEMM.
+* **fused scales** — the ``F`` (and ``F^{1/2}``) scalings of the
+  eigenproblem forms (Eqs. 3–5) ride on the chunks: the first sweep
+  multiplies each input chunk by the pre-scale into a chunk-sized tile
+  (a slot of the ping-pong buffer it leaves free), the last multiplies
+  each output chunk by the post-scale right after its matmul, so
+  neither costs a pass over the block or a buffer of its own.
+* **two blocks** — the whole transform ping-pongs between the output
+  block and a single reusable ``(N, B)`` scratch buffer.
 * **one plan** — :func:`fused_stage_plan` (2×2 factors) or
   :func:`grouped_stage_plan` (the ``2^g×2^g`` group blocks of Eq. 11)
   builds the list of :class:`FusedStage` sweeps once per operator; the
   kernel only runs it, the panel engine
-  (:mod:`repro.transforms.parallel`) runs the same list on row panels,
-  and :func:`repro.operators.batched.plan_costs` counts its bytes and
-  flops from it.
+  (:mod:`repro.transforms.parallel`) splits the same chunk lists among
+  its threads, and :func:`repro.operators.batched.plan_costs` counts its
+  bytes and flops from it.
 * **wide stages run column by column** — a radix > 8 stage (a group
   block of ≥ 4 bits) is not bit-stable across batch widths, so a plan
   holding one runs each column through the one-column schedule.
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -217,16 +222,71 @@ def _check_scale(scale, n: int, b: int, name: str) -> np.ndarray | None:
     )
 
 
-def _apply_fused(src: np.ndarray, dst: np.ndarray, stage: FusedStage) -> None:
-    """One fused sweep ``dst = M · src`` on every butterfly group.
+#: Bytes of one chunk of a fused sweep: small enough that a chunk stays
+#: in L2 between its pre-scale, its matmul and its post-scale, large
+#: enough that the per-chunk call overhead stays small.  See "Chunked
+#: sweeps" in ``docs/performance.md`` for the measured sizes.
+_CHUNK_BYTES = 256 << 10
 
-    The hot path of the kernel: a single ``matmul`` — one read stream
-    and one write stream over the whole block.  With ``z = span·B``
-    contiguous doubles per group row, the general case is a stack of
-    ``g`` small ``(r, r) × (r, z)`` products.  When ``z == 1`` (the
-    span-1 sweep of a one-column block) that stack would be ``g``
-    separate matrix–vector products, so the sweep instead runs as one
-    2-D GEMM ``(g, r) × Mᵀ`` over the rows of the block.
+
+def _pow2_floor(x: int) -> int:
+    return 1 << max(x.bit_length() - 1, 0)
+
+
+def _chunks(n: int, b: int, stage: FusedStage) -> list[tuple[int, int, int, int]]:
+    """The ordered chunk list of one sweep over an ``(n, b)`` block.
+
+    Chunk ``(q0, q1, h0, h1)`` is groups ``q0:q1`` of the ``(g, r, h, b)``
+    view, rows ``h0:h1`` of each: a run of whole groups when one group
+    fits :data:`_CHUNK_BYTES`, else one group's whole-row ``z`` range of
+    a power-of-two number of rows; a block of fewer than eight chunks
+    stays in cache and is one chunk.  Every chunk keeps the BLAS kernel
+    of the unchunked sweep, so the bits never depend on the chunk size:
+    no ``z`` range is one column wide (a matrix–vector product), a
+    ``z == 1`` run keeps two groups (the rows of one 2-D GEMM), and a
+    stage of radix above :data:`MAX_RADIX` is never cut along ``z`` (its
+    products' bits depend on their column count).
+    """
+    r, h = stage.radix, stage.span
+    g = n // (r * h)
+    elems = _CHUNK_BYTES // 8
+    if n * b < 8 * elems:
+        elems = n * b
+    if h * b == 1 or r > MAX_RADIX or r * h * b <= elems:
+        k = min(g, max(2 if h * b == 1 else 1, _pow2_floor(elems // (r * h * b))))
+        return [(q, q + k, 0, h) for q in range(0, g, k)]
+    rows = min(h, max(2 if b == 1 else 1, _pow2_floor(elems // (r * b))))
+    return [(q, q + 1, c, c + rows) for q in range(g) for c in range(0, h, rows)]
+
+
+class _Sweep(NamedTuple):
+    """One sweep of a product: ``dst = post ∘ M · (pre ∘ src)`` on the
+    ``chunks`` (from :func:`_chunks`) of one plan ``stage``.  The pre-scale
+    rides on a product's first sweep, the post-scale on its last;
+    ``spare`` is the ping-pong buffer the first sweep leaves free, which
+    holds its pre-scale tiles (``None``: allocate one)."""
+
+    stage: FusedStage
+    chunks: Sequence[tuple[int, int, int, int]]
+    pre: np.ndarray | None = None
+    post: np.ndarray | None = None
+    spare: np.ndarray | None = None
+
+
+def _apply_fused(src: np.ndarray, dst: np.ndarray, sweep: FusedStage | _Sweep) -> None:
+    """One fused sweep on every chunk of ``sweep`` (a bare
+    :class:`FusedStage` runs all its chunks, unscaled).
+
+    The hot path of the kernel.  Per chunk: the pre-scale writes the
+    chunk into a chunk-sized tile that every chunk of ``chunks`` reuses
+    (the spare buffer's slot of its first chunk, so two shares of one
+    sweep never share a tile), one ``matmul`` mixes it into ``dst``, and
+    the post-scale multiplies the output chunk while it is still in
+    cache.  With ``z = span·B`` contiguous doubles per group row the mix
+    is a stack of small ``(r, r) × (r, z)`` products.  When ``z == 1``
+    (the span-1 sweep of a one-column block) that stack would be
+    separate matrix–vector products, so the chunk instead runs as one
+    2-D GEMM ``(groups, r) × Mᵀ`` over its rows.
 
     NumPy sends a one-row product to its matrix–vector path, whose
     summation order differs from the GEMM kernel's; the single group of
@@ -236,22 +296,36 @@ def _apply_fused(src: np.ndarray, dst: np.ndarray, stage: FusedStage) -> None:
     every ``ν >= 1`` and every ``max_radix``).
     """
     n, b = src.shape
-    r, h = stage.radix, stage.span
-    g = n // (r * h)
-    z = h * b
-    if z == 1 and g >= 2:
-        np.matmul(src.reshape(g, r), stage.matrix.T, out=dst.reshape(g, r))
-    elif z == 1:
-        rows = np.zeros((2, r))
-        rows[0] = src.reshape(r)
-        dst.reshape(r)[:] = (rows @ stage.matrix.T)[0]
-    else:
-        np.matmul(stage.matrix, src.reshape(g, r, z), out=dst.reshape(g, r, z))
-
-
-def _scale_into(dst: np.ndarray, src: np.ndarray, scale: np.ndarray) -> None:
-    """``dst = scale ∘ src`` (column-broadcast for 1-D scales)."""
-    np.multiply(src, scale[:, None] if scale.ndim == 1 else scale, out=dst)
+    if isinstance(sweep, FusedStage):
+        sweep = _Sweep(sweep, _chunks(n, b, sweep))
+    stage, chunks, pre, post, spare = sweep
+    r, h, m = stage.radix, stage.span, stage.matrix
+    g, z = n // (r * h), h * b
+    src3, dst3 = src.reshape(g, r, z), dst.reshape(g, r, z)
+    if pre is not None and chunks:
+        q0, q1, h0, h1 = chunks[0]  # every chunk of a sweep has this size
+        size, at = (q1 - q0) * r * (h1 - h0) * b, (q0 * h + h0 * (q1 - q0)) * r * b
+        tile = np.empty(size) if spare is None else spare.reshape(-1)[at : at + size]
+        pre = pre.reshape(g, r, h, -1)
+    if post is not None:
+        post = post.reshape(g, r, h, -1)
+    for q0, q1, h0, h1 in chunks:
+        x, y = src3[q0:q1, :, h0 * b : h1 * b], dst3[q0:q1, :, h0 * b : h1 * b]
+        groups = q1 - q0
+        if pre is not None:
+            x4 = x.reshape(groups, r, h1 - h0, b)
+            x = np.multiply(x4, pre[q0:q1, :, h0:h1], out=tile.reshape(x4.shape)).reshape(x.shape)
+        if z > 1:
+            np.matmul(m, x, out=y)
+        elif groups >= 2:
+            np.matmul(x.reshape(groups, r), m.T, out=y.reshape(groups, r))
+        else:
+            pad = np.zeros((2, r))
+            pad[0] = x.reshape(r)
+            y.reshape(r)[:] = (pad @ m.T)[0]
+        if post is not None:
+            y4 = y.reshape(groups, r, h1 - h0, b)
+            np.multiply(y4, post[q0:q1, :, h0:h1], out=y4)
 
 
 def _plan_bits(plan: Sequence[FusedStage]) -> int:
@@ -264,12 +338,11 @@ def _plan_bits(plan: Sequence[FusedStage]) -> int:
 def _schedule(block, plan, pre_scale, post_scale, out, scratch):
     """Validate one product of ``plan`` and lay out its ping-pong schedule.
 
-    Returns ``(steps, out, post)``: ``steps`` lists ``(src, dst, op)`` in
-    execution order, where ``op`` is a :class:`FusedStage` sweep or the
-    pre-scale diagonal, and ``post`` is the scale of the in-place
-    epilogue on ``out`` (``None`` if absent).  The serial kernel and the
-    panel engine both run this schedule, so they write the same buffers
-    in the same order.
+    Returns ``(steps, out)``: ``steps`` lists ``(src, dst, sweep)`` in
+    execution order, each ``sweep`` a :class:`_Sweep` over its stage's
+    whole chunk list, the pre-scale on the first and the post-scale on
+    the last.  The serial kernel and the panel engine both run this
+    schedule, so they write the same buffers in the same order.
     """
     work_in = _check_block(block, None, "block")
     n, b = work_in.shape
@@ -278,11 +351,6 @@ def _schedule(block, plan, pre_scale, post_scale, out, scratch):
         raise ValidationError(f"block must have 2**{nu} = {1 << nu} rows, got {n}")
     pre = _check_scale(pre_scale, n, b, "pre_scale")
     post = _check_scale(post_scale, n, b, "post_scale")
-    # The pre-scale is folded into the schedule as the leading write of
-    # the ping-pong chain (it replaces the first sweep's input read of
-    # the caller's block); the post-scale is an in-place epilogue on the
-    # output block (no extra buffer traffic).
-    ops = ([] if pre is None else [pre]) + list(plan)
 
     def _buffer(buf: np.ndarray | None, name: str) -> np.ndarray:
         if buf is None:
@@ -296,21 +364,24 @@ def _schedule(block, plan, pre_scale, post_scale, out, scratch):
         return buf
 
     out = _buffer(out, "out")
-    # A one-step schedule never touches scratch, but a passed buffer is
+    # A one-sweep plan never touches scratch, but a passed buffer is
     # still held to the contract.
-    if scratch is not None or len(ops) > 1:
+    if scratch is not None or len(plan) > 1:
         scratch = _buffer(scratch, "scratch")
         if scratch is out or np.shares_memory(scratch, out):
             raise ValidationError("scratch must not alias out")
-    # Ping-pong so the last step lands in ``out``: step ``i`` writes
-    # ``out`` when (len(ops)-1-i) is even, ``scratch`` otherwise.
+    # Ping-pong so the last sweep lands in ``out``: sweep ``i`` writes
+    # ``out`` when (len(plan)-1-i) is even, ``scratch`` otherwise.
+    last = len(plan) - 1
     steps = []
     src = work_in
-    for i, op in enumerate(ops):
-        dst = out if (len(ops) - 1 - i) % 2 == 0 else scratch
-        steps.append((src, dst, op))
+    for i, stage in enumerate(plan):
+        dst = out if (last - i) % 2 == 0 else scratch
+        scales = (pre if i == 0 else None, post if i == last else None)
+        spare = (scratch if dst is out else out) if i == 0 else None
+        steps.append((src, dst, _Sweep(stage, _chunks(n, b, stage), *scales, spare)))
         src = dst
-    return steps, out, post
+    return steps, out
 
 
 def batched_butterfly_transform(
@@ -355,7 +426,7 @@ def batched_butterfly_transform(
     numpy.ndarray
         The transformed ``(N, B)`` block (``out`` if given).
     """
-    steps, out, post = _schedule(block, plan, pre_scale, post_scale, out, scratch)
+    steps, out = _schedule(block, plan, pre_scale, post_scale, out, scratch)
     n, b = out.shape
     if b > 1 and max(stage.radix for stage in plan) > MAX_RADIX:
         # Radix > 8 products are not bit-stable across batch widths: run
@@ -363,7 +434,7 @@ def batched_butterfly_transform(
         # contiguous (B, N) copies of the block and its per-column scales.
         work, pre, post = (
             a if a is None or a.ndim == 1 else np.ascontiguousarray(a.T)
-            for a in (steps[0][0], _check_scale(pre_scale, n, b, "pre_scale"), post)
+            for a in (steps[0][0], steps[0][2].pre, steps[-1][2].post)
         )
         res, col_scratch = np.empty((b, n)), np.empty((n, 1))
         for j in range(b):
@@ -378,11 +449,6 @@ def batched_butterfly_transform(
             )
         out[:] = res.T
         return out
-    for src, dst, op in steps:
-        if isinstance(op, FusedStage):
-            _apply_fused(src, dst, op)
-        else:
-            _scale_into(dst, src, op)
-    if post is not None:
-        out *= post[:, None] if post.ndim == 1 else post
+    for src, dst, sweep in steps:
+        _apply_fused(src, dst, sweep)
     return out

@@ -1,39 +1,21 @@
 """Panel-parallel butterfly engine: the stage-fused kernel across cores.
 
-The stage-fused batched kernel of :mod:`repro.transforms.batched` is
-bandwidth-bound on a single core; this module runs the *identical*
-sweep schedule on a persistent pool of worker threads, partitioning the
-``(N, B)`` block into ``R = 2^r`` contiguous row **panels** on the high
-index bits — the same layout under which
-:class:`repro.distributed.partition.PartitionedVector` splits ranks.
+The stage-fused batched kernel of :mod:`repro.transforms.batched` runs
+each fused sweep as an ordered list of cache-sized chunks (runs of whole
+butterfly groups, or whole-row ``z`` ranges of one group).  This module
+runs the *identical* schedule on a persistent pool of worker threads:
+every sweep's chunk list is cut into ``R = 2^r`` contiguous **shares**
+(``R`` is the panel count; for a sweep of whole-group chunks a share is
+a contiguous run of rows), participant ``t`` of ``T`` runs shares
+``[t·R/T, (t+1)·R/T)``, and one barrier ends each sweep.
 
-Per fused sweep with group view ``(g, r, z)`` (``g`` butterfly groups of
-``r`` rows of ``z = span·B`` contiguous doubles):
-
-* **local sweeps** (``g >= R``, i.e. span ``r·h <= N/R``): every
-  butterfly group lives inside one panel; panel ``p`` runs the serial
-  kernel's own sweep (``_apply_fused``) on its contiguous rows — no
-  sharing at all;
-* **cross sweeps** (``g < R``): a butterfly group spans ``R/g`` panels;
-  the group's ``z`` axis is cut into ``R/g`` whole-row chunks
-  (``N/(r·R)`` rows each) and each work unit applies the full ``r×r``
-  mix to its chunk, reading the partner panels' rows in place.
-
-Both cuts slice :func:`numpy.matmul` along the group axis (local; for
-a one-column span-1 sweep these are the rows of one 2-D GEMM) or along
-the column axis in whole-row units (cross) — partitions NumPy/BLAS
-evaluates with the very same per-element operation order as the
-unsliced call, as long as every unit keeps the serial call's kernel
-(see :func:`_stage_units`).  Together with barrier synchronization
-between sweeps and the fixed ping-pong buffer parity of the serial
-kernel, the result is **bit-identical** to
+The chunks, and the scales riding on them, are the serial kernel's own,
+so the result is **bit-identical** to
 :func:`~repro.transforms.batched.batched_butterfly_transform` for every
 panel count and thread count (asserted across the whole model/form grid
-in the tests).  Slicing the *mix rows* of a single ``matmul`` would
-*not* have this property (BLAS may pick a different micro-kernel per
-shape), which is why the cross sweeps cut ``z`` and not the mix rows.
+in the tests).
 
-NumPy releases the GIL inside the large slice kernels, so the panels
+NumPy releases the GIL inside the slice kernels, so the shares
 genuinely overlap on multicore hosts; see ``docs/performance.md`` for
 the measured scaling and the auto-``R`` heuristic.
 """
@@ -46,7 +28,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.bitops.panels import panel_bounds, stage_is_local
 from repro.exceptions import ValidationError
 from repro.transforms.batched import (
     MAX_RADIX,
@@ -100,10 +81,11 @@ def max_panels(nu: int, *, radix: int = MAX_RADIX) -> int:
     """Largest admissible panel count ``R`` for a ν-bit transform whose
     plan's largest stage radix is ``radix``.
 
-    Every sweep needs ``R <= N/radix`` so a cross sweep can cut each
-    butterfly group's ``z`` axis into whole-row chunks.  The default is
-    the largest radix :func:`~repro.transforms.batched.fused_stage_plan`
-    builds, a safe cap for every plan.
+    ``R <= N/radix``, the group count of the plan's widest sweep: more
+    shares than that would only leave shares empty at small ν.  The
+    default is the largest radix
+    :func:`~repro.transforms.batched.fused_stage_plan` builds, a safe cap
+    for every plan.
     """
     if nu < 1:
         raise ValidationError(f"nu must be >= 1, got {nu}")
@@ -305,76 +287,6 @@ def shutdown_engines() -> None:
         engine.close()
 
 
-# ---------------------------------------------------------------- sweeps
-def _scale_unit(
-    src: np.ndarray, dst: np.ndarray, scale: np.ndarray, p: int, panels: int
-) -> None:
-    """Panel ``p``'s rows of the elementwise pre-scale sweep."""
-    r0, r1 = panel_bounds(src.shape[0], panels, p)
-    s = scale[r0:r1, None] if scale.ndim == 1 else scale[r0:r1]
-    np.multiply(src[r0:r1], s, out=dst[r0:r1])
-
-
-def _post_unit(out: np.ndarray, post: np.ndarray, p: int, panels: int) -> None:
-    """Panel ``p``'s rows of the in-place post-scale epilogue."""
-    r0, r1 = panel_bounds(out.shape[0], panels, p)
-    s = post[r0:r1, None] if post.ndim == 1 else post[r0:r1]
-    np.multiply(out[r0:r1], s, out=out[r0:r1])
-
-
-def _stage_units(n: int, b: int, stage: FusedStage, panels: int) -> int:
-    """Effective work-unit count for one fused sweep.
-
-    Every unit must run the same BLAS kernel as the unsliced serial
-    sweep, or its summation order (and so its bits) would differ:
-
-    * a cross-sweep ``z`` chunk stays **at least two columns wide** — a
-      single-column ``matmul`` operand drops BLAS onto the
-      matrix-vector path;
-    * a local unit of a ``z == 1`` sweep keeps **at least two groups**,
-      so its rows stay on the one-column GEMM branch of the serial
-      kernel instead of a single padded row.
-
-    Narrow sweeps therefore run with fewer, wider units — still a power
-    of two, still independent of the thread count, so the bits never
-    depend on parallelism parameters.
-    """
-    r, h = stage.radix, stage.span
-    g = n // (r * h)
-    z = h * b
-    u = panels
-    while u > g and (h // (u // g)) * b < 2:
-        u //= 2
-    while u > 1 and z == 1 and g // u < 2:
-        u //= 2
-    return u
-
-
-def _stage_unit(
-    src: np.ndarray, dst: np.ndarray, stage: FusedStage, p: int, panels: int
-) -> None:
-    """Work unit ``p`` of a fused sweep: the serial sweep on the unit's
-    own rows (local) or the partner-reading whole-row ``z`` chunk
-    (cross)."""
-    n, b = src.shape
-    r, h = stage.radix, stage.span
-    if stage_is_local(h, r, n, panels):  # ⇔ g >= panels
-        # Local sweep: unit p owns a contiguous run of whole groups.
-        r0, r1 = panel_bounds(n, panels, p)
-        _apply_fused(src[r0:r1], dst[r0:r1], stage)
-    else:
-        # Cross sweep: R/g work units per group, each mixing the full
-        # r×r factor over a whole-row z-chunk of N/(r·R) rows.
-        g = n // (r * h)
-        src3 = src.reshape(g, r, h * b)
-        dst3 = dst.reshape(g, r, h * b)
-        cpg = panels // g
-        q, c = p // cpg, p % cpg
-        zc = (h // cpg) * b
-        sl = slice(c * zc, (c + 1) * zc)
-        np.matmul(stage.matrix, src3[q][:, sl], out=dst3[q][:, sl])
-
-
 def parallel_butterfly_transform(
     block: np.ndarray,
     plan: Sequence[FusedStage],
@@ -397,10 +309,12 @@ def parallel_butterfly_transform(
     block, plan, pre_scale, post_scale, out, scratch:
         As for the serial kernel.
     panels:
-        Panel count ``R`` (power of two), clamped to :func:`max_panels`
-        of the plan's largest radix; ``None`` picks :func:`auto_panels`
-        of the block's shape and the thread count.  A plan with a stage
-        of radix above ``MAX_RADIX`` always runs as one panel.
+        Panel count ``R`` (power of two): the number of contiguous
+        shares every sweep's chunk list is cut into, clamped to
+        :func:`max_panels` of the plan's largest radix; ``None`` picks
+        :func:`auto_panels` of the block's shape and the thread count.
+        A plan with a stage of radix above ``MAX_RADIX`` always runs as
+        one panel.
     threads:
         Participant count; ``None`` reads ``REPRO_NUM_THREADS``
         (default 1).  The product runs on the shared :func:`get_engine`
@@ -415,7 +329,7 @@ def parallel_butterfly_transform(
     else:
         panels_n = resolve_panels(panels, nu, radix=radix)
     if panels_n == 1 or radix > MAX_RADIX:
-        # One panel ⇒ the partitioned schedule is the serial schedule.  A
+        # One panel ⇒ the shared schedule is the serial schedule.  A
         # radix > 8 plan runs there too: the serial kernel takes it column
         # by column, the only schedule that keeps its bits.
         return batched_butterfly_transform(
@@ -426,29 +340,21 @@ def parallel_butterfly_transform(
             out=out,
             scratch=scratch,
         )
-    steps, out, post = _schedule(block, plan, pre_scale, post_scale, out, scratch)
-    n, b = out.shape
+    steps, out = _schedule(block, plan, pre_scale, post_scale, out, scratch)
     eng = get_engine(threads_n)
     nt = eng.threads
 
     def participant(t: int) -> None:
-        # Fixed contiguous unit assignment: participant t executes work
-        # units [t·R/T, (t+1)·R/T) of every sweep.  The unit→thread map
-        # never affects the numbers (units are independent slices), so
-        # any T gives the same bits.
-        units = range(t * panels_n // nt, (t + 1) * panels_n // nt)
-        for src, dst, op in steps:
-            if isinstance(op, FusedStage):
-                u = _stage_units(n, b, op, panels_n)
-                for p in range(t * u // nt, (t + 1) * u // nt):
-                    _stage_unit(src, dst, op, p, u)
-            else:
-                for p in units:
-                    _scale_unit(src, dst, op, p, panels_n)
+        # Fixed contiguous share assignment: participant t runs shares
+        # [t·R/T, (t+1)·R/T) of every sweep's chunk list.  Chunks are
+        # independent slices of one sweep, so the share→thread map never
+        # affects the numbers and any T gives the same bits.
+        lo, hi = t * panels_n // nt, (t + 1) * panels_n // nt
+        for src, dst, sweep in steps:
+            c = len(sweep.chunks)
+            mine = sweep.chunks[lo * c // panels_n : hi * c // panels_n]
+            _apply_fused(src, dst, sweep._replace(chunks=mine))
             eng.barrier_wait()
-        if post is not None:
-            for p in units:
-                _post_unit(out, post, p, panels_n)
 
     eng.run(participant)
     return out

@@ -22,6 +22,8 @@ invariant                         paper identity
 ``lemma2-class-recovery``         ``[Γ_k] = C(ν,k)·vΓ_k / Σⱼ C(ν,j)·vΓ_j``
                                   matches the full-space Perron vector
                                   (Lemma 2, Eq. 14)
+``reduced-class-basis``           reduced ``[Γ_k]`` = power iteration on
+                                  ``QΓᵀ·diag(FΓ)`` (Eq. 14), at ν and 4ν
 ``kronecker-factorization``       Perron pair of ``W = ⊗(QᵢFᵢ)`` is the
                                   product/⊗ of the factors' pairs (Sec. 5.2)
 ``fwht-involution``               ``V·V = I`` and ``H·H = N·I`` round trips
@@ -53,6 +55,7 @@ import numpy as np
 from repro.mutation.base import check_column_stochastic
 from repro.mutation.grouped import GroupedMutation
 from repro.mutation.persite import PerSiteMutation
+from repro.mutation.reduced import reduced_mutation_matrix_reference
 from repro.mutation.spectral import apply_uniform_q_spectral, solve_shifted_uniform_q
 from repro.mutation.uniform import UniformMutation
 from repro.operators.dense_w import dense_w
@@ -65,6 +68,7 @@ from repro.solvers.kron_solver import KroneckerSolver
 from repro.solvers.reduced import ReducedSolver
 from repro.transforms.fwht import fwht, fwht_matrix
 from repro.util.binomial import binomial_row
+from repro.util.validation import MAX_NU
 from repro.verify.spec import ProblemSpec
 
 __all__ = ["Invariant", "INVARIANTS", "invariant_names", "relative_error"]
@@ -255,6 +259,38 @@ def _chk_lemma2(spec: ProblemSpec, rng: np.random.Generator):
     return max(err_vec, err_formula, err_lam), (
         f"class-vector err {err_vec:.2e}, eigenvalue err {err_lam:.2e}"
     )
+
+
+def _class_power_iteration(a: np.ndarray, max_iterations: int = 1_000_000) -> np.ndarray:
+    """Perron vector (unit 1-norm) of the class matrix ``a`` by power
+    iteration from the uniform vector, stopped once the step or the
+    geometric tail it implies (``step·ρ/(1−ρ)``) is at rounding level."""
+    x = np.full(a.shape[0], 1.0 / a.shape[0])
+    last = None
+    for _ in range(max_iterations):
+        y = a @ x
+        y /= y.sum()
+        step = float(np.abs(y - x).max())
+        x = y
+        if step <= 1e-15 * x.max():
+            return x
+        if last is not None and step < last and step * step / (last - step) <= 1e-13:
+            return x
+        last = step
+    raise RuntimeError(f"class power iteration did not settle in {max_iterations} steps")
+
+
+def _chk_reduced_class_basis(spec: ProblemSpec, rng: np.random.Generator):
+    worst, worst_at = 0.0, ""
+    for nu in sorted({spec.nu, min(4 * spec.nu, MAX_NU)}):
+        classes = spec.with_(nu=nu).build_landscape().class_values()
+        reduced = ReducedSolver(nu, spec.p, classes).solve()
+        q_gamma = reduced_mutation_matrix_reference(nu, spec.p)
+        oracle = _class_power_iteration(q_gamma.T * classes[None, :])
+        err = relative_error(reduced.concentrations, oracle)
+        if err >= worst:
+            worst, worst_at = err, f"nu={nu}"
+    return worst, f"class concentrations vs power iteration, worst at {worst_at}"
 
 
 def _chk_kronecker(spec: ProblemSpec, rng: np.random.Generator):
@@ -458,6 +494,17 @@ INVARIANTS: tuple[Invariant, ...] = (
         and _dense_ok(s)
         and s.landscape in ("single-peak", "linear", "flat"),
         run=_chk_lemma2,
+        exact=False,
+    ),
+    Invariant(
+        name="reduced-class-basis",
+        equation="Sec. 5.1, Eq. 14",
+        description="reduced [Gamma_k] equals a power iteration on Q_Gamma^T·diag(F_Gamma)",
+        tolerance=EIGEN_TOL,
+        applies=lambda s: _uniform(s)
+        and s.landscape in ("single-peak", "linear", "flat")
+        and not (s.p == 0.0 and s.landscape == "flat"),
+        run=_chk_reduced_class_basis,
         exact=False,
     ),
     Invariant(

@@ -43,9 +43,11 @@ class TestCosts:
         mut = UniformMutation(nu, 0.01)
         ls = RandomLandscape(nu, seed=0)
         n = 1 << nu
-        paper = plan_costs(fused_stage_plan(mut.factors_per_bit(), max_radix=2), n, 1, (n,))
+        sweeps = plan_costs(fused_stage_plan(mut.factors_per_bit(), max_radix=2), n)
         fused = plan_costs(fused_stage_plan(mut.factors_per_bit()), n, 1, (n,))
-        assert fmmp_costs(nu) == paper
+        # the paper's scale is its own launch: read v and F, write v
+        assert fmmp_costs(nu).bytes_moved == sweeps.bytes_moved + 24.0 * n
+        assert fmmp_costs(nu).flops == sweeps.flops + n
         assert Fmmp(mut, ls).costs() == fused
         assert xmvp_costs(nu, 4).flops == Xmvp(mut, ls, 4).costs().flops
 

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import repro.transforms.batched as kernel
 from repro.exceptions import ValidationError
-from repro.mutation import PerSiteMutation, UniformMutation
+from repro.mutation import GroupedMutation, PerSiteMutation, UniformMutation
+from repro.operators.batched import mutation_plan
 from repro.transforms import (
     batched_butterfly_transform,
     butterfly_transform,
@@ -213,6 +215,96 @@ class TestBatchWidthInvariance:
             full = columns(slice(0, b))
             for j in range(b):
                 assert np.array_equal(lone[j], full[:, j]), f"B={b}, column {j}"
+
+
+def chunk_test_mutation(kind, nu, rng):
+    """A uniform, per-site or grouped model; the grouped one cycles
+    through 4-, 3-, 2- and 1-bit groups, so from ν = 4 on its plan has a
+    radix-16 stage (the column-by-column path)."""
+    if kind == "uniform":
+        return UniformMutation(nu, float(rng.uniform(1e-3, 0.4)))
+    if kind == "persite":
+        return PerSiteMutation.from_error_rates(rng.uniform(0.0, 0.4, nu))
+    sizes, left = [], nu
+    while left:
+        sizes.append(min((4, 3, 2, 1)[len(sizes) % 4], left))
+        left -= sizes[-1]
+    blocks = [rng.uniform(0.1, 1.0, (1 << g, 1 << g)) for g in sizes]
+    return GroupedMutation([blk / blk.sum(axis=0) for blk in blocks])
+
+
+def chunk_test_scales(form, shape, rng):
+    f = rng.uniform(0.5, 2.0, shape)
+    return {"right": (f, None), "symmetric": (np.sqrt(f), np.sqrt(f)), "left": (None, f)}[form]
+
+
+class TestChunkSizeInvariance:
+    """A product's bits never depend on the chunk size of its sweeps:
+    tiny chunks (down to one double, which forces the narrowest ``z``
+    ranges and the two-group ``z == 1`` runs) and the default size give
+    the bits of a one-chunk run, and every column equals the column run
+    alone.  ``ν`` 1–12, ``B`` 1, 2, 3, 5 and 16 (1 and 16 above ν = 9),
+    both variants (alternating with ``ν``), shared and per-column scales
+    (alternating with ``ν + B``)."""
+
+    CHUNK_BYTES = (8, 1024, kernel._CHUNK_BYTES)
+    WIDTHS = (1, 2, 3, 5, 16)
+
+    @pytest.mark.parametrize("kind", ["uniform", "persite", "grouped"])
+    @pytest.mark.parametrize("form", ["right", "symmetric", "left"])
+    def test_bits_do_not_depend_on_the_chunk_size(self, kind, form, monkeypatch):
+        rng = np.random.default_rng(len(kind) + len(form))
+        for nu in range(1, 13):
+            variant = ("eq9", "eq10")[nu % 2]
+            plan = mutation_plan(chunk_test_mutation(kind, nu, rng), variant)
+            n = 1 << nu
+            for b in self.WIDTHS if nu <= 9 else (1, 16):
+                block = rng.standard_normal((n, b))
+                per_column = (nu + b) % 2 == 1
+                pre, post = chunk_test_scales(form, (n, b) if per_column else n, rng)
+
+                def run(cols=slice(None)):
+                    return batched_butterfly_transform(
+                        block[:, cols],
+                        plan,
+                        pre_scale=pre[:, cols] if per_column and pre is not None else pre,
+                        post_scale=post[:, cols] if per_column and post is not None else post,
+                    )
+
+                monkeypatch.setattr(kernel, "_CHUNK_BYTES", 1 << 60)
+                one_chunk = run()
+                lone = [run(slice(j, j + 1))[:, 0] for j in range(b)]
+                for size in self.CHUNK_BYTES:
+                    monkeypatch.setattr(kernel, "_CHUNK_BYTES", size)
+                    got = run()
+                    where = f"nu={nu} B={b} chunk={size}"
+                    assert np.array_equal(got, one_chunk), where
+                    for j in range(b):
+                        assert np.array_equal(got[:, j], lone[j]), f"{where} column {j}"
+
+    def test_chunk_lists_keep_the_bit_rules(self, monkeypatch):
+        """Every chunk list covers its sweep once, in order, with equal
+        chunks; a ``z`` range is never one column wide nor cuts a
+        radix-16 stage, and a ``z == 1`` run keeps two groups unless the
+        sweep has only one group."""
+        monkeypatch.setattr(kernel, "_CHUNK_BYTES", 8)
+        rng = np.random.default_rng(3)
+        for nu in range(1, 11):
+            for b in (1, 2, 3):
+                mutation = chunk_test_mutation(("persite", "grouped")[nu % 2], nu, rng)
+                for stage in mutation_plan(mutation, "eq10"):
+                    r, h = stage.radix, stage.span
+                    g = (1 << nu) // (r * h)
+                    chunks = kernel._chunks(1 << nu, b, stage)
+                    covered = [(q, c) for q0, q1, h0, h1 in chunks
+                               for q in range(q0, q1) for c in range(h0, h1)]
+                    assert covered == [(q, c) for q in range(g) for c in range(h)]
+                    assert len({(q1 - q0, h1 - h0) for q0, q1, h0, h1 in chunks}) == 1
+                    q0, q1, h0, h1 = chunks[0]
+                    if h1 - h0 < h:
+                        assert (h1 - h0) * b >= 2 and r <= kernel.MAX_RADIX
+                    if h * b == 1 and g > 1:
+                        assert q1 - q0 >= 2
 
 
 class TestBufferContract:

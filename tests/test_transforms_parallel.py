@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.transforms.batched as kernel
 from repro.exceptions import ValidationError
 from repro.landscapes import RandomLandscape
 from repro.mutation import GroupedMutation, PerSiteMutation, UniformMutation, site_factor
@@ -209,8 +210,8 @@ class TestBitIdentity:
     @pytest.mark.parametrize("b", [1, 2, 16])
     def test_every_panel_count_matches_serial_bitwise(self, max_radix, b):
         """``R`` up to 64 (clamped to the plan's cap) at every small ν:
-        the work units of ``_stage_units`` keep each sweep on the serial
-        kernel's BLAS call, whatever the radix."""
+        the shares of each sweep's chunk list keep it on the serial
+        kernel's BLAS calls, whatever the radix."""
         rng = np.random.default_rng(b)
         for nu in range(1, 9):
             factors = PerSiteMutation.from_error_rates(
@@ -249,6 +250,59 @@ class TestBitIdentity:
             parallel_butterfly_transform(
                 block, fused_stage_plan(factors), panels=2, out=buf, scratch=buf
             )
+
+
+class TestChunkSizeInvariance:
+    """The shares of tiny chunk lists (down to one double), of mid-sized
+    ones and of the default ones give the bits of a one-chunk serial run,
+    for threads 2 and 4 with explicit panel counts, and every column
+    equals the column run alone.  ``ν`` 1–12 (tiny chunks up to ν = 10),
+    ``B`` 1, 2, 3, 5 and 16 in turn, both variants, shared and
+    per-column scales; the grouped model has a 4-bit group from ν = 4 on
+    (its plan runs serially, column by column)."""
+
+    CHUNK_BYTES = (8, 1024, kernel._CHUNK_BYTES)
+    RUNS = ((2, 2), (2, 8), (4, 4))  # (threads, panels)
+
+    @pytest.mark.parametrize("kind", ["uniform", "persite", "grouped"])
+    @pytest.mark.parametrize("form", ["right", "symmetric", "left"])
+    def test_shares_do_not_change_the_bits(self, kind, form, monkeypatch):
+        rng = np.random.default_rng(len(kind) * len(form))
+        for nu in range(1, 13):
+            if kind == "grouped":
+                sizes = [min(4, nu)] + [1] * (nu - min(4, nu))
+                blocks = [rng.uniform(0.1, 1.0, (1 << g, 1 << g)) for g in sizes]
+                mutation = GroupedMutation([blk / blk.sum(axis=0) for blk in blocks])
+            else:
+                mutation = build_mutation(kind, nu, float(rng.uniform(1e-3, 0.4)), nu)
+            plan = mutation_plan(mutation, ("eq9", "eq10")[nu % 2])
+            n, b = 1 << nu, (1, 2, 3, 5, 16)[nu % 5]
+            block = rng.standard_normal((n, b))
+            f = rng.uniform(0.5, 2.0, (n, b) if nu % 3 else n)
+            root = np.sqrt(f)
+            pre, post = {"right": (f, None), "symmetric": (root, root), "left": (None, f)}[form]
+
+            def cols(scale, j):
+                return scale if scale is None or scale.ndim == 1 else scale[:, j : j + 1]
+
+            monkeypatch.setattr(kernel, "_CHUNK_BYTES", 1 << 60)
+            one_chunk = batched_butterfly_transform(block, plan, pre_scale=pre, post_scale=post)
+            lone = [
+                batched_butterfly_transform(
+                    block[:, j : j + 1], plan, pre_scale=cols(pre, j), post_scale=cols(post, j)
+                )[:, 0]
+                for j in range(b)
+            ]
+            for size in self.CHUNK_BYTES if nu <= 10 else self.CHUNK_BYTES[1:]:
+                monkeypatch.setattr(kernel, "_CHUNK_BYTES", size)
+                for threads, panels in self.RUNS:
+                    got = parallel_butterfly_transform(
+                        block, plan, pre_scale=pre, post_scale=post, panels=panels, threads=threads
+                    )
+                    where = f"nu={nu} B={b} chunk={size} T={threads} R={panels}"
+                    assert np.array_equal(got, one_chunk), where
+                    for j in range(b):
+                        assert np.array_equal(got[:, j], lone[j]), f"{where} column {j}"
 
 
 class TestResolution:

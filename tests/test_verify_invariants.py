@@ -133,6 +133,16 @@ class TestSolverIdentities:
 
     @sweep
     @given(
+        nu=st.integers(1, 28),
+        p=st.floats(1e-3, 0.5),
+        landscape=st.sampled_from(("single-peak", "linear", "flat")),
+    )
+    def test_reduced_class_basis(self, nu, p, landscape):
+        spec = ProblemSpec(nu=nu, p=p, landscape=landscape)
+        run_one("reduced-class-basis", spec, 0)
+
+    @sweep
+    @given(
         nu=st.integers(2, 8),
         p=st.floats(1e-4, 0.5),
         mutation=st.sampled_from(("uniform", "grouped")),
