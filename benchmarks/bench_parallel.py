@@ -1,13 +1,14 @@
-"""Panel-engine thread-scaling bench → ``BENCH_parallel.json``.
+"""Thread-scaling bench of the fused kernel → ``BENCH_parallel.json``.
 
-Measures the serial stage-fused kernel against the panel-parallel
-engine (:mod:`repro.transforms.parallel`) split into one panel per
-thread, with BLAS pinned to one thread so the engine owns all
-parallelism.  The points run from below the crossover (B = 1 at
-ν = 14–17; B = 8 and 16 at ν = 12–14), which is where
-``AUTO_PANELS_MIN_ELEMENTS`` comes from, up to ν = 20.  Records
-wall-clock, measured speedups, what :func:`auto_panels` picks, the
-bytes each product moves (:func:`repro.operators.batched.plan_costs`
+Measures the stage-fused kernel at ``threads=1`` against the same
+kernel with every sweep shared among ``threads=T`` participants (the
+engines of :mod:`repro.transforms.parallel`), with BLAS pinned to one
+thread so the engine owns all parallelism.  The points run from below
+the crossover (B = 1 at ν = 14–17; B = 8 and 16 at ν = 12–14), which is
+where :data:`repro.operators.batched.THREADS_MIN_ELEMENTS` comes from,
+up to ν = 20.  Records wall-clock, measured speedups, the thread count
+the operators' size rule runs each block on, the bytes each product
+moves (:func:`repro.operators.batched.plan_costs`
 of the plan it runs) and effective bandwidth, plus the host's core/BLAS
 metadata, into ``BENCH_parallel.json`` at the repository root.  The
 harness (:func:`measure_parallel_matmat`) lives here, next to the only
@@ -30,16 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import repro.operators.batched as operators_batched
 from conftest import report
+from repro.landscapes import SinglePeakLandscape
 from repro.mutation import UniformMutation
+from repro.operators import BatchedFmmp
 from repro.perf import plan_costs
-from repro.transforms import (
-    auto_panels,
-    batched_butterfly_transform,
-    fused_stage_plan,
-    parallel_butterfly_transform,
-    shutdown_engines,
-)
+from repro.transforms import batched_butterfly_transform, fused_stage_plan, shutdown_engines
 from repro.util.blas import blas_limit, blas_thread_info
 from repro.util.timing import median_time
 
@@ -47,9 +45,9 @@ GATE_THREADS = 4
 GATE_SPEEDUP = 1.8
 GATE_NU = 18
 THREAD_COUNTS = (1, 2, 4)
-#: (nu, batch) points below the crossover, where splitting into panels
-#: lost to the serial kernel, or at best tied, on the recording host, so
-#: ``auto_panels`` must keep them on one panel.
+#: (nu, batch) points below the crossover, where sharing sweeps between
+#: threads lost to one thread, or at best tied, on the recording host, so
+#: the operators' size rule must run them on the caller alone.
 BELOW_CROSSOVER = (
     (14, 1), (15, 1), (16, 1), (17, 1),
     (12, 8), (13, 8), (14, 8),
@@ -69,7 +67,6 @@ class ParallelMeasurement:
     nu: int
     batch: int
     threads: int
-    panels: int
     serial_s: float
     parallel_s: float
     bytes_moved: float
@@ -88,8 +85,7 @@ class ParallelMeasurement:
             "nu": self.nu,
             "batch": self.batch,
             "threads": self.threads,
-            "panels": self.panels,
-            "auto_panels": auto_panels(self.nu, self.batch, threads=self.threads),
+            "operator_threads": operator_threads(self.nu, self.batch, self.threads),
             "serial_s": self.serial_s,
             "parallel_s": self.parallel_s,
             "bytes_moved": self.bytes_moved,
@@ -108,8 +104,8 @@ def measure_parallel_matmat(
     repeats: int = 3,
     min_time: float = 0.01,
 ) -> ParallelMeasurement:
-    """Time the serial fused kernel against the panel engine split into
-    ``threads`` panels on one block (right form: the plan with a shared
+    """Time the fused kernel at ``threads=1`` against ``threads`` on one
+    block (right form: the plan with a shared
     pre-scale).  Each of ``repeats`` rounds times both once, in
     alternating order, so a load that comes and goes hits both alike;
     each side reports its median.  BLAS is pinned to one thread for the
@@ -126,8 +122,8 @@ def measure_parallel_matmat(
         "serial": lambda: batched_butterfly_transform(
             block, plan, pre_scale=pre, out=out, scratch=scratch
         ),
-        "parallel": lambda: parallel_butterfly_transform(
-            block, plan, pre_scale=pre, panels=threads, threads=threads, out=out, scratch=scratch
+        "parallel": lambda: batched_butterfly_transform(
+            block, plan, pre_scale=pre, threads=threads, out=out, scratch=scratch
         ),
     }
     samples: dict[str, list[float]] = {name: [] for name in runs}
@@ -139,11 +135,27 @@ def measure_parallel_matmat(
         nu=nu,
         batch=batch,
         threads=threads,
-        panels=threads,
         serial_s=float(np.median(samples["serial"])),
         parallel_s=float(np.median(samples["parallel"])),
         bytes_moved=plan_costs(plan, n, batch, pre.shape).bytes_moved,
     )
+
+
+def operator_threads(nu: int, batch: int, threads: int) -> int:
+    """The participants a ``BatchedFmmp(threads=threads)`` product of an
+    ``(2**nu, batch)`` block runs on, observed on the kernel call."""
+    seen = []
+    real = operators_batched.batched_butterfly_transform
+
+    def spy(block, plan, **kwargs):
+        seen.append(kwargs["threads"])
+        return real(block, plan, **kwargs)
+
+    op = BatchedFmmp(UniformMutation(nu, 0.01), SinglePeakLandscape(nu), threads=threads)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators_batched, "batched_butterfly_transform", spy)
+        op.matmat(np.ones((1 << nu, batch)))
+    return seen[0]
 
 
 def _host_cores() -> int:
@@ -166,16 +178,16 @@ def measurements():
 def test_thread_scaling_and_record(measurements):
     cores = _host_cores()
     lines = [
-        f"Panel-parallel thread scaling (host cores={cores}, BLAS pinned to 1)",
-        f"{'nu':>3} {'B':>3} {'T':>2} {'R':>2} {'auto':>4} {'serial ms':>10} "
+        f"Fused-kernel thread scaling (host cores={cores}, BLAS pinned to 1)",
+        f"{'nu':>3} {'B':>3} {'T':>2} {'op T':>4} {'serial ms':>10} "
         f"{'parallel ms':>12} {'speedup':>8} {'GB/s':>6}",
     ]
     points = []
     for (nu, batch, t), m in sorted(measurements.items()):
         points.append(m.to_dict())
         lines.append(
-            f"{nu:>3} {batch:>3} {t:>2} {m.panels:>2} "
-            f"{auto_panels(nu, batch, threads=t):>4} {m.serial_s * 1e3:>10.3f} "
+            f"{nu:>3} {batch:>3} {t:>2} "
+            f"{points[-1]['operator_threads']:>4} {m.serial_s * 1e3:>10.3f} "
             f"{m.parallel_s * 1e3:>12.3f} {m.speedup:>8.2f} {m.parallel_gbs:>6.2f}"
         )
 
@@ -230,16 +242,16 @@ def test_thread_scaling_and_record(measurements):
 
 
 @pytest.mark.perf_parallel
-def test_auto_panels_never_hurts_small_nu(measurements):
-    """The auto heuristic must keep tiny transforms, and every block
-    below the measured crossover, on the serial kernel (threading a
+def test_operator_rule_keeps_small_blocks_serial(measurements):
+    """The operators' size rule must run tiny transforms, and every block
+    below the measured crossover, on the caller alone (threading a
     barrier-dominated sweep would only lose)."""
     for nu in (2, 4, 8):
-        assert auto_panels(nu, 1, threads=GATE_THREADS) == 1
+        assert operator_threads(nu, 1, GATE_THREADS) == 1
     for nu, batch in BELOW_CROSSOVER:
         for t in THREAD_COUNTS:
-            assert auto_panels(nu, batch, threads=t) == 1, (nu, batch, t)
-    assert auto_panels(GATE_NU, 1, threads=GATE_THREADS) > 1
+            assert operator_threads(nu, batch, t) == 1, (nu, batch, t)
+    assert operator_threads(GATE_NU, 1, GATE_THREADS) == GATE_THREADS
 
 
 @pytest.mark.perf_parallel
@@ -252,7 +264,5 @@ def test_parallel_results_match_serial_bitwise():
     pre = rng.random(n) + 0.5
     plan = fused_stage_plan(UniformMutation(nu, 0.01).factors_per_bit())
     ref = batched_butterfly_transform(block, plan, pre_scale=pre)
-    got = parallel_butterfly_transform(
-        block, plan, pre_scale=pre, panels=4, threads=GATE_THREADS
-    )
+    got = batched_butterfly_transform(block, plan, pre_scale=pre, threads=GATE_THREADS)
     assert np.array_equal(ref, got)

@@ -20,7 +20,6 @@ from repro.bitops.classes import (
     masks_up_to_distance,
 )
 from repro.bitops.graycode import gray_code, gray_permutation, inverse_permutation
-from repro.bitops.panels import split_stages
 
 __all__ = [
     "popcount",
@@ -36,5 +35,4 @@ __all__ = [
     "gray_code",
     "gray_permutation",
     "inverse_permutation",
-    "split_stages",
 ]

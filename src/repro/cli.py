@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--tol", type=float, default=1e-12)
     solve.add_argument("--threads", type=int, default=None,
-                       help="panel-engine threads for the fmmp butterfly "
+                       help="threads sharing each fmmp butterfly sweep "
                        "(default: REPRO_NUM_THREADS or 1)")
     solve.add_argument("--classes", type=int, default=6, help="error classes to print")
     solve.add_argument("--save", metavar="PATH", help="save the result as .npz")
@@ -151,9 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="spec count for --grid random")
     verify.add_argument("--no-solvers", action="store_true",
                         help="skip the solver-oracle tier (products + invariants only)")
-    verify.add_argument("--threads", type=int, default=None,
-                        help="panel-engine threads for the fmmp-parallel oracle "
-                        "(default: REPRO_NUM_THREADS or 1)")
     verify.add_argument("--json", metavar="PATH", default="verify-report.json",
                         help="where to write the JSON report ('-' for stdout)")
     verify.add_argument("--quiet", action="store_true",
@@ -172,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--timeout", type=float, help="per-attempt timeout [s]")
     batch.add_argument("--retries", type=int, help="retries per route")
     batch.add_argument("--threads", type=int, default=None,
-                       help="panel-engine threads per worker (workers are "
+                       help="butterfly threads per worker (workers are "
                        "capped at cpu_count//threads to avoid oversubscription)")
     batch.add_argument("--json", metavar="PATH", default="batch-report.json",
                        help="where to write the JSON report ('-' for stdout)")
@@ -336,7 +333,6 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         count=args.count,
         solvers=not args.no_solvers,
-        threads=args.threads,
         progress=progress,
     )
     if args.json == "-":

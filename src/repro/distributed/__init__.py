@@ -25,10 +25,7 @@ is modeled exactly like the device layer models kernels):
 """
 
 from repro.distributed.cluster import CommLink, ClusterProfile
-from repro.distributed.partition import (
-    PartitionedVector,
-    split_stages,
-)
+from repro.distributed.partition import PartitionedVector
 from repro.distributed.fmmp import DistributedFmmp
 from repro.distributed.power import DistributedPowerIteration, DistributedRunReport
 
@@ -36,7 +33,6 @@ __all__ = [
     "CommLink",
     "ClusterProfile",
     "PartitionedVector",
-    "split_stages",
     "DistributedFmmp",
     "DistributedPowerIteration",
     "DistributedRunReport",

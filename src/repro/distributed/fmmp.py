@@ -30,7 +30,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.distributed.cluster import ClusterProfile
-from repro.distributed.partition import PartitionedVector, split_stages
+from repro.distributed.partition import PartitionedVector
 from repro.exceptions import ValidationError
 from repro.operators.batched import plan_costs
 from repro.transforms.batched import (
@@ -69,10 +69,10 @@ class DistributedFmmp:
                 f"(N = {self.n})"
             )
         self.block_size = self.n // cluster.ranks
-        # Shared stage-split math: bottom log2(B) stages are rank-local,
-        # top log2(R) pair across ranks (same helper the shared-memory
-        # panel engine classifies its sweeps with).
-        self.local_stages, self.cross_stages = split_stages(self.nu, cluster.ranks)
+        # The bottom log2(B) = ν − log2(R) stages are rank-local, the top
+        # log2(R) pair across ranks.
+        self.cross_stages = cluster.dimensions
+        self.local_stages = self.nu - self.cross_stages
         self._local_plan = fused_stage_plan(self.factors[: self.local_stages])
         self._cross_plan = [
             FusedStage(span=self.block_size, radix=2, matrix=m)

@@ -12,14 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bitops.panels import split_stages
 from repro.exceptions import ValidationError
 from repro.util.validation import check_power_of_two
 
-__all__ = [
-    "PartitionedVector",
-    "split_stages",
-]
+__all__ = ["PartitionedVector"]
 
 
 class PartitionedVector:

@@ -124,7 +124,7 @@ class QuasispeciesModel:
             (uniform mutation only); a float → that explicit shift;
             ``False`` → unshifted.
         threads:
-            Engine threads for the panel-parallel ``fmmp`` butterfly
+            Threads sharing each sweep of the ``fmmp`` butterfly
             (``None`` → ``REPRO_NUM_THREADS`` or 1); the baselines
             (``xmvp``/``smvp``) are serial and ignore it.
         """
@@ -164,7 +164,7 @@ class QuasispeciesModel:
         Kronecker decoupling → exact (ν+1) reduction → shifted
         ``Pi(Fmmp)``, in that order of preference.
 
-        ``threads`` turns on the panel-parallel butterfly for the
+        ``threads`` shares the butterfly's sweeps among threads for the
         iterative ``fmmp`` routes; it changes wall time, never the bits
         of the result.  The structural routes (kronecker / reduced /
         dense) are unaffected.

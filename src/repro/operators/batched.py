@@ -4,8 +4,8 @@
 ``Θ(N log₂ N)`` per column and with no matrix storage: the Kronecker
 factorization of ``Q`` is one fused stage plan (:func:`mutation_plan`),
 built once at construction and run by
-:func:`repro.transforms.batched.batched_butterfly_transform` — or, with
-``threads > 1``, by the panel engine with the same bits — with the
+:func:`repro.transforms.batched.batched_butterfly_transform` — with
+``threads > 1`` on that many participants, with the same bits — with the
 ``F`` / ``F^{1/2}`` scalings of the forms (Eqs. 3–5) folded in as pre-
 and post-scales.
 
@@ -56,9 +56,17 @@ from repro.transforms.batched import (
     fused_stage_plan,
     grouped_stage_plan,
 )
-from repro.transforms.parallel import parallel_butterfly_transform, resolve_threads
+from repro.transforms.parallel import resolve_threads
 
 __all__ = ["BatchedFmmp", "mutation_plan", "plan_costs"]
+
+#: Smallest block (``N·B`` doubles) whose products :meth:`BatchedFmmp.matmat`
+#: shares among its ``threads``; below it the per-sweep barriers cost more
+#: than the threads save.  Measured with ``benchmarks/bench_parallel.py``
+#: (2 cores, BLAS pinned, alternating rounds): two threads lost at
+#: 2^14–2^16 (0.15–0.65×), at best broke even at 2^17 (0.82–1.07×) and won
+#: from 2^18 (1.22–1.42×).
+THREADS_MIN_ELEMENTS = 1 << 18
 
 #: ``(Q·F)ᵀ = F·Qᵀ`` and ``(F·Q)ᵀ = Qᵀ·F``: transposing swaps the side the
 #: right and left forms scale on; the symmetric form keeps both.
@@ -157,11 +165,12 @@ class BatchedFmmp(ImplicitOperator):
         or ``"eq10"`` (descending spans); the fused plan is built in that
         order once, here.
     threads:
-        Panel-engine thread count (``None`` reads ``REPRO_NUM_THREADS``,
-        default 1).  With ``threads > 1`` :meth:`matmat` splits the same
-        fused plan into :func:`repro.transforms.parallel.auto_panels` row
-        panels on the panel engine; the output is bit-identical to the
-        serial kernel, so ``threads`` changes only wall time.
+        Participants of each product (``None`` reads
+        ``REPRO_NUM_THREADS``, default 1).  :meth:`matmat` shares every
+        sweep of a block of ``N·B >= THREADS_MIN_ELEMENTS`` doubles among
+        ``threads`` participants and runs smaller blocks on the caller
+        alone; the output is bit-identical to the serial kernel, so
+        ``threads`` changes only wall time.
 
     Examples
     --------
@@ -308,18 +317,14 @@ class BatchedFmmp(ImplicitOperator):
         if b == 0:
             return np.empty((self.n, 0), dtype=np.float64)
         pre, post = self._scales(columns)
-        if self.threads == 1:
-            return batched_butterfly_transform(
-                arr, self._plan, pre_scale=pre, post_scale=post, out=out, scratch=scratch
-            )
-        return parallel_butterfly_transform(
+        return batched_butterfly_transform(
             arr,
             self._plan,
             pre_scale=pre,
             post_scale=post,
-            threads=self.threads,
             out=out,
             scratch=scratch,
+            threads=self.threads if self.n * b >= THREADS_MIN_ELEMENTS else 1,
         )
 
     def matvec(self, v: np.ndarray, *, column: int = 0) -> np.ndarray:

@@ -56,7 +56,7 @@ class Fmmp(BatchedFmmp):
         ``"eq9"`` (ascending spans, Algorithm 1) or ``"eq10"``
         (descending spans).
     threads:
-        Panel-engine thread count, as for
+        Threads sharing each product's sweeps, as for
         :class:`~repro.operators.batched.BatchedFmmp`; it changes only
         wall time, never bits.
 

@@ -51,35 +51,34 @@ def xmvp_mask_count(nu: int, dmax: int) -> int:
     return sum(math.comb(nu, k) for k in range(dmax + 1))
 
 
-def fmmp_costs(nu: int, *, scale_passes: int = 1) -> OperatorCosts:
+def fmmp_costs(nu: int) -> OperatorCosts:
     """Fmmp per-matvec costs of the paper's stage-by-stage butterfly.
 
     :func:`~repro.operators.batched.plan_costs` of the radix-2 plan (ν
-    sweeps of the N-vector) plus ``scale_passes`` (1 or 2) diagonal
-    passes, each its own launch: it reads the vector and the scale and
-    writes the vector.  Costs depend only on the plan's shape, so
-    identity factors stand in for the mutation factors.
+    sweeps of the N-vector) plus one diagonal pass, its own launch: it
+    reads the vector and the scale and writes the vector.  Costs depend
+    only on the plan's shape, so identity factors stand in for the
+    mutation factors.
     """
     nu = _check(nu)
-    if scale_passes not in (1, 2):
-        raise ValidationError(f"scale_passes must be 1 or 2, got {scale_passes!r}")
     n = 1 << nu
     sweeps = plan_costs(fused_stage_plan([np.eye(2)] * nu, max_radix=2), n)
     return OperatorCosts(
-        flops=sweeps.flops + scale_passes * n,
-        bytes_moved=sweeps.bytes_moved + scale_passes * 24.0 * n,
+        flops=sweeps.flops + n,
+        bytes_moved=sweeps.bytes_moved + 24.0 * n,
         storage_bytes=8.0 * n,
     )
 
 
-def xmvp_costs(nu: int, dmax: int, *, scale_passes: float = 1.0) -> OperatorCosts:
-    """Xmvp(dmax) per-matvec costs: one gather-add pass per mask."""
+def xmvp_costs(nu: int, dmax: int) -> OperatorCosts:
+    """Xmvp(dmax) per-matvec costs: one gather-add pass per mask, plus
+    one diagonal pass."""
     nu = _check(nu)
     passes = float(xmvp_mask_count(nu, dmax))
     n = float(1 << nu)
     return OperatorCosts(
-        flops=2.0 * n * passes + scale_passes * 2.0 * n,
-        bytes_moved=8.0 * n * (3.0 * passes + 3.0 * scale_passes),
+        flops=2.0 * n * passes + 2.0 * n,
+        bytes_moved=8.0 * n * (3.0 * passes + 3.0),
         storage_bytes=8.0 * (passes + n),
     )
 

@@ -236,7 +236,7 @@ def execute_job(job: SolveJob, *, threads: int | None = None) -> JobResult:
 
     ``threads`` (pool-level, **not** part of the job's content hash —
     thread count must never change what a job computes, only how fast)
-    turns on the panel-parallel butterfly for the iterative fmmp
+    shares the butterfly's sweeps among threads for the iterative fmmp
     routes.  Bound via ``functools.partial`` so the partial still
     pickles into process workers.
     """

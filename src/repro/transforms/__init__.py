@@ -19,8 +19,9 @@ semantics:
   sweep, one scratch block) that backs every mutation product, 2×2
   factors and grouped blocks alike: ``butterfly_transform``, ``fwht``,
   ``Fmmp.matvec`` and the batched ``matmat`` operators,
-* :mod:`repro.transforms.parallel` — the same chunk lists shared out
-  among threads, bit-identical to the serial kernel.
+* :mod:`repro.transforms.parallel` — the thread rule and the engines
+  on which the fused kernel shares each sweep's chunks among
+  ``threads`` participants, bit-identical to one participant.
 """
 
 from repro.transforms.butterfly import (
@@ -35,12 +36,8 @@ from repro.transforms.batched import (
 )
 from repro.transforms.parallel import (
     PanelEngine,
-    parallel_butterfly_transform,
     resolve_threads,
-    resolve_panels,
-    max_panels,
-    auto_panels,
-    get_engine,
+    borrow_engine,
     shutdown_engines,
 )
 from repro.transforms.fwht import fwht, fwht_inverse, fwht_matrix
@@ -54,12 +51,8 @@ __all__ = [
     "fused_stage_count",
     "batched_butterfly_transform",
     "PanelEngine",
-    "parallel_butterfly_transform",
     "resolve_threads",
-    "resolve_panels",
-    "max_panels",
-    "auto_panels",
-    "get_engine",
+    "borrow_engine",
     "shutdown_engines",
     "fwht",
     "fwht_inverse",

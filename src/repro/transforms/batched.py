@@ -39,10 +39,13 @@ Walsh-spectrum block):
 * **one plan** — :func:`fused_stage_plan` (2×2 factors) or
   :func:`grouped_stage_plan` (the ``2^g×2^g`` group blocks of Eq. 11)
   builds the list of :class:`FusedStage` sweeps once per operator; the
-  kernel only runs it, the panel engine
-  (:mod:`repro.transforms.parallel`) splits the same chunk lists among
-  its threads, and :func:`repro.operators.batched.plan_costs` counts its
-  bytes and flops from it.
+  kernel only runs it, and :func:`repro.operators.batched.plan_costs`
+  counts its bytes and flops from it.
+* **threads share every sweep** — with ``threads = T > 1`` participant
+  ``t`` runs the contiguous share ``t·c/T … (t+1)·c/T`` of each sweep's
+  ``c`` chunks on an engine of :mod:`repro.transforms.parallel`, with
+  one barrier per sweep (Algorithm 2's stage loop); the chunks are the
+  serial ones, so the bits do not depend on ``T``.
 * **wide stages run column by column** — a radix > 8 stage (a group
   block of ≥ 4 bits) is not bit-stable across batch widths, so a plan
   holding one runs each column through the one-column schedule.
@@ -64,6 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.exceptions import ValidationError
+from repro.transforms.parallel import borrow_engine, resolve_threads
 
 __all__ = [
     "FusedStage",
@@ -341,8 +345,8 @@ def _schedule(block, plan, pre_scale, post_scale, out, scratch):
     Returns ``(steps, out)``: ``steps`` lists ``(src, dst, sweep)`` in
     execution order, each ``sweep`` a :class:`_Sweep` over its stage's
     whole chunk list, the pre-scale on the first and the post-scale on
-    the last.  The serial kernel and the panel engine both run this
-    schedule, so they write the same buffers in the same order.
+    the last.  Every thread count runs this schedule, so they all write
+    the same buffers in the same order.
     """
     work_in = _check_block(block, None, "block")
     n, b = work_in.shape
@@ -392,6 +396,7 @@ def batched_butterfly_transform(
     post_scale: np.ndarray | None = None,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
+    threads: int | None = 1,
 ) -> np.ndarray:
     """Apply the full ν-stage butterfly to every column of ``block``.
 
@@ -420,12 +425,21 @@ def batched_butterfly_transform(
         Optional ``(N, B)`` float64 C-contiguous scratch block (the one
         auxiliary buffer the ping-pong schedule needs).  Must not alias
         ``block`` or ``out``.
+    threads:
+        Participants sharing every sweep (``None`` reads
+        ``REPRO_NUM_THREADS``).  With ``T > 1``, participant ``t`` runs
+        the contiguous share ``chunks[t·c/T : (t+1)·c/T]`` of each
+        sweep's ``c`` chunks on an engine of
+        :mod:`repro.transforms.parallel`, with one barrier per sweep.
+        Taken literally (no size rule), and the bits are the same for
+        every count.
 
     Returns
     -------
     numpy.ndarray
         The transformed ``(N, B)`` block (``out`` if given).
     """
+    threads = resolve_threads(threads)
     steps, out = _schedule(block, plan, pre_scale, post_scale, out, scratch)
     n, b = out.shape
     if b > 1 and max(stage.radix for stage in plan) > MAX_RADIX:
@@ -446,9 +460,24 @@ def batched_butterfly_transform(
                 post_scale=post_j,
                 out=res[j].reshape(n, 1),
                 scratch=col_scratch,
+                threads=threads,
             )
         out[:] = res.T
         return out
-    for src, dst, sweep in steps:
-        _apply_fused(src, dst, sweep)
+    if threads == 1:
+        for src, dst, sweep in steps:
+            _apply_fused(src, dst, sweep)
+        return out
+
+    def participant(t: int) -> None:
+        # Chunks are independent slices of one sweep, so which
+        # participant runs which share never changes the numbers.
+        for src, dst, sweep in steps:
+            c = len(sweep.chunks)
+            mine = sweep.chunks[t * c // threads : (t + 1) * c // threads]
+            _apply_fused(src, dst, sweep._replace(chunks=mine))
+            engine.barrier_wait()
+
+    with borrow_engine(threads) as engine:
+        engine.run(participant)
     return out

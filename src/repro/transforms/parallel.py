@@ -1,51 +1,42 @@
-"""Panel-parallel butterfly engine: the stage-fused kernel across cores.
+"""Shared-memory engine of the fused butterfly: threads and one barrier.
 
-The stage-fused batched kernel of :mod:`repro.transforms.batched` runs
-each fused sweep as an ordered list of cache-sized chunks (runs of whole
-butterfly groups, or whole-row ``z`` ranges of one group).  This module
-runs the *identical* schedule on a persistent pool of worker threads:
-every sweep's chunk list is cut into ``R = 2^r`` contiguous **shares**
-(``R`` is the panel count; for a sweep of whole-group chunks a share is
-a contiguous run of rows), participant ``t`` of ``T`` runs shares
-``[t·R/T, (t+1)·R/T)``, and one barrier ends each sweep.
-
+:func:`~repro.transforms.batched.batched_butterfly_transform` with
+``threads = T > 1`` runs each fused sweep's ordered chunk list on ``T``
+participants: participant ``t`` runs the contiguous share
+``chunks[t·c/T : (t+1)·c/T]`` of every sweep's ``c`` chunks, and one
+barrier ends each sweep — the paper's Algorithm 2 host loop (launch a
+stage across its work items, synchronise, next stage) on CPU threads.
 The chunks, and the scales riding on them, are the serial kernel's own,
-so the result is **bit-identical** to
-:func:`~repro.transforms.batched.batched_butterfly_transform` for every
-panel count and thread count (asserted across the whole model/form grid
-in the tests).
+so every thread count gives the serial kernel's bits.
 
-NumPy releases the GIL inside the slice kernels, so the shares
+This module holds the machinery: :func:`resolve_threads` (the one
+thread-count rule, ``REPRO_NUM_THREADS`` when unset), the persistent
+:class:`PanelEngine` (``T − 1`` worker threads plus the caller, one
+sweep barrier), and a free list of idle engines: every product checks
+an engine of its size out with :func:`borrow_engine` and returns it
+afterwards, so concurrent products never share a running engine and
+sequential ones reuse the same workers.
+
+NumPy releases the GIL inside the chunk kernels, so the shares
 genuinely overlap on multicore hosts; see ``docs/performance.md`` for
-the measured scaling and the auto-``R`` heuristic.
+the measured scaling.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
-from collections.abc import Sequence
+from collections.abc import Iterator
 
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.transforms.batched import (
-    MAX_RADIX,
-    FusedStage,
-    _apply_fused,
-    _plan_bits,
-    _schedule,
-    batched_butterfly_transform,
-)
 
 __all__ = [
     "PanelEngine",
-    "parallel_butterfly_transform",
     "resolve_threads",
-    "resolve_panels",
-    "max_panels",
-    "auto_panels",
-    "get_engine",
+    "borrow_engine",
     "shutdown_engines",
     "THREADS_ENV",
 ]
@@ -77,59 +68,6 @@ def resolve_threads(threads: int | None) -> int:
     return threads
 
 
-def max_panels(nu: int, *, radix: int = MAX_RADIX) -> int:
-    """Largest admissible panel count ``R`` for a ν-bit transform whose
-    plan's largest stage radix is ``radix``.
-
-    ``R <= N/radix``, the group count of the plan's widest sweep: more
-    shares than that would only leave shares empty at small ν.  The
-    default is the largest radix
-    :func:`~repro.transforms.batched.fused_stage_plan` builds, a safe cap
-    for every plan.
-    """
-    if nu < 1:
-        raise ValidationError(f"nu must be >= 1, got {nu}")
-    return max(1, (1 << nu) // radix)
-
-
-def resolve_panels(panels: int, nu: int, *, radix: int = MAX_RADIX) -> int:
-    """Validate an explicit panel count ``R`` (a positive power of two)
-    and clamp it down to :func:`max_panels` (small ν simply cannot host
-    many panels — the clamp keeps sweeps like ``R=4`` at ``ν=2``
-    well-defined instead of erroring).  The automatic pick is
-    :func:`auto_panels`.
-    """
-    if isinstance(panels, bool) or not isinstance(panels, (int, np.integer)):
-        raise ValidationError(f"panels must be an integer, got {panels!r}")
-    panels = int(panels)
-    if panels < 1 or (panels & (panels - 1)) != 0:
-        raise ValidationError(f"panels must be a positive power of two, got {panels}")
-    return min(panels, max_panels(nu, radix=radix))
-
-
-#: Smallest block (``N·B`` doubles) the automatic rule splits into
-#: panels; below it the per-sweep barriers cost more than the panels save.
-#: Measured with ``benchmarks/bench_parallel.py`` (2 cores, BLAS pinned,
-#: alternating rounds): two panels lost at 2^14–2^16 (0.15–0.65×), at
-#: best broke even at 2^17 (0.82–1.07×) and won from 2^18 (1.22–1.42×).
-AUTO_PANELS_MIN_ELEMENTS = 1 << 18
-
-
-def auto_panels(nu: int, batch: int, *, threads: int) -> int:
-    """The one automatic panel count of a ``(2**ν, batch)`` product (what
-    :func:`parallel_butterfly_transform` picks for ``panels=None``).
-
-    ``R = min(largest power of two <= threads, max_panels(ν))`` once the
-    block holds ``N·B >= 2^18`` doubles, else ``R = 1`` (the serial
-    kernel).
-    """
-    threads = resolve_threads(threads)
-    cap = max_panels(nu)  # also validates nu
-    if (1 << nu) * batch < AUTO_PANELS_MIN_ELEMENTS:
-        return 1
-    return min(1 << (threads.bit_length() - 1), cap)
-
-
 class _Aborted(BaseException):
     """Internal: a participant saw the barrier break — unwind quietly."""
 
@@ -146,8 +84,8 @@ class PanelEngine:
     the caller.
 
     Engines are cheap to keep alive (workers sleep on a condition
-    variable between jobs) — use :func:`get_engine` for a shared,
-    per-thread-count instance.
+    variable between jobs); one runs one job at a time, so products take
+    theirs from :func:`borrow_engine`.
     """
 
     def __init__(self, threads: int):
@@ -262,99 +200,37 @@ class PanelEngine:
             w.join(timeout=5.0)
 
 
-_ENGINES: dict[int, PanelEngine] = {}
+#: Idle engines by participant count.
+_IDLE: dict[int, list[PanelEngine]] = {}
 _ENGINES_LOCK = threading.Lock()
 
 
-def get_engine(threads: int | None = None) -> PanelEngine:
-    """Shared persistent engine for ``threads`` participants (workers
-    sleep between jobs; repeated transforms reuse the same pool)."""
+@contextlib.contextmanager
+def borrow_engine(threads: int) -> Iterator[PanelEngine]:
+    """Check an idle engine of ``threads`` participants out of the free
+    list (or start one) for one product, and return it afterwards.
+
+    A running engine belongs to one caller, so products on different
+    threads each get their own; sequential products reuse the same
+    engine and its workers (which sleep between jobs).
+    """
     threads = resolve_threads(threads)
     with _ENGINES_LOCK:
-        engine = _ENGINES.get(threads)
-        if engine is None:
-            engine = PanelEngine(threads)
-            _ENGINES[threads] = engine
-        return engine
+        idle = _IDLE.get(threads)
+        engine = idle.pop() if idle else PanelEngine(threads)
+    try:
+        yield engine
+    finally:
+        with _ENGINES_LOCK:
+            _IDLE.setdefault(threads, []).append(engine)
 
 
 def shutdown_engines() -> None:
-    """Close and drop every cached engine (tests / interpreter teardown)."""
+    """Close every idle engine and empty the free list (tests /
+    interpreter teardown); an engine borrowed at the time goes back to
+    the list when its product ends."""
     with _ENGINES_LOCK:
-        engines = list(_ENGINES.values())
-        _ENGINES.clear()
+        engines = [engine for idle in _IDLE.values() for engine in idle]
+        _IDLE.clear()
     for engine in engines:
         engine.close()
-
-
-def parallel_butterfly_transform(
-    block: np.ndarray,
-    plan: Sequence[FusedStage],
-    *,
-    pre_scale: np.ndarray | None = None,
-    post_scale: np.ndarray | None = None,
-    panels: int | None = None,
-    threads: int | None = None,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
-    """Panel-parallel :func:`~repro.transforms.batched.batched_butterfly_transform`.
-
-    Identical semantics, arguments and — by construction — *bits*:
-    for every ``(panels, threads)`` combination the output equals the
-    serial fused kernel's exactly.
-
-    Parameters
-    ----------
-    block, plan, pre_scale, post_scale, out, scratch:
-        As for the serial kernel.
-    panels:
-        Panel count ``R`` (power of two): the number of contiguous
-        shares every sweep's chunk list is cut into, clamped to
-        :func:`max_panels` of the plan's largest radix; ``None`` picks
-        :func:`auto_panels` of the block's shape and the thread count.
-        A plan with a stage of radix above ``MAX_RADIX`` always runs as
-        one panel.
-    threads:
-        Participant count; ``None`` reads ``REPRO_NUM_THREADS``
-        (default 1).  The product runs on the shared :func:`get_engine`
-        pool for that count.
-    """
-    nu = _plan_bits(plan)
-    threads_n = resolve_threads(threads)
-    radix = max(stage.radix for stage in plan)
-    if panels is None:
-        b = np.shape(block)[1] if np.ndim(block) == 2 else 1  # _schedule rejects other shapes
-        panels_n = auto_panels(nu, b, threads=threads_n)
-    else:
-        panels_n = resolve_panels(panels, nu, radix=radix)
-    if panels_n == 1 or radix > MAX_RADIX:
-        # One panel ⇒ the shared schedule is the serial schedule.  A
-        # radix > 8 plan runs there too: the serial kernel takes it column
-        # by column, the only schedule that keeps its bits.
-        return batched_butterfly_transform(
-            block,
-            plan,
-            pre_scale=pre_scale,
-            post_scale=post_scale,
-            out=out,
-            scratch=scratch,
-        )
-    steps, out = _schedule(block, plan, pre_scale, post_scale, out, scratch)
-    eng = get_engine(threads_n)
-    nt = eng.threads
-
-    def participant(t: int) -> None:
-        # Fixed contiguous share assignment: participant t runs shares
-        # [t·R/T, (t+1)·R/T) of every sweep's chunk list.  Chunks are
-        # independent slices of one sweep, so the share→thread map never
-        # affects the numbers and any T gives the same bits.
-        lo, hi = t * panels_n // nt, (t + 1) * panels_n // nt
-        for src, dst, sweep in steps:
-            c = len(sweep.chunks)
-            mine = sweep.chunks[lo * c // panels_n : hi * c // panels_n]
-            _apply_fused(src, dst, sweep._replace(chunks=mine))
-            eng.barrier_wait()
-
-    eng.run(participant)
-    return out

@@ -1,8 +1,8 @@
 """BLAS threadpool pinning — keep engine threads and BLAS threads from
 multiplying.
 
-The panel engine parallelizes *across* the butterfly's row panels; the
-``matmul`` each worker issues must therefore run single-threaded, or a
+The panel engine parallelizes *across* each butterfly sweep's chunks;
+the ``matmul`` each worker issues must therefore run single-threaded, or a
 4-thread engine on a 4-core host would fan out into 16 runnable BLAS
 threads and thrash (the oversubscription rule documented in
 ``docs/performance.md``: **pool workers × engine threads × BLAS threads

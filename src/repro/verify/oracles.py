@@ -13,12 +13,11 @@ every pair must agree to machine precision on arbitrary probe vectors:
   (:class:`~repro.operators.batched.BatchedFmmp`): the probe rides one
   column of a genuine multi-column block, so column isolation and the
   folded diagonal scalings are checked per probe,
-* ``fmmp-parallel`` — the panel-partitioned shared-memory butterfly
-  (:func:`~repro.transforms.parallel.parallel_butterfly_transform`),
-  exercised with a 4-panel split (and, with ``threads > 1``, real engine
-  workers): the panel engine's contract is *bitwise* identity with the
-  fused serial kernel, so the oracle must also sit inside the
-  machine-precision tier,
+* ``fmmp-parallel`` — the fused kernel with every sweep shared among 3
+  participants on real engine threads (uneven shares of each chunk
+  list): sharing's contract is *bitwise* identity with one
+  participant, so the oracle must also sit inside the machine-precision
+  tier,
 * ``xmvp`` — the XOR-based product of [10] with ``dmax = ν``,
 * ``smvp`` — the dense ``Θ(N²)`` baseline (small ν),
 * ``spectral`` — ``Q·v = V Λ V v`` via the FWHT (uniform model),
@@ -57,7 +56,7 @@ from repro.operators.fmmp import Fmmp
 from repro.operators.smvp import Smvp
 from repro.operators.xmvp import Xmvp
 from repro.solvers.kron_solver import KroneckerSolveResult
-from repro.transforms.parallel import parallel_butterfly_transform
+from repro.transforms.batched import batched_butterfly_transform
 from repro.verify.invariants import DENSE_NU, relative_error
 from repro.verify.report import CheckResult
 from repro.verify.spec import ProblemSpec
@@ -105,12 +104,8 @@ class SolverRoute:
 
 
 # ------------------------------------------------------------ product tier
-def product_oracles(spec: ProblemSpec, *, threads: int = 1) -> list[ProductOracle]:
-    """Every product backend applicable to ``spec`` (right form).
-
-    ``threads`` sizes the panel engine behind the ``fmmp-parallel``
-    oracle (1 still exercises the panel-partitioned kernel, just on the
-    calling thread)."""
+def product_oracles(spec: ProblemSpec) -> list[ProductOracle]:
+    """Every product backend applicable to ``spec`` (right form)."""
     mutation = spec.build_mutation()
     landscape = spec.build_landscape()
     f = landscape.values()
@@ -122,9 +117,7 @@ def product_oracles(spec: ProblemSpec, *, threads: int = 1) -> list[ProductOracl
             "fmmp-eq10", Fmmp(mutation, landscape, variant="eq10").matvec
         ),
         ProductOracle("fmmp-batched", _batched_matvec(mutation, landscape)),
-        ProductOracle(
-            "fmmp-parallel", _parallel_matvec(mutation, landscape, threads)
-        ),
+        ProductOracle("fmmp-parallel", _parallel_matvec(mutation, landscape)),
     ]
     if isinstance(mutation, UniformMutation):
         oracles.append(
@@ -165,26 +158,21 @@ def _batched_matvec(mutation, landscape) -> Callable[[np.ndarray], np.ndarray]:
     return matvec
 
 
-def _parallel_matvec(
-    mutation, landscape, threads: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Probe the panel-parallel butterfly engine.
+def _parallel_matvec(mutation, landscape) -> Callable[[np.ndarray], np.ndarray]:
+    """Probe the fused kernel with every sweep shared among 3 participants.
 
-    A 4-panel split (clamped for tiny ν) forces the panel-partitioned
-    sweep schedule even at ``threads = 1``; with more threads the same
-    schedule runs on real barrier-synchronized workers (a grouped plan
-    with a block of ≥ 4 bits runs as one panel).  Either way the result
-    must match the serial kernels to machine precision (the engine's own
-    contract is stronger: bitwise).
+    Three participants never divide a power-of-two chunk list evenly, so
+    the shares are uneven, and two of the participants are real
+    barrier-synchronized engine threads.  The result must match the
+    serial kernels to machine precision (sharing's own contract is
+    stronger: bitwise).
     """
     plan = mutation_plan(mutation)
     f = landscape.values()
 
     def matvec(v: np.ndarray) -> np.ndarray:
         block = np.asarray(v, dtype=np.float64).reshape(-1, 1)
-        out = parallel_butterfly_transform(
-            block, plan, pre_scale=f, panels=4, threads=threads
-        )
+        out = batched_butterfly_transform(block, plan, pre_scale=f, threads=3)
         return out.reshape(-1)
 
     return matvec
@@ -244,15 +232,13 @@ def run_product_oracles(
     *,
     tolerance: float = PRODUCT_TOL,
     probes: int = 3,
-    threads: int = 1,
 ) -> list[CheckResult]:
     """Compare every product backend against the ``fmmp-eq9`` reference.
 
     One :class:`CheckResult` per (reference, other) pair — the registry's
-    *exact-equivalence* tier.  ``threads`` feeds the ``fmmp-parallel``
-    oracle's panel engine.
+    *exact-equivalence* tier.
     """
-    oracles = product_oracles(spec, threads=threads)
+    oracles = product_oracles(spec)
     reference = oracles[0]
     vs = rng.standard_normal((probes, spec.n))
     vs[0] = np.abs(vs[0]) + 1e-3

@@ -59,9 +59,6 @@ class OracleRegistry:
     run_solvers:
         Set ``False`` to skip the (more expensive) solver tier — used by
         quick smoke sessions and the product-only property tests.
-    threads:
-        Panel-engine threads behind the ``fmmp-parallel`` product oracle
-        (1 still runs the panel-partitioned kernel, single-threaded).
     """
 
     invariants: tuple[Invariant, ...] = INVARIANTS
@@ -70,7 +67,6 @@ class OracleRegistry:
     solver_tol: float = 1e-11
     solver_accept: float = 1e-7
     direct_accept: float = 1e-9
-    threads: int = 1
     extra_checks: list = field(default_factory=list)
 
     # --------------------------------------------------------- enumeration
@@ -134,7 +130,6 @@ class OracleRegistry:
             rng,
             tolerance=self.product_tol,
             probes=self.product_probes,
-            threads=self.threads,
         )
         if solvers:
             checks += run_solver_oracles(

@@ -93,7 +93,6 @@ def run_verification(
     count: int = 25,
     registry: OracleRegistry | None = None,
     solvers: bool = True,
-    threads: int | None = None,
     progress: Callable[[int, int, SpecReport], None] | None = None,
 ) -> VerificationReport:
     """Run the full registry over a named grid.
@@ -112,19 +111,12 @@ def run_verification(
     solvers:
         ``False`` skips the solver-oracle tier (product + invariant
         tiers only) — the smoke configuration.
-    threads:
-        Panel-engine threads behind the ``fmmp-parallel`` product
-        oracle (``None`` → ``REPRO_NUM_THREADS`` or 1).  Ignored when
-        an explicit ``registry`` is passed — the registry carries its
-        own thread count.
     progress:
         Optional ``(done, total, spec_report)`` callback, called after
         each unique spec finishes (the CLI uses it for live output).
     """
     if registry is None:
-        from repro.transforms.parallel import resolve_threads
-
-        registry = default_registry(threads=resolve_threads(threads))
+        registry = default_registry()
     specs = build_grid(grid, nu=nu, count=count, seed=seed)
     reports = verify_specs(
         specs, registry=registry, seed=seed, solvers=solvers, progress=progress

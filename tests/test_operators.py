@@ -29,7 +29,7 @@ from repro.operators import (
 )
 from repro.operators.shifted import conservative_shift
 from repro.solvers import TransposedFmmp
-from repro.transforms.parallel import auto_panels
+from repro.operators.batched import THREADS_MIN_ELEMENTS
 
 
 @pytest.fixture
@@ -216,13 +216,13 @@ class TestPlanBuiltOnce:
     serial, batched or on the panel engine — rebuilds it."""
 
     def test_products_never_rebuild_the_plan(self, monkeypatch):
-        nu = 18  # N = 2^18: threads=2 splits the product into 2 panels
+        nu = 18  # N = 2^18: threads=2 shares every sweep between 2 threads
         mut = PerSiteMutation.from_error_rates(np.linspace(0.01, 0.2, nu))
         lands = [RandomLandscape(nu, seed=s) for s in range(3)]
         serial = Fmmp(mut, lands[0], form="symmetric")
         threaded = Fmmp(mut, lands[0], form="symmetric", threads=2)
         batched = BatchedFmmp(mut, lands)
-        assert auto_panels(nu, 1, threads=2) == 2
+        assert (1 << nu) * 1 >= THREADS_MIN_ELEMENTS
         original = transforms_batched.fused_stage_plan
         calls = []
 

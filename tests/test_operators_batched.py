@@ -23,7 +23,6 @@ from repro.mutation import GroupedMutation, PerSiteMutation, UniformMutation, si
 import repro.operators.batched as batched_module
 from repro.operators import BatchedFmmp, Fmmp
 from repro.solvers import TransposedFmmp
-from repro.transforms.parallel import auto_panels
 
 common = settings(max_examples=12, deadline=None)
 
@@ -148,9 +147,9 @@ class TestGroupedPlanBits:
             Fmmp(mutation, lands[j], form=form, variant=variant).matvec(block[:, j])
             for j in range(16)
         ]
-        # 16 copies of the block: N·B = 2^18, so threads=2 splits it in two
+        # 16 copies of the block: N·B = 2^18, so threads=2 shares its sweeps
         threaded = BatchedFmmp(mutation, lands * 16, form=form, variant=variant, threads=2)
-        assert auto_panels(nu, 16 * 16, threads=2) == 2
+        assert (1 << nu) * 16 * 16 >= batched_module.THREADS_MIN_ELEMENTS
         products = {"threads=2": threaded.matmat(np.tile(block, 16))}
         for b in (2, 3, 4, 5, 9, 16):
             op = BatchedFmmp(mutation, lands[:b], form=form, variant=variant)
@@ -374,3 +373,32 @@ class TestColumnScratch:
         mutation = UniformMutation(nu, 0.02)
         land = RandomLandscape(nu, c=4.0, sigma=1.0, seed=0)
         self._hammer(Fmmp(mutation, land))
+
+
+class TestThreadRule:
+    """The operator's one size rule: a product of ``N·B >=
+    THREADS_MIN_ELEMENTS`` doubles runs on ``threads`` participants, a
+    smaller one on the caller alone, with the same bits either way."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_threads_only_from_the_size_threshold(self, threads, monkeypatch):
+        nu = 12
+        op = BatchedFmmp(UniformMutation(nu, 0.02), RandomLandscape(nu, seed=2), threads=threads)
+        serial = BatchedFmmp(UniformMutation(nu, 0.02), RandomLandscape(nu, seed=2))
+        real = batched_module.batched_butterfly_transform
+        seen = []
+
+        def spy(block, plan, **kwargs):
+            seen.append(kwargs["threads"])
+            return real(block, plan, **kwargs)
+
+        rng = np.random.default_rng(threads)
+        small = batched_module.THREADS_MIN_ELEMENTS // (1 << nu) // 2
+        for b in (1, small, 2 * small):
+            block = rng.standard_normal((1 << nu, b))
+            want = serial.matmat(block)
+            monkeypatch.setattr(batched_module, "batched_butterfly_transform", spy)
+            got = op.matmat(block)
+            monkeypatch.setattr(batched_module, "batched_butterfly_transform", real)
+            assert np.array_equal(got, want), f"B={b}"
+        assert seen == [1, 1, threads]

@@ -16,7 +16,8 @@ from repro.exceptions import ValidationError
 from repro.service.jobspec import SolveJob
 from repro.service.pool import WorkerPool, execute_job
 from repro.service.service import _OPTION_KEYS, SolverService
-from repro.transforms.parallel import auto_panels, resolve_threads
+from repro.operators.batched import THREADS_MIN_ELEMENTS
+from repro.transforms.parallel import resolve_threads
 
 
 class TestOversubscriptionGuard:
@@ -39,6 +40,23 @@ class TestOversubscriptionGuard:
     def test_never_below_one_worker(self, monkeypatch):
         pool = self._pool(monkeypatch, 1, workers=4, threads=4)
         assert pool.effective_workers(10) == 1
+
+    def test_thread_workers_never_share_a_running_engine(self, monkeypatch):
+        """Two thread workers with ``threads=2`` solve ν = 18 power jobs at
+        the same time, each product on an engine of its own: every job
+        is solved on its requested route."""
+        pool = self._pool(monkeypatch, 4, workers=2, kind="thread", threads=2)
+        assert pool.effective_workers(4) == 2
+        jobs = [
+            SolveJob(
+                nu=18, p=0.01, landscape="random", seed=s, method="power",
+                shift=True, tol=1e-8,
+            )
+            for s in range(4)
+        ]
+        for result, tele in pool.run(jobs):
+            assert result is not None and tele.status == "solved", tele.failures
+            assert not tele.fallback_used, tele.failures
 
     def test_threads_bound_into_solve_fn(self):
         pool = WorkerPool(threads=2)
@@ -73,8 +91,8 @@ class TestThreadsStayOutOfJobIdentity:
             assert other.concentrations.tobytes() == serial.concentrations.tobytes()
 
     def test_power_iteration_bytes_do_not_depend_on_threads(self):
-        """At nu=18 the panel engine really splits the product (R=2 for
-        2 threads, R=4 for 4) and the solve still matches serial bytes."""
+        """At nu=18 the operator really shares every sweep among its 2 or
+        4 threads and the solve still matches serial bytes."""
         from repro.operators import Fmmp, ShiftedOperator
         from repro.operators.shifted import conservative_shift
         from repro.solvers.power import PowerIteration
@@ -83,9 +101,9 @@ class TestThreadsStayOutOfJobIdentity:
         mutation, landscape = job.build_mutation(), job.build_landscape()
         mu = conservative_shift(mutation, landscape)
         results = {}
-        for threads, panels in ((1, 1), (2, 2), (4, 4)):
+        assert (1 << 18) >= THREADS_MIN_ELEMENTS
+        for threads in (1, 2, 4):
             op = Fmmp(mutation, landscape, threads=threads)
-            assert auto_panels(18, 1, threads=threads) == panels
             results[threads] = PowerIteration(ShiftedOperator(op, mu), tol=1e-10).solve(
                 landscape.start_vector()
             )
@@ -142,7 +160,6 @@ class TestCliThreadsFlags:
         "argv",
         [
             ["solve", "--nu", "4", "--threads", "2"],
-            ["verify", "--grid", "small", "--threads", "2"],
             ["batch", "manifest.json", "--threads", "2"],
         ],
     )
@@ -153,3 +170,8 @@ class TestCliThreadsFlags:
     def test_threads_defaults_to_none(self):
         args = build_parser().parse_args(["solve", "--nu", "4"])
         assert args.threads is None
+
+    def test_verify_takes_no_threads(self):
+        """The ``fmmp-parallel`` oracle runs a fixed 3 participants."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["verify", "--grid", "small", "--threads", "2"])

@@ -1,12 +1,13 @@
-"""Panel-parallel butterfly engine tests.
+"""Threaded butterfly tests: every sweep shared among ``threads``.
 
-The load-bearing contract: :func:`parallel_butterfly_transform` is
-**bit-identical** to the serial stage-fused kernel for every panel
-count ``R`` and thread count ``T`` — the partitioned schedule reorders
-*which participant* touches which rows, never the arithmetic each row
-sees.  A Hypothesis sweep drives the property over ``ν ∈ [2, 10]``,
-all three eigenproblem forms and ``R ∈ {1, 2, 4, 8}``; deterministic
-tests pin down engine error handling and the one automatic panel rule.
+The load-bearing contract: :func:`batched_butterfly_transform` with
+``threads = T`` is **bit-identical** to ``threads = 1`` for every ``T`` —
+sharing each sweep's chunk list reorders *which participant* touches
+which chunk, never the arithmetic a chunk sees.  A Hypothesis sweep
+drives the property over ``ν ∈ [2, 10]``, all three eigenproblem forms
+and ``T ∈ {2, 3, 4}``; deterministic tests pin down that every
+participant works, that concurrent callers never share a running
+engine, and the engine's error handling.
 """
 
 import threading
@@ -25,16 +26,13 @@ from repro.operators.batched import mutation_plan
 from repro.transforms import batched_butterfly_transform, fused_stage_plan
 from repro.transforms.parallel import (
     PanelEngine,
-    auto_panels,
-    get_engine,
-    max_panels,
-    parallel_butterfly_transform,
-    resolve_panels,
+    borrow_engine,
     resolve_threads,
     shutdown_engines,
 )
 
 common = settings(max_examples=15, deadline=None)
+THREADS = (2, 3, 4)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -67,7 +65,7 @@ def form_scales(form, n, rng):
 
 
 class TestBitIdentity:
-    """Threaded == serial, to the last bit, for every (R, T)."""
+    """Threaded == serial, to the last bit, for every thread count."""
 
     @common
     @given(
@@ -75,32 +73,28 @@ class TestBitIdentity:
         st.floats(1e-4, 0.45),
         st.sampled_from(["uniform", "persite"]),
         st.sampled_from(["right", "symmetric", "left"]),
-        st.sampled_from([1, 2, 4, 8]),
+        st.sampled_from([8, 1024, kernel._CHUNK_BYTES]),
         st.integers(0, 1_000),
     )
-    def test_kernel_matches_serial_bitwise(self, nu, p, kind, form, panels, seed):
+    def test_kernel_matches_serial_bitwise(self, nu, p, kind, form, chunk_bytes, seed):
         mutation = build_mutation(kind, nu, p, seed)
         factors = mutation.factors_per_bit()
         rng = np.random.default_rng(seed)
         b = int(rng.integers(1, 4))
         block = np.ascontiguousarray(rng.standard_normal((1 << nu, b)))
         pre, post = form_scales(form, 1 << nu, rng)
-        want = batched_butterfly_transform(
-            block, fused_stage_plan(factors), pre_scale=pre, post_scale=post
-        )
-        for threads in (1, 2):
-            got = parallel_butterfly_transform(
-                block,
-                fused_stage_plan(factors),
-                pre_scale=pre,
-                post_scale=post,
-                panels=panels,
-                threads=threads,
-            )
-            assert np.array_equal(want, got), (
-                f"bit mismatch at nu={nu} kind={kind} form={form} "
-                f"R={panels} T={threads}"
-            )
+        plan = fused_stage_plan(factors)
+        want = batched_butterfly_transform(block, plan, pre_scale=pre, post_scale=post)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "_CHUNK_BYTES", chunk_bytes)
+            for threads in THREADS:
+                got = batched_butterfly_transform(
+                    block, plan, pre_scale=pre, post_scale=post, threads=threads
+                )
+                assert np.array_equal(want, got), (
+                    f"bit mismatch at nu={nu} kind={kind} form={form} "
+                    f"chunk={chunk_bytes} T={threads}"
+                )
 
     @common
     @given(
@@ -108,13 +102,13 @@ class TestBitIdentity:
         st.floats(1e-4, 0.45),
         st.sampled_from(["uniform", "persite", "grouped"]),
         st.sampled_from(["right", "symmetric", "left"]),
-        st.sampled_from([2, 4]),
+        st.sampled_from(THREADS),
         st.integers(0, 1_000),
     )
     def test_operator_matches_serial_bitwise(self, nu, p, kind, form, threads, seed):
         """Fmmp(threads=T) == Fmmp(threads=1), bitwise — and both equal
-        the panel engine run with the operator's own panel count, for
-        grouped models too (their own plan, one sweep per block)."""
+        the kernel run on ``T`` participants, for grouped models too
+        (their own plan, one sweep per block)."""
         mutation = build_mutation(kind, nu, p, seed)
         land = RandomLandscape(nu, c=4.0, sigma=1.0, seed=seed)
         rng = np.random.default_rng(seed + 1)
@@ -129,63 +123,52 @@ class TestBitIdentity:
             "symmetric": (np.sqrt(f), np.sqrt(f)),
             "left": (None, f),
         }[form]
-        engine = parallel_butterfly_transform(
+        shared = batched_butterfly_transform(
             v.reshape(-1, 1),
             mutation_plan(mutation),
             pre_scale=pre,
             post_scale=post,
-            panels=auto_panels(nu, 1, threads=threads),
             threads=threads,
         )
-        assert np.array_equal(got, engine.reshape(-1))
+        assert np.array_equal(got, shared.reshape(-1))
 
     @pytest.mark.parametrize("nu", [3, 4, 5])
-    @pytest.mark.parametrize("panels", [2, 4, 8])
+    @pytest.mark.parametrize("threads", THREADS)
     @pytest.mark.parametrize("variant", ["eq9", "eq10"])
     @pytest.mark.parametrize("form", [None, "right", "symmetric", "left"])
     def test_one_column_local_sweeps_match_serial_bitwise(
-        self, nu, panels, variant, form
+        self, nu, threads, variant, form, monkeypatch
     ):
-        """B = 1 at small ν: the span-1 sweep's local units are runs of
-        only a few GEMM rows, so each must keep at least two groups to
-        stay on the serial kernel's GEMM branch."""
+        """B = 1 at small ν with the smallest chunks: the span-1 sweep's
+        shares are runs of only a few GEMM rows, so each chunk must keep
+        at least two groups to stay on the serial kernel's GEMM branch."""
         factors = PerSiteMutation.from_error_rates(
             np.random.default_rng(nu).uniform(0.0, 0.4, nu)
         ).factors_per_bit()
-        rng = np.random.default_rng(panels)
+        rng = np.random.default_rng(threads)
         block = rng.standard_normal((1 << nu, 1))
         pre, post = (None, None) if form is None else form_scales(form, 1 << nu, rng)
-        want = batched_butterfly_transform(
-            block,
-            fused_stage_plan(factors, variant=variant),
-            pre_scale=pre,
-            post_scale=post,
+        plan = fused_stage_plan(factors, variant=variant)
+        want = batched_butterfly_transform(block, plan, pre_scale=pre, post_scale=post)
+        monkeypatch.setattr(kernel, "_CHUNK_BYTES", 8)
+        got = batched_butterfly_transform(
+            block, plan, pre_scale=pre, post_scale=post, threads=threads
         )
-        for threads in (1, 2):
-            got = parallel_butterfly_transform(
-                block,
-                fused_stage_plan(factors, variant=variant),
-                pre_scale=pre,
-                post_scale=post,
-                panels=panels,
-                threads=threads,
-            )
-            assert np.array_equal(want, got), f"T={threads}"
+        assert np.array_equal(want, got)
 
     def test_eq10_variant_matches_serial_bitwise(self):
         nu = 7
         factors = UniformMutation(nu, 0.05).factors_per_bit()
         rng = np.random.default_rng(0)
         block = np.ascontiguousarray(rng.standard_normal((1 << nu, 3)))
-        want = batched_butterfly_transform(block, fused_stage_plan(factors, variant="eq10"))
-        got = parallel_butterfly_transform(
-            block, fused_stage_plan(factors, variant="eq10"), panels=4, threads=2
-        )
+        plan = fused_stage_plan(factors, variant="eq10")
+        want = batched_butterfly_transform(block, plan)
+        got = batched_butterfly_transform(block, plan, threads=3)
         assert np.array_equal(want, got)
 
     def test_repeated_threaded_runs_are_byte_identical(self):
-        """Determinism: same input, same panels — same bytes every run,
-        regardless of thread count."""
+        """Determinism: same input — same bytes every run, regardless of
+        thread count."""
         nu = 9
         factors = PerSiteMutation.from_error_rates(
             np.random.default_rng(1).uniform(0.0, 0.3, nu)
@@ -194,25 +177,23 @@ class TestBitIdentity:
         block = np.ascontiguousarray(rng.standard_normal((1 << nu, 2)))
         pre = rng.uniform(0.5, 2.0, 1 << nu)
         runs = [
-            parallel_butterfly_transform(
-                block,
-                fused_stage_plan(factors),
-                pre_scale=pre,
-                panels=4,
-                threads=t,
+            batched_butterfly_transform(
+                block, fused_stage_plan(factors), pre_scale=pre, threads=t
             )
-            for t in (1, 2, 4, 2, 1)
+            for t in (1, 2, 4, 3, 2, 1)
         ]
         for other in runs[1:]:
             assert np.array_equal(runs[0], other)
 
     @pytest.mark.parametrize("max_radix", [2, 4, 8])
     @pytest.mark.parametrize("b", [1, 2, 16])
-    def test_every_panel_count_matches_serial_bitwise(self, max_radix, b):
-        """``R`` up to 64 (clamped to the plan's cap) at every small ν:
-        the shares of each sweep's chunk list keep it on the serial
-        kernel's BLAS calls, whatever the radix."""
+    def test_every_thread_count_matches_serial_bitwise(self, max_radix, b, monkeypatch):
+        """Thread counts up to more than the chunks of a sweep, with
+        1 KiB chunks, at every small ν: the shares of each sweep's chunk
+        list keep it on the serial kernel's BLAS calls, whatever the
+        radix."""
         rng = np.random.default_rng(b)
+        monkeypatch.setattr(kernel, "_CHUNK_BYTES", 1024)
         for nu in range(1, 9):
             factors = PerSiteMutation.from_error_rates(
                 rng.uniform(0.0, 0.4, nu)
@@ -221,11 +202,9 @@ class TestBitIdentity:
             block = rng.standard_normal((1 << nu, b))
             pre = rng.uniform(0.5, 2.0, 1 << nu)
             want = batched_butterfly_transform(block, plan, pre_scale=pre)
-            for panels in (2, 4, 8, 16, 32, 64):
-                got = parallel_butterfly_transform(
-                    block, plan, pre_scale=pre, panels=panels, threads=2
-                )
-                assert np.array_equal(want, got), f"nu={nu} R={panels}"
+            for threads in (2, 3, 4, 5, 8):
+                got = batched_butterfly_transform(block, plan, pre_scale=pre, threads=threads)
+                assert np.array_equal(want, got), f"nu={nu} T={threads}"
 
     def test_out_and_scratch_buffers_reused(self):
         nu = 6
@@ -235,9 +214,7 @@ class TestBitIdentity:
         out = np.empty_like(block)
         scratch = np.empty_like(block)
         plan = fused_stage_plan(factors)
-        got = parallel_butterfly_transform(
-            block, plan, panels=2, threads=2, out=out, scratch=scratch
-        )
+        got = batched_butterfly_transform(block, plan, threads=2, out=out, scratch=scratch)
         assert got is out
         assert np.array_equal(got, batched_butterfly_transform(block, plan))
 
@@ -247,22 +224,32 @@ class TestBitIdentity:
         block = np.zeros((1 << nu, 1))
         buf = np.empty_like(block)
         with pytest.raises(ValidationError, match="alias"):
-            parallel_butterfly_transform(
-                block, fused_stage_plan(factors), panels=2, out=buf, scratch=buf
+            batched_butterfly_transform(
+                block, fused_stage_plan(factors), threads=2, out=buf, scratch=buf
             )
+
+    def test_indivisible_length_rejected(self):
+        factors = UniformMutation(2, 0.02).factors_per_bit()
+        with pytest.raises(ValidationError, match="rows"):
+            batched_butterfly_transform(np.zeros((6, 1)), fused_stage_plan(factors), threads=2)
+
+    def test_bad_thread_counts_rejected(self):
+        factors = UniformMutation(6, 0.02).factors_per_bit()
+        block = np.zeros((1 << 6, 1))
+        for bad in (0, -1, True, 2.0):
+            with pytest.raises(ValidationError, match="threads"):
+                batched_butterfly_transform(block, fused_stage_plan(factors), threads=bad)
 
 
 class TestChunkSizeInvariance:
     """The shares of tiny chunk lists (down to one double), of mid-sized
     ones and of the default ones give the bits of a one-chunk serial run,
-    for threads 2 and 4 with explicit panel counts, and every column
-    equals the column run alone.  ``ν`` 1–12 (tiny chunks up to ν = 10),
-    ``B`` 1, 2, 3, 5 and 16 in turn, both variants, shared and
-    per-column scales; the grouped model has a 4-bit group from ν = 4 on
-    (its plan runs serially, column by column)."""
+    for 2, 3 and 4 threads, and every column equals the column run alone.
+    ``ν`` 1–12 (tiny chunks up to ν = 10), ``B`` 1, 2, 3, 5 and 16 in
+    turn, both variants, shared and per-column scales; the grouped model
+    has a 4-bit group from ν = 4 on (its plan runs column by column)."""
 
     CHUNK_BYTES = (8, 1024, kernel._CHUNK_BYTES)
-    RUNS = ((2, 2), (2, 8), (4, 4))  # (threads, panels)
 
     @pytest.mark.parametrize("kind", ["uniform", "persite", "grouped"])
     @pytest.mark.parametrize("form", ["right", "symmetric", "left"])
@@ -295,84 +282,86 @@ class TestChunkSizeInvariance:
             ]
             for size in self.CHUNK_BYTES if nu <= 10 else self.CHUNK_BYTES[1:]:
                 monkeypatch.setattr(kernel, "_CHUNK_BYTES", size)
-                for threads, panels in self.RUNS:
-                    got = parallel_butterfly_transform(
-                        block, plan, pre_scale=pre, post_scale=post, panels=panels, threads=threads
+                for threads in THREADS:
+                    got = batched_butterfly_transform(
+                        block, plan, pre_scale=pre, post_scale=post, threads=threads
                     )
-                    where = f"nu={nu} B={b} chunk={size} T={threads} R={panels}"
+                    where = f"nu={nu} B={b} chunk={size} T={threads}"
                     assert np.array_equal(got, one_chunk), where
                     for j in range(b):
                         assert np.array_equal(got[:, j], lone[j]), f"{where} column {j}"
 
 
-class TestResolution:
-    def test_resolve_panels_clamps_to_max(self):
-        assert max_panels(2) == 1
-        assert resolve_panels(4, 2) == 1
-        assert resolve_panels(4, 10) == 4
-        assert resolve_panels(256, 10) == max_panels(10) == 128
+class TestSharing:
+    """Who runs what: every participant works on every sweep, and
+    concurrent callers each get an engine of their own."""
 
-    @pytest.mark.parametrize("nu, batch, threads, want", [
-        (17, 2, 3, 2),  # N·B = 2^18: largest power of two <= 3 threads
-        (17, 1, 3, 1),  # N·B = 2^17: the serial kernel
-        (18, 1, 4, 4),
-        (14, 16, 8, 8),
-    ])
-    def test_no_panels_means_auto_panels_of_the_block(self, nu, batch, threads, want, monkeypatch):
-        """``panels=None`` is the one automatic rule, :func:`auto_panels`
-        of the block's shape — the rule the operators run with."""
-        import repro.transforms.parallel as parallel
+    def test_every_participant_runs_a_share_of_every_sweep(self, monkeypatch):
+        """``threads=3`` runs work on 3 distinct threads per sweep, the
+        caller among them, each on its contiguous share of the chunks."""
+        nu, b = 10, 2
+        plan = fused_stage_plan(UniformMutation(nu, 0.02).factors_per_bit())
+        block = np.random.default_rng(0).standard_normal((1 << nu, b))
+        monkeypatch.setattr(kernel, "_CHUNK_BYTES", 1024)
+        calls = []
+        real = kernel._apply_fused
 
-        seen = []
+        def spy(src, dst, sweep):
+            if sweep.chunks:
+                calls.append((sweep.stage.span, threading.get_ident(), tuple(sweep.chunks)))
+            return real(src, dst, sweep)
 
-        def spy(*args, **kwargs):
-            seen.append(auto_panels(*args, **kwargs))
-            return seen[-1]
-
-        monkeypatch.setattr(parallel, "auto_panels", spy)
-        plan = fused_stage_plan(UniformMutation(nu, 0.03).factors_per_bit())
-        block = np.random.default_rng(nu).standard_normal((1 << nu, batch))
-        got = parallel_butterfly_transform(block, plan, threads=threads)
-        assert seen == [want]
+        monkeypatch.setattr(kernel, "_apply_fused", spy)
+        got = batched_butterfly_transform(block, plan, threads=3)
+        monkeypatch.setattr(kernel, "_apply_fused", real)
         assert np.array_equal(got, batched_butterfly_transform(block, plan))
+        for stage in plan:
+            mine = [(ident, chunks) for span, ident, chunks in calls if span == stage.span]
+            assert len({ident for ident, _ in mine}) == 3, f"span {stage.span}"
+            assert threading.get_ident() in {ident for ident, _ in mine}
+            every = kernel._chunks(1 << nu, b, stage)
+            assert sorted(c for _, chunks in mine for c in chunks) == sorted(every)
 
-    @pytest.mark.parametrize("radix", [2, 4, 8])
-    def test_cap_is_n_over_the_largest_radix(self, radix):
-        assert max_panels(6, radix=radix) == 64 // radix
-        assert resolve_panels(64, 6, radix=radix) == 64 // radix
-        assert max_panels(6) == max_panels(6, radix=8)
+    def test_concurrent_callers_never_share_a_running_engine(self):
+        """Two Python threads running ``threads=2`` products at the same
+        time: no engine-busy error, and every product has the serial
+        bits."""
+        nu, b = 10, 2
+        plan = fused_stage_plan(UniformMutation(nu, 0.02).factors_per_bit())
+        rng = np.random.default_rng(5)
+        blocks = [rng.standard_normal((1 << nu, b)) for _ in range(2)]
+        want = [batched_butterfly_transform(blk, plan) for blk in blocks]
+        start = threading.Barrier(2)
+        errors, mismatches = [], []
 
-    @pytest.mark.parametrize("max_radix", [2, 4, 8])
-    def test_transform_caps_panels_by_its_plan(self, max_radix, monkeypatch):
-        """The cap comes from the plan's largest radix — an all-radix-8
-        plan caps at N/8, not N/2."""
-        import repro.transforms.parallel as parallel
+        def caller(k):
+            try:
+                start.wait()
+                for _ in range(50):
+                    got = batched_butterfly_transform(blocks[k], plan, threads=2)
+                    if not np.array_equal(got, want[k]):
+                        mismatches.append(k)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
 
-        seen = []
-        real = parallel.resolve_panels
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(2)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+        assert not errors, errors
+        assert not mismatches
 
-        def spy(panels, nu, **kw):
-            seen.append(real(panels, nu, **kw))
-            return seen[-1]
-
-        monkeypatch.setattr(parallel, "resolve_panels", spy)
-        factors = UniformMutation(6, 0.03).factors_per_bit()
-        plan = fused_stage_plan(factors, max_radix=max_radix)
-        block = np.random.default_rng(0).standard_normal((64, 2))
-        got = parallel_butterfly_transform(block, plan, panels=64, threads=2)
-        assert seen == [64 // max_radix]
-        assert np.array_equal(got, batched_butterfly_transform(block, plan))
-
-    def test_resolve_panels_rejects_non_power_of_two(self):
-        with pytest.raises(ValidationError, match="power of two"):
-            resolve_panels(3, 8)
-
-    def test_resolve_threads_validates(self):
-        assert resolve_threads(2) == 2
-        with pytest.raises(ValidationError):
-            resolve_threads(0)
-        with pytest.raises(ValidationError):
-            resolve_threads(True)
+    def test_sequential_products_reuse_one_engine(self):
+        """100 sequential products keep the process's thread count flat."""
+        nu = 8
+        plan = fused_stage_plan(UniformMutation(nu, 0.02).factors_per_bit())
+        block = np.random.default_rng(1).standard_normal((1 << nu, 2))
+        batched_butterfly_transform(block, plan, threads=3)
+        before = threading.active_count()
+        for _ in range(100):
+            batched_butterfly_transform(block, plan, threads=3)
+        assert threading.active_count() == before
 
 
 class TestPanelEngine:
@@ -429,68 +418,29 @@ class TestPanelEngine:
         eng.run(seen.append)
         assert seen == [0]
 
-    def test_get_engine_caches_per_thread_count(self):
-        a = get_engine(2)
-        assert get_engine(2) is a
-        assert get_engine(3) is not a
+    def test_borrow_engine_reuses_idle_engines_only(self):
+        """Sequential borrows get the same engine; a borrow while it is
+        out gets another; engines are kept per participant count."""
+        with borrow_engine(2) as a:
+            with borrow_engine(2) as busy:
+                assert busy is not a
+        with borrow_engine(2) as again:
+            assert again in (a, busy)
+        with borrow_engine(3) as other:
+            assert other is not a and other.threads == 3
 
+    def test_shutdown_closes_idle_engines(self):
+        with borrow_engine(2) as eng:
+            pass
+        shutdown_engines()
+        with pytest.raises(ValidationError, match="closed"):
+            eng.run(lambda t: None)
+        with borrow_engine(2) as fresh:
+            assert fresh is not eng
 
-class TestAutoPanels:
-    """``R = min(largest power of two <= T, max_panels(ν))`` once the
-    block holds ``N·B >= 2^18`` doubles, else the serial kernel."""
-
-    def test_serial_for_small_transforms(self):
-        for nu in (2, 4, 6, 8):
-            assert auto_panels(nu, 1, threads=4) == 1
-
-    def test_parallel_for_paper_sizes(self):
-        assert auto_panels(18, 1, threads=4) > 1
-        assert auto_panels(20, 16, threads=4) > 1
-
-    def test_one_thread_never_panels(self):
-        assert auto_panels(18, 1, threads=1) == 1
-
-    def test_respects_max_panels_cap(self):
-        assert auto_panels(18, 1, threads=64) <= max_panels(18)
-        assert auto_panels(2, 1 << 18, threads=8) == max_panels(2) == 1
-
-    def test_threshold_and_power_of_two_rule(self):
-        assert auto_panels(17, 1, threads=8) == 1  # N·B = 2^17
-        assert auto_panels(17, 2, threads=8) == 8  # N·B = 2^18
-        assert auto_panels(18, 1, threads=3) == 2
-        assert auto_panels(14, 16, threads=4) == 4
-
-
-class TestPanelReducer:
-    """Row-panel contract of the panel engine: power-of-two panel counts
-    only, whole ``2**ν``-row blocks only, and the same bytes whether the
-    worker threads or the caller alone fill the panels."""
-
-    def test_engine_and_serial_fill_are_byte_identical(self):
-        nu = 12
-        factors = UniformMutation(nu, 0.02).factors_per_bit()
-        rng = np.random.default_rng(7)
-        block = np.ascontiguousarray(rng.standard_normal((1 << nu, 1)))
-        pre = rng.uniform(0.5, 2.0, 1 << nu)
-        serial = parallel_butterfly_transform(
-            block, fused_stage_plan(factors), pre_scale=pre, panels=4, threads=1
-        )
-        threaded = parallel_butterfly_transform(
-            block, fused_stage_plan(factors), pre_scale=pre, panels=4, threads=2
-        )
-        assert serial.tobytes() == threaded.tobytes()
-
-    def test_indivisible_length_rejected(self):
-        factors = UniformMutation(2, 0.02).factors_per_bit()
-        with pytest.raises(ValidationError, match="rows"):
-            parallel_butterfly_transform(
-                np.zeros((6, 1)), fused_stage_plan(factors), panels=4, threads=2
-            )
-
-    def test_bad_panel_counts_rejected(self):
-        factors = UniformMutation(6, 0.02).factors_per_bit()
-        block = np.zeros((1 << 6, 1))
+    def test_resolve_threads_validates(self):
+        assert resolve_threads(2) == 2
         with pytest.raises(ValidationError):
-            parallel_butterfly_transform(block, fused_stage_plan(factors), panels=3)
+            resolve_threads(0)
         with pytest.raises(ValidationError):
-            parallel_butterfly_transform(block, fused_stage_plan(factors), panels=0)
+            resolve_threads(True)
