@@ -322,6 +322,87 @@ class TestSharing:
             every = kernel._chunks(1 << nu, b, stage)
             assert sorted(c for _, chunks in mine for c in chunks) == sorted(every)
 
+    @staticmethod
+    def record_sweeps(monkeypatch, plan, block, threads, pre=None):
+        """Run one product and log every ``_apply_fused`` call, in order,
+        as ``(event, sweep, participant, chunks)``; the caller is
+        participant 0, engine worker ``t`` runs on thread
+        ``repro-panel-t``."""
+        spans = [stage.span for stage in plan]
+        events, lock = [], threading.Lock()
+        real = kernel._apply_fused
+
+        def spy(src, dst, sweep):
+            name = threading.current_thread().name
+            t = int(name.rsplit("-", 1)[1]) if name.startswith("repro-panel-") else 0
+            entry = (spans.index(sweep.stage.span), t, tuple(sweep.chunks))
+            with lock:
+                events.append(("start", *entry))
+            real(src, dst, sweep)
+            with lock:
+                events.append(("end", *entry))
+
+        monkeypatch.setattr(kernel, "_apply_fused", spy)
+        got = batched_butterfly_transform(block, plan, pre_scale=pre, threads=threads)
+        monkeypatch.setattr(kernel, "_apply_fused", real)
+        return got, events
+
+    @pytest.mark.parametrize("chunk_bytes", [1024, kernel._CHUNK_BYTES])
+    @pytest.mark.parametrize("threads", [2, 3, 5, 8])
+    def test_each_participant_runs_its_contiguous_share(self, threads, chunk_bytes, monkeypatch):
+        """Participant ``t`` runs ``chunks[t·c/T : (t+1)·c/T]`` of every
+        sweep, once, also when it is empty: 1 KiB chunks give 8 or 16
+        chunks a sweep, the default size one chunk (so 8 participants
+        leave seven shares empty)."""
+        nu, b = 10, 2
+        plan = fused_stage_plan(UniformMutation(nu, 0.02).factors_per_bit())
+        rng = np.random.default_rng(threads)
+        block = rng.standard_normal((1 << nu, b))
+        pre = rng.uniform(0.5, 2.0, 1 << nu)
+        monkeypatch.setattr(kernel, "_CHUNK_BYTES", chunk_bytes)
+        got, events = self.record_sweeps(monkeypatch, plan, block, threads, pre)
+        assert np.array_equal(got, batched_butterfly_transform(block, plan, pre_scale=pre))
+        starts = [entry for event, *entry in events if event == "start"]
+        assert len(starts) == len(plan) * threads
+        for i, stage in enumerate(plan):
+            every = kernel._chunks(1 << nu, b, stage)
+            c = len(every)
+            shares = {t: chunks for sweep, t, chunks in starts if sweep == i}
+            assert shares == {
+                t: tuple(every[t * c // threads : (t + 1) * c // threads])
+                for t in range(threads)
+            }, f"sweep {i}"
+
+    @pytest.mark.parametrize("threads", [2, 3, 5, 8])
+    def test_a_barrier_ends_every_sweep(self, threads, monkeypatch):
+        """No participant starts sweep ``i + 1`` before every participant
+        has finished sweep ``i``: the next sweep reads what the others
+        wrote."""
+        nu, b = 10, 2
+        plan = fused_stage_plan(UniformMutation(nu, 0.02).factors_per_bit())
+        block = np.random.default_rng(threads).standard_normal((1 << nu, b))
+        monkeypatch.setattr(kernel, "_CHUNK_BYTES", 1024)
+        _, events = self.record_sweeps(monkeypatch, plan, block, threads)
+        for i in range(len(plan) - 1):
+            last_end = max(k for k, (ev, sweep, *_) in enumerate(events)
+                           if ev == "end" and sweep == i)
+            first_next = min(k for k, (ev, sweep, *_) in enumerate(events)
+                             if ev == "start" and sweep == i + 1)
+            assert last_end < first_next, f"sweep {i + 1} started early"
+
+    def test_env_thread_count_reaches_the_kernel(self, monkeypatch):
+        """``threads=None`` reads ``REPRO_NUM_THREADS``: three
+        participants share every sweep, with the serial bits."""
+        nu, b = 9, 2
+        plan = fused_stage_plan(UniformMutation(nu, 0.02).factors_per_bit())
+        block = np.random.default_rng(4).standard_normal((1 << nu, b))
+        monkeypatch.setattr(kernel, "_CHUNK_BYTES", 1024)
+        monkeypatch.setenv("REPRO_NUM_THREADS", "3")
+        got, events = self.record_sweeps(monkeypatch, plan, block, None)
+        assert {t for _, _, t, _ in events} == {0, 1, 2}
+        monkeypatch.delenv("REPRO_NUM_THREADS")
+        assert np.array_equal(got, batched_butterfly_transform(block, plan, threads=None))
+
     def test_concurrent_callers_never_share_a_running_engine(self):
         """Two Python threads running ``threads=2`` products at the same
         time: no engine-busy error, and every product has the serial
@@ -428,6 +509,37 @@ class TestPanelEngine:
             assert again in (a, busy)
         with borrow_engine(3) as other:
             assert other is not a and other.threads == 3
+
+    def test_run_while_running_is_rejected(self):
+        """A second job on a running engine is refused; the refusal
+        unwinds the first job and the engine stays usable."""
+        eng = PanelEngine(2)
+        try:
+
+            def nested(t):
+                if t == 0:
+                    eng.run(lambda s: None)
+                eng.barrier_wait()
+
+            with pytest.raises(ValidationError, match="already running"):
+                eng.run(nested)
+            hits = []
+            eng.run(hits.append)
+            assert sorted(hits) == [0, 1]
+        finally:
+            eng.close()
+
+    def test_borrowed_engine_returns_after_an_error(self):
+        """A product that raises still hands its engine back, and the
+        next borrow of that size gets it, ready to run."""
+        with pytest.raises(RuntimeError, match="product failed"):
+            with borrow_engine(2) as eng:
+                raise RuntimeError("product failed")
+        with borrow_engine(2) as again:
+            assert again is eng
+            hits = []
+            again.run(hits.append)
+            assert sorted(hits) == [0, 1]
 
     def test_shutdown_closes_idle_engines(self):
         with borrow_engine(2) as eng:
