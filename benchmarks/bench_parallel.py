@@ -14,6 +14,14 @@ metadata, into ``BENCH_parallel.json`` at the repository root.  The
 harness (:func:`measure_parallel_matmat`) lives here, next to the only
 bench that records it.
 
+**Resolution.**  Each point times two independent ``threads=1`` series
+beside the threaded ones, in rotating order, and their ratio is the
+point's noise band: a T = 2 or T = 4 speedup within ``1 ± band`` is
+marked ``unresolved``.  Every point runs :data:`MIN_ROUNDS` rounds, and
+more while its band exceeds :data:`BAND` (±10 %), up to
+:data:`MAX_ROUNDS`; the test fails if a point's band stays wider, so a
+record never passes off noise as scaling.
+
 Acceptance gate: a *measured* ≥ 1.8× speedup at 4 engine threads for
 ν ≥ 18.  A host with fewer than 4 cores cannot measure it; there the
 JSON records the gate as ``not_measured`` with the reason and the test
@@ -26,6 +34,7 @@ Run as part of the perf tier::
 
 import json
 import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +48,6 @@ from repro.operators import BatchedFmmp
 from repro.perf import plan_costs
 from repro.transforms import batched_butterfly_transform, fused_stage_plan, shutdown_engines
 from repro.util.blas import blas_limit, blas_thread_info
-from repro.util.timing import median_time
 
 GATE_THREADS = 4
 GATE_SPEEDUP = 1.8
@@ -60,56 +68,93 @@ POINTS = BELOW_CROSSOVER + ((14, 16), (18, 1), (19, 1), (20, 1), (18, 16))
 OUT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_parallel.json")
 
 
+#: widest serial-vs-serial spread a recorded point may show
+BAND = 0.10
+#: rounds every point runs, and the most it may run to bring its band
+#: within :data:`BAND`
+MIN_ROUNDS, MAX_ROUNDS = 15, 45
+#: seconds one sample times the product for (an inner loop of calls)
+SAMPLE_S = 0.05
+
+
 @dataclass(frozen=True)
 class ParallelMeasurement:
-    """One measured serial-vs-threaded comparison point."""
+    """One measured point: two serial series and one per thread count.
+
+    ``serial_a`` and ``serial_b`` are the medians of two series of the
+    same ``threads=1`` product; their ratio is the point's noise band.
+    ``threaded`` maps each ``T > 1`` to its median.
+    """
 
     nu: int
     batch: int
-    threads: int
-    serial_s: float
-    parallel_s: float
+    serial_a: float
+    serial_b: float
+    threaded: dict
+    rounds: int
     bytes_moved: float
 
     @property
-    def speedup(self) -> float:
-        """Wall-clock speedup of the threaded transform over serial."""
-        return self.serial_s / self.parallel_s
+    def serial_s(self) -> float:
+        """The serial time the speedups divide: the mean of both medians."""
+        return 0.5 * (self.serial_a + self.serial_b)
 
     @property
-    def parallel_gbs(self) -> float:
-        return self.bytes_moved / self.parallel_s / 1e9
+    def band(self) -> float:
+        """``|serial_a / serial_b − 1|``: what noise alone reads as a speedup."""
+        return abs(self.serial_a / self.serial_b - 1.0)
 
-    def to_dict(self) -> dict:
-        return {
-            "nu": self.nu,
-            "batch": self.batch,
-            "threads": self.threads,
-            "operator_threads": operator_threads(self.nu, self.batch, self.threads),
-            "serial_s": self.serial_s,
-            "parallel_s": self.parallel_s,
-            "bytes_moved": self.bytes_moved,
-            "speedup": self.speedup,
-            "serial_gbs": self.bytes_moved / self.serial_s / 1e9,
-            "parallel_gbs": self.parallel_gbs,
-        }
+    def speedup(self, threads: int) -> float:
+        """Wall-clock speedup of ``threads`` participants over serial
+        (``threads=1``: serial series a over series b)."""
+        if threads == 1:
+            return self.serial_a / self.serial_b
+        return self.serial_s / self.threaded[threads]
+
+    def resolved(self, threads: int) -> bool:
+        """Whether the speedup at ``threads`` lies outside the noise band."""
+        return abs(self.speedup(threads) - 1.0) > self.band
+
+    def to_dicts(self) -> list[dict]:
+        """One JSON row per thread count of :data:`THREAD_COUNTS`."""
+        rows = []
+        for t in THREAD_COUNTS:
+            parallel_s = self.serial_b if t == 1 else self.threaded[t]
+            rows.append({
+                "nu": self.nu,
+                "batch": self.batch,
+                "threads": t,
+                "operator_threads": operator_threads(self.nu, self.batch, t),
+                "serial_s": self.serial_a if t == 1 else self.serial_s,
+                "parallel_s": parallel_s,
+                "bytes_moved": self.bytes_moved,
+                "speedup": self.speedup(t),
+                "band": self.band,
+                "rounds": self.rounds,
+                "resolved": None if t == 1 else self.resolved(t),
+                "serial_gbs": self.bytes_moved / self.serial_s / 1e9,
+                "parallel_gbs": self.bytes_moved / parallel_s / 1e9,
+            })
+        return rows
 
 
 def measure_parallel_matmat(
     nu: int,
     batch: int,
-    threads: int,
     *,
     p: float = 0.01,
-    repeats: int = 3,
-    min_time: float = 0.01,
 ) -> ParallelMeasurement:
-    """Time the fused kernel at ``threads=1`` against ``threads`` on one
-    block (right form: the plan with a shared
-    pre-scale).  Each of ``repeats`` rounds times both once, in
-    alternating order, so a load that comes and goes hits both alike;
-    each side reports its median.  BLAS is pinned to one thread for the
-    duration, so the comparison is engine scaling, not BLAS scaling.
+    """Time the fused kernel at ``threads=1`` (two series) and at each
+    ``T > 1`` of :data:`THREAD_COUNTS` on one block (right form: the plan
+    with a shared pre-scale).
+
+    Every round takes one sample of each series, in an order rotated by
+    the round, so a load that comes and goes hits all of them alike; a
+    sample times an inner loop of calls lasting about :data:`SAMPLE_S`
+    (the same count for every series).  After :data:`MIN_ROUNDS` rounds,
+    more are added while the serial band exceeds :data:`BAND`, up to
+    :data:`MAX_ROUNDS`.  BLAS is pinned to one thread for the duration, so
+    the comparison is engine scaling, not BLAS scaling.
     """
     plan = fused_stage_plan(UniformMutation(nu, p).factors_per_bit())
     n = 1 << nu
@@ -118,27 +163,45 @@ def measure_parallel_matmat(
     pre = np.ascontiguousarray(rng.random(n) + 0.5)
     out = np.empty_like(block)
     scratch = np.empty_like(block)
-    runs = {
-        "serial": lambda: batched_butterfly_transform(
-            block, plan, pre_scale=pre, out=out, scratch=scratch
-        ),
-        "parallel": lambda: batched_butterfly_transform(
+
+    def product(threads: int):
+        return lambda: batched_butterfly_transform(
             block, plan, pre_scale=pre, threads=threads, out=out, scratch=scratch
-        ),
-    }
-    samples: dict[str, list[float]] = {name: [] for name in runs}
+        )
+
+    runs = {"a": product(1), "b": product(1)}
+    runs.update({t: product(t) for t in THREAD_COUNTS if t > 1})
+    names = list(runs)
+    samples: dict = {name: [] for name in names}
     with blas_limit(1):
-        for k in range(repeats):
-            for name in ("serial", "parallel")[:: 1 if k % 2 == 0 else -1]:
-                samples[name].append(median_time(runs[name], repeats=1, min_time=min_time).median)
+        for run in runs.values():
+            run()  # warm-up: engines started, buffers touched
+        t0 = time.perf_counter()
+        runs["a"]()
+        inner = max(1, int(SAMPLE_S / max(time.perf_counter() - t0, 1e-9)))
+        k = 0
+        while k < MIN_ROUNDS or (k < MAX_ROUNDS and _band(samples) > BAND):
+            shift = k % len(names)
+            for name in names[shift:] + names[:shift]:
+                run = runs[name]
+                t0 = time.perf_counter()
+                for _ in range(inner):
+                    run()
+                samples[name].append((time.perf_counter() - t0) / inner)
+            k += 1
     return ParallelMeasurement(
         nu=nu,
         batch=batch,
-        threads=threads,
-        serial_s=float(np.median(samples["serial"])),
-        parallel_s=float(np.median(samples["parallel"])),
+        serial_a=float(np.median(samples["a"])),
+        serial_b=float(np.median(samples["b"])),
+        threaded={t: float(np.median(samples[t])) for t in THREAD_COUNTS if t > 1},
+        rounds=k,
         bytes_moved=plan_costs(plan, n, batch, pre.shape).bytes_moved,
     )
+
+
+def _band(samples: dict) -> float:
+    return abs(float(np.median(samples["a"]) / np.median(samples["b"])) - 1.0)
 
 
 def operator_threads(nu: int, batch: int, threads: int) -> int:
@@ -164,12 +227,7 @@ def _host_cores() -> int:
 
 @pytest.fixture(scope="module")
 def measurements():
-    out = {}
-    for nu, batch in POINTS:
-        for t in THREAD_COUNTS:
-            out[(nu, batch, t)] = measure_parallel_matmat(
-                nu, batch, t, repeats=5, min_time=0.02
-            )
+    out = {(nu, batch): measure_parallel_matmat(nu, batch) for nu, batch in POINTS}
     yield out
     shutdown_engines()
 
@@ -178,24 +236,31 @@ def measurements():
 def test_thread_scaling_and_record(measurements):
     cores = _host_cores()
     lines = [
-        f"Fused-kernel thread scaling (host cores={cores}, BLAS pinned to 1)",
+        f"Fused-kernel thread scaling (host cores={cores}, BLAS pinned to 1; "
+        f"T = 1 rows time serial against serial, their ratio is the point's band)",
         f"{'nu':>3} {'B':>3} {'T':>2} {'op T':>4} {'serial ms':>10} "
-        f"{'parallel ms':>12} {'speedup':>8} {'GB/s':>6}",
+        f"{'parallel ms':>12} {'speedup':>8} {'band':>6} {'rounds':>6} {'GB/s':>6}  status",
     ]
     points = []
-    for (nu, batch, t), m in sorted(measurements.items()):
-        points.append(m.to_dict())
-        lines.append(
-            f"{nu:>3} {batch:>3} {t:>2} "
-            f"{points[-1]['operator_threads']:>4} {m.serial_s * 1e3:>10.3f} "
-            f"{m.parallel_s * 1e3:>12.3f} {m.speedup:>8.2f} {m.parallel_gbs:>6.2f}"
-        )
+    for (nu, batch), m in sorted(measurements.items()):
+        for row in m.to_dicts():
+            points.append(row)
+            status = "" if row["resolved"] is None else (
+                "resolved" if row["resolved"] else "unresolved"
+            )
+            lines.append(
+                f"{nu:>3} {batch:>3} {row['threads']:>2} "
+                f"{row['operator_threads']:>4} {row['serial_s'] * 1e3:>10.3f} "
+                f"{row['parallel_s'] * 1e3:>12.3f} {row['speedup']:>8.2f} "
+                f"{'±' + format(row['band'], '.1%'):>6} {row['rounds']:>6} "
+                f"{row['parallel_gbs']:>6.2f}  {status}"
+            )
 
     if cores >= GATE_THREADS:
         gate_mode = "measured"
         gate_reason = f"host has {cores} cores >= {GATE_THREADS}"
         gate_values = {
-            f"{nu},{b}": measurements[(nu, b, GATE_THREADS)].speedup
+            f"{nu},{b}": measurements[(nu, b)].speedup(GATE_THREADS)
             for (nu, b) in POINTS
             if nu >= GATE_NU
         }
@@ -218,9 +283,8 @@ def test_thread_scaling_and_record(measurements):
             "reason": gate_reason,
             "values": gate_values,
         },
-        "plan_bytes": {
-            f"{nu},{b}": measurements[(nu, b, 1)].bytes_moved for (nu, b) in POINTS
-        },
+        "band": BAND,
+        "plan_bytes": {f"{nu},{b}": measurements[(nu, b)].bytes_moved for (nu, b) in POINTS},
         "points": points,
     }
     with open(OUT_PATH, "w", encoding="utf-8") as fh:
@@ -232,6 +296,8 @@ def test_thread_scaling_and_record(measurements):
     lines.append(f"recorded: {os.path.abspath(OUT_PATH)}")
     report("bench_parallel", "\n".join(lines))
 
+    wide = {key: round(m.band, 3) for key, m in measurements.items() if m.band > BAND}
+    assert not wide, f"serial-vs-serial band above ±{BAND:.0%} after {MAX_ROUNDS} rounds: {wide}"
     if gate_mode == "not_measured":
         pytest.skip(gate_reason)
     for key, value in gate_values.items():

@@ -13,13 +13,21 @@ are duplicates (the ISSUE workload):
   least ~2× cheaper because each unique job is solved exactly once;
 * **cold vs warm** — re-submitting the same batch against the populated
   cache must be at least **5× faster** (the acceptance criterion; in
-  practice it is orders of magnitude).
+  practice it is orders of magnitude);
+* **cold phase split** — where the timed cold submit spends its time:
+  planning (dedup, grouping, blocks), cache lookups, the pool phase and
+  the cache stores, each summed over its calls by wrappers around
+  exactly those calls (about a microsecond each); the rest of the submit
+  is bookkeeping.
 """
 
 import time
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
+import repro.service.service as service_module
 from conftest import report
 from repro.reporting import render_table
 from repro.service import SolverService, SolveJob, plan_batch
@@ -39,6 +47,31 @@ def _sweep_jobs() -> list[SolveJob]:
         for p in rates
     ]
     return unique + unique[:DUPLICATES]
+
+
+@contextmanager
+def phase_split(service: SolverService):
+    """Sum the wall time ``service.submit`` spends in each phase, by name:
+    ``plan``, ``lookups``, ``pool`` and ``stores``."""
+    totals = dict.fromkeys(("plan", "lookups", "pool", "stores"), 0.0)
+
+    def timed(phase, fn):
+        def call(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                totals[phase] += time.perf_counter() - t0
+
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("plan_batch", "plan_batched_jobs"):
+            mp.setattr(service_module, name, timed("plan", getattr(service_module, name)))
+        mp.setattr(service.cache, "lookup", timed("lookups", service.cache.lookup))
+        mp.setattr(service.cache, "store", timed("stores", service.cache.store))
+        mp.setattr(service.pool, "run", timed("pool", service.pool.run))
+        yield totals
 
 
 def test_scheduler_overhead(benchmark):
@@ -61,9 +94,10 @@ def test_cache_speedup_on_duplicate_sweep(benchmark):
 
     # cold service: dedup + cache, each unique job solved once
     service = SolverService(kind="serial", capacity=256)
-    t0 = time.perf_counter()
-    cold = service.submit(jobs)
-    cold_s = time.perf_counter() - t0
+    with phase_split(service) as phases:
+        t0 = time.perf_counter()
+        cold = service.submit(jobs)
+        cold_s = time.perf_counter() - t0
     assert cold.passed and cold.n_solved == N_UNIQUE
 
     # warm service: the benchmark target — everything from cache
@@ -84,6 +118,8 @@ def test_cache_speedup_on_duplicate_sweep(benchmark):
         ["cold speedup vs naive", f"{cold_speedup:.1f}x"],
         ["warm speedup vs cold", f"{warm_speedup:.1f}x"],
     ]
+    phases["other"] = cold_s - sum(phases.values())
+    rows += [[f"cold phase: {name}", f"{sec * 1e3:.1f} ms"] for name, sec in phases.items()]
     report(
         "service_cache_speedup",
         render_table(["quantity", "value"], rows,

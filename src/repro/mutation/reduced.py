@@ -32,6 +32,19 @@ coefficient vectors — ``Θ(ν²)`` per row and C-speed, which keeps even
 ν = 1000 (a 2¹⁰⁰⁰-dimensional full problem) in milliseconds.  The
 binomial weights are evaluated in log space so very long chains neither
 overflow the binomials nor lose the small-``k`` structure to underflow.
+
+The coefficient vectors of all ν+1 rows come from two
+``(ν+1)×(ν+1)`` tables built in one vectorized pass: row ``n`` of the
+"wild" table holds ``C(n, i)·p^i·(1−p)^{n−i}`` and row ``n`` of the
+"mutant" table ``C(n, i)·(1−p)^i·p^{n−i}`` for ``i = 0..n``.  Each
+entry is ``exp(log_fact[n] − log_fact[i] − log_fact[n−i] +
+i·log_success + (n−i)·log_fail)`` with ``log_fact[m] = lgamma(m + 1)``,
+the operations of :func:`~repro.util.binomial.log_binomial` in its
+order, so the tables hold the bits a per-row evaluation gives.  Entries
+with ``i > n`` lie outside their row; they are set to ``−∞`` before the
+``exp`` and never read.  Row ``d`` of ``QΓ`` then convolves wild row
+``ν−d`` with mutant row ``d``.  The tables cost a few ``(ν+1)²``
+arrays, the size of ``QΓ`` itself.
 """
 
 from __future__ import annotations
@@ -45,25 +58,6 @@ from repro.util.binomial import binomial
 from repro.util.validation import check_chain_length, check_error_rate
 
 __all__ = ["reduced_mutation_matrix", "reduced_mutation_matrix_reference"]
-
-
-def _binomial_pmf(
-    n: int, log_success: float, log_fail: float, log_fact: np.ndarray
-) -> np.ndarray:
-    """Coefficients ``C(n, i)·success^i·fail^{n−i}`` for ``i = 0..n``,
-    computed in log space (entries below ~1e-300 flush to zero).
-
-    ``log_fact[m] = lgamma(m + 1)`` for ``m ≥ n``; ``log C(n, i)`` is
-    ``log_fact[n] − log_fact[i] − log_fact[n−i]``, the operations of
-    :func:`~repro.util.binomial.log_binomial` in its order.
-    """
-    if n == 0:
-        return np.ones(1)
-    i = np.arange(n + 1, dtype=np.float64)
-    log_c = log_fact[n] - log_fact[: n + 1] - log_fact[n::-1]
-    logs = log_c + i * log_success + (n - i) * log_fail
-    with np.errstate(under="ignore"):
-        return np.exp(logs)
 
 
 def reduced_mutation_matrix(nu: int, p: float) -> np.ndarray:
@@ -90,15 +84,22 @@ def reduced_mutation_matrix(nu: int, p: float) -> np.ndarray:
 
     log_p = np.log(p)
     log_1mp = np.log1p(-p)
+    k = np.arange(nu + 1)
     log_fact = np.array([math.lgamma(m + 1) for m in range(nu + 1)])
+    # log C(n, i) at [n, i]; |n − i| keeps the index in range where i > n
+    log_c = log_fact[:, None] - log_fact - log_fact[np.abs(k[:, None] - k)]
+    log_c[k[:, None] < k] = -np.inf
+    i = k.astype(np.float64)
+    n_minus_i = k[:, None] - i
+    with np.errstate(under="ignore"):
+        # ((1−p) + p·x)^n: "success" = contributing to the new distance
+        # (a wild site flipping), probability p.
+        wild = np.exp(log_c + i * log_p + n_minus_i * log_1mp)
+        # (p + (1−p)·x)^n: a set site *stays* set with 1−p.
+        mutant = np.exp(log_c + i * log_1mp + n_minus_i * log_p)
     q = np.empty((nu + 1, nu + 1))
     for d in range(nu + 1):
-        # ((1−p) + p·x)^{ν−d}: "success" = contributing to the new
-        # distance (a wild site flipping), probability p.
-        wild = _binomial_pmf(nu - d, log_p, log_1mp, log_fact)
-        # (p + (1−p)·x)^{d}: a set site *stays* set with 1−p.
-        mutant = _binomial_pmf(d, log_1mp, log_p, log_fact)
-        q[d, :] = np.convolve(wild, mutant)
+        q[d, :] = np.convolve(wild[nu - d, : nu - d + 1], mutant[d, : d + 1])
     return q
 
 

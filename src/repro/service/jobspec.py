@@ -97,6 +97,9 @@ _FORMS = ("right", "left", "symmetric")
 #: landscape kinds whose class structure admits the exact (ν+1) reduction
 _ERROR_CLASS_KINDS = ("single-peak", "linear", "flat", "hamming")
 
+#: :class:`SolveJob` attributes that hold memoized digests, not fields
+_KEY_MEMOS = ("_cache_key", "_operator_key")
+
 
 def split_groups(nu: int, max_group: int = 3) -> tuple[int, ...]:
     """Deterministic split of ``ν`` bits into groups of size ≤ ``max_group``.
@@ -125,22 +128,22 @@ def canonical_payload(obj):
     :func:`content_hash`'s JSON serialization.  Raises for types with no
     canonical form (no silent ``repr`` fallbacks).
     """
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, (int, str)):
-        return obj
+    # Job payloads are mostly floats (a hamming job's class values), so
+    # the Python types are tested before the NumPy ones.
     if isinstance(obj, float):
         return float(obj).hex()
+    if isinstance(obj, (int, str)) or obj is None:  # bool is an int
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [canonical_payload(x) for x in obj]
+    if isinstance(obj, dict):
+        return {str(k): canonical_payload(v) for k, v in obj.items()}
     if isinstance(obj, np.floating):
         return float(obj).hex()
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (list, tuple)):
-        return [canonical_payload(x) for x in obj]
     if isinstance(obj, np.ndarray):
         return [canonical_payload(x) for x in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): canonical_payload(v) for k, v in obj.items()}
     raise ValidationError(f"cannot canonicalize {type(obj).__name__} for hashing")
 
 
@@ -399,8 +402,10 @@ class SolveJob:
     def cache_key(self) -> str:
         """Content hash *excluding* accuracy knobs (``tol``,
         ``max_iterations``) and the cosmetic ``tag`` — the key under
-        which the tolerance-aware result cache files this job."""
-        return content_hash(self._problem_payload() | self._route_payload())
+        which the tolerance-aware result cache files this job.
+
+        Hashed once per instance (see :meth:`_memo`)."""
+        return self._memo("_cache_key", lambda: self._problem_payload() | self._route_payload())
 
     def operator_key(self) -> str:
         """Hash identifying jobs that share operator construction.
@@ -414,7 +419,10 @@ class SolveJob:
         seeds is a single operator group, i.e. one batched butterfly
         stream.
         """
-        payload = {
+        return self._memo("_operator_key", self._operator_payload)
+
+    def _operator_payload(self) -> dict:
+        return {
             "nu": self.nu,
             "p": self.p,
             "mutation": self.mutation,
@@ -423,7 +431,27 @@ class SolveJob:
             "operator": None if self.is_reduced else self.operator,
             "dmax": None if self.is_reduced else self.dmax,
         }
-        return content_hash(payload)
+
+    def _memo(self, name: str, payload) -> str:
+        """The digest of ``payload()``, hashed on the first call and kept
+        on this (frozen) instance as ``name``.
+
+        A service batch asks each job for its cache and operator keys
+        several times (plan, lookup, telemetry, store), so both are
+        hashed once.  The digest is not a field: equality, hashing,
+        :func:`dataclasses.replace` and :meth:`to_dict` ignore it, and
+        :meth:`__getstate__` leaves it out of pickles, so a copy always
+        hashes its own fields.  :meth:`content_key` is not memoized; the
+        planner hashes each submitted job once.
+        """
+        key = self.__dict__.get(name)
+        if key is None:
+            key = content_hash(payload())
+            object.__setattr__(self, name, key)
+        return key
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in _KEY_MEMOS}
 
     # ----------------------------------------------------------- structure
     def resolved_method(self) -> str:

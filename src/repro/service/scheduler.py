@@ -266,20 +266,21 @@ def plan_batch(jobs: list[SolveJob]) -> BatchPlan:
         index_map.append(seen[key])
 
     groups: dict[str, JobGroup] = {}
+    costs = [estimate_cost(job) for job in unique_jobs]
     for idx, job in enumerate(unique_jobs):
         key = job.operator_key()
         group = groups.get(key)
         if group is None:
             group = groups[key] = JobGroup(key=key, reduced=job.is_reduced)
         group.indices.append(idx)
-        group.cost += estimate_cost(job)
+        group.cost += costs[idx]
 
     ordered = sorted(
         groups.values(),
         key=lambda g: (not g.reduced, g.cost, min(g.indices)),
     )
     for group in ordered:
-        group.indices.sort(key=lambda i: (estimate_cost(unique_jobs[i]), i))
+        group.indices.sort(key=lambda i: (costs[i], i))
     return BatchPlan(
         jobs=list(jobs),
         unique_jobs=unique_jobs,

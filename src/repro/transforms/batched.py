@@ -60,6 +60,7 @@ the dense matrix on every spec.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -237,8 +238,9 @@ def _pow2_floor(x: int) -> int:
     return 1 << max(x.bit_length() - 1, 0)
 
 
-def _chunks(n: int, b: int, stage: FusedStage) -> list[tuple[int, int, int, int]]:
-    """The ordered chunk list of one sweep over an ``(n, b)`` block.
+def _chunks(n: int, b: int, stage: FusedStage) -> tuple[tuple[int, int, int, int], ...]:
+    """The ordered chunk list of one sweep over an ``(n, b)`` block
+    (built once per shape, stage size and :data:`_CHUNK_BYTES`).
 
     Chunk ``(q0, q1, h0, h1)`` is groups ``q0:q1`` of the ``(g, r, h, b)``
     view, rows ``h0:h1`` of each: a run of whole groups when one group
@@ -251,16 +253,20 @@ def _chunks(n: int, b: int, stage: FusedStage) -> list[tuple[int, int, int, int]
     stage of radix above :data:`MAX_RADIX` is never cut along ``z`` (its
     products' bits depend on their column count).
     """
-    r, h = stage.radix, stage.span
+    return _chunk_list(n, b, stage.radix, stage.span, _CHUNK_BYTES)
+
+
+@functools.lru_cache(maxsize=256)
+def _chunk_list(n: int, b: int, r: int, h: int, chunk_bytes: int) -> tuple:
     g = n // (r * h)
-    elems = _CHUNK_BYTES // 8
+    elems = chunk_bytes // 8
     if n * b < 8 * elems:
         elems = n * b
     if h * b == 1 or r > MAX_RADIX or r * h * b <= elems:
         k = min(g, max(2 if h * b == 1 else 1, _pow2_floor(elems // (r * h * b))))
-        return [(q, q + k, 0, h) for q in range(0, g, k)]
+        return tuple((q, q + k, 0, h) for q in range(0, g, k))
     rows = min(h, max(2 if b == 1 else 1, _pow2_floor(elems // (r * b))))
-    return [(q, q + 1, c, c + rows) for q in range(g) for c in range(0, h, rows)]
+    return tuple((q, q + 1, c, c + rows) for q in range(g) for c in range(0, h, rows))
 
 
 class _Sweep(NamedTuple):

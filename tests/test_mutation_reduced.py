@@ -1,6 +1,8 @@
 """Tests for the reduced mutation matrix QΓ (Eq. 14, corrected)."""
 
 import functools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +89,50 @@ class TestLgammaTable:
         for nu in [*range(1, 65), 200, 1000]:  # rows d = 0 and d = ν hold n = 0
             got = reduced_mutation_matrix(nu, p)
             assert got.tobytes() == _per_entry_matrix(nu, p).tobytes(), nu
+
+
+def _per_row_matrix(nu, p):
+    """The per-row construction: one ``lgamma`` table, then two log-space
+    binomial pmfs per row, each in its own ``errstate``."""
+
+    def pmf(n, log_success, log_fail, log_fact):
+        if n == 0:
+            return np.ones(1)
+        i = np.arange(n + 1, dtype=np.float64)
+        log_c = log_fact[n] - log_fact[: n + 1] - log_fact[n::-1]
+        logs = log_c + i * log_success + (n - i) * log_fail
+        with np.errstate(under="ignore"):
+            return np.exp(logs)
+
+    log_p, log_1mp = np.log(p), np.log1p(-p)
+    log_fact = np.array([math.lgamma(m + 1) for m in range(nu + 1)])
+    q = np.empty((nu + 1, nu + 1))
+    for d in range(nu + 1):
+        q[d, :] = np.convolve(
+            pmf(nu - d, log_p, log_1mp, log_fact), pmf(d, log_1mp, log_p, log_fact)
+        )
+    return q
+
+
+class TestTableBuild:
+    """The two pmf tables built in one pass give every row the bits of
+    the per-row construction, without a floating-point warning (the
+    entries outside each row would overflow at small ``p`` unmasked)."""
+
+    @pytest.mark.parametrize("p", [1e-12, 0.001, 0.01, 0.05, 0.25, 0.5])
+    @pytest.mark.parametrize("nu", [1, 2, 3, 7, 20, 60, 200, 1030])
+    def test_bitwise_equal_to_per_row_construction(self, nu, p):
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+            warnings.simplefilter("error")
+            got = reduced_mutation_matrix(nu, p)
+        assert got.tobytes() == _per_row_matrix(nu, p).tobytes()
+
+    @pytest.mark.parametrize("nu", [1, 7, 200])
+    def test_p_zero_is_identity_without_warnings(self, nu):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = reduced_mutation_matrix(nu, 0.0)
+        np.testing.assert_array_equal(got, np.eye(nu + 1))
 
 
 class TestStochasticity:

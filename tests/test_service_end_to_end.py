@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+import repro.service.jobspec as jobspec
 from repro.cli import main
 from repro.exceptions import ValidationError
 from repro.io import load_batch_report, save_batch_report
@@ -107,6 +108,73 @@ class TestSolverService:
         report = service.submit([SolveJob(nu=6, p=0.01)] * 2)
         job, result, tele = report.entry(1)
         assert job.p == 0.01 and result is not None and tele.status == "solved"
+
+
+class TestHashOnce:
+    """A cold submit hashes each unique job's cache and operator digest
+    once, and its report is the report of an un-memoized run."""
+
+    @staticmethod
+    def manifest() -> list[SolveJob]:
+        reduced = [
+            SolveJob(nu=6, p=p, landscape="hamming", class_values=(2.0,) + (1.0,) * 6)
+            for p in (0.01, 0.02, 0.03)
+        ]
+        power = [
+            SolveJob(nu=6, p=0.02, landscape="random", seed=s, method="power", tol=1e-10)
+            for s in range(3)
+        ]
+        lone = SolveJob(nu=5, p=0.01, landscape="random", method="lanczos", tol=1e-10)
+        unique = reduced + power + [lone]
+        # duplicates: the same objects and equal, separately built jobs
+        return unique + reduced[:2] + [SolveJob.from_dict(j.to_dict()) for j in power]
+
+    @staticmethod
+    def comparable(report) -> dict:
+        data = report.to_dict()
+        data.pop("wall_seconds")
+        for tele in data["telemetry"]:
+            tele.pop("queue_seconds"), tele.pop("solve_seconds")
+        return data
+
+    def test_each_digest_computed_once_per_unique_job(self, monkeypatch):
+        calls = []
+        real = jobspec.content_hash
+
+        def counting(payload):
+            digest = real(payload)
+            calls.append((payload, digest))
+            return digest
+
+        jobs = self.manifest()
+        monkeypatch.setattr(jobspec, "content_hash", counting)
+        report = SolverService(kind="serial").submit(jobs)
+        monkeypatch.undo()
+        assert report.passed and report.n_solved == 7 and report.n_batched == 3
+
+        content = [d for p, d in calls if "tol" in p]
+        operator = [d for p, d in calls if "reduced" in p]
+        cache = [d for p, d in calls if "tol" not in p and "reduced" not in p]
+        assert len(calls) == len(content) + len(operator) + len(cache)
+        assert len(content) == len(jobs)  # plan_batch's dedup, once per request
+        unique = {job.content_key(): job for job in jobs}.values()
+        assert sorted(cache) == sorted(job.cache_key() for job in unique)
+        assert sorted(operator) == sorted(job.operator_key() for job in unique)
+
+        def unmemoized(name):
+            method = getattr(SolveJob, name)
+
+            def call(self):
+                for memo in jobspec._KEY_MEMOS:
+                    vars(self).pop(memo, None)
+                return method(self)
+
+            return call
+
+        for name in ("cache_key", "operator_key"):
+            monkeypatch.setattr(SolveJob, name, unmemoized(name))
+        fresh = SolverService(kind="serial").submit(self.manifest())
+        assert self.comparable(fresh) == self.comparable(report)
 
 
 class TestManifests:

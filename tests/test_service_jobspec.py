@@ -1,8 +1,13 @@
 """Tests for the canonical job specs and content hashing."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
+import repro.service.jobspec as jobspec
 from repro.exceptions import ValidationError
 from repro.service import (
     JOB_METHODS,
@@ -108,6 +113,91 @@ class TestContentKeys:
         c = SolveJob(nu=6, p=0.03, landscape="random", mutation="persite", seed=3, method="power")
         assert a.operator_key() == b.operator_key()  # same operator, different problems
         assert a.operator_key() != c.operator_key()  # different p → different operator
+
+
+#: (job, content_key, cache_key, operator_key): digests of the hashing
+#: scheme, which cached results on disk are filed under
+PINNED_DIGESTS = [
+    (
+        SolveJob(nu=6, p=0.02),
+        "f37df6344d620ccc98d4c7fad33c83b54914b8b1271d9e179044b2c5f1582919",
+        "ba92270bb5d4b061c28a4d9db2b015e5ed9b5cec9aef68304c2928e4c1c1d57e",
+        "df4b8c4f97d808398432a1861ba306c6a140a674187d80c6442d6d20330b4c9b",
+    ),
+    (
+        SolveJob(nu=4, p=0.03, landscape="hamming", class_values=(2.0, 1, 1, 1, 1),
+                 method="reduced", tol=1e-10),
+        "0b4c262dedcecc46f5c1f70bc6fcabd10ca7d8055fbe7b8706a7d4372b2491b2",
+        "3a2a7a145c698247486716b1a032b7baf0d1f05844c2bcc8d277e8009b5efa16",
+        "7ffec7662ea28789ce97cefaa1a4f23ae1090d236235e3c24cc08b316f929b60",
+    ),
+    (
+        SolveJob(nu=14, p=0.01, landscape="random", seed=5, method="power", shift=True,
+                 tol=1e-10),
+        "8bbded62d7f4c193c730c28da0a5ae792264cd80522ccfb2de66be822479946c",
+        "f5a9bdd28ee9964d5423b97cda2a9bc926d58aaff033b2f7f12a5848a2a3821a",
+        "0a850edd199537185039d484655aecde9be75d4f64256318632b232121037c71",
+    ),
+]
+
+
+@pytest.fixture
+def hash_calls(monkeypatch):
+    """Every payload :func:`content_hash` digests, in call order."""
+    calls = []
+    real = jobspec.content_hash
+
+    def counting(obj):
+        calls.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(jobspec, "content_hash", counting)
+    return calls
+
+
+class TestKeyMemo:
+    """``cache_key`` and ``operator_key`` are hashed once per instance;
+    the memo is invisible to equality, hashing, copies and pickles."""
+
+    @pytest.mark.parametrize("job,content,cache,operator", PINNED_DIGESTS)
+    def test_digests_are_pinned(self, job, content, cache, operator):
+        fresh = SolveJob.from_dict(job.to_dict())
+        for _ in range(2):  # the memoized second call too
+            assert (fresh.content_key(), fresh.cache_key(), fresh.operator_key()) == (
+                content, cache, operator,
+            )
+
+    def test_each_key_hashed_once_content_key_every_call(self, hash_calls):
+        job = SolveJob(nu=6, p=0.02, landscape="random", method="power")
+        keys = [job.cache_key(), job.operator_key()] * 3
+        assert len(hash_calls) == 2 and len(set(keys)) == 2
+        job.content_key()
+        job.content_key()
+        assert len(hash_calls) == 4
+
+    def test_replace_copy_computes_its_own_keys(self, hash_calls):
+        job = SolveJob(nu=6, p=0.02, landscape="random", method="power")
+        job.cache_key(), job.operator_key()
+        for copy_ in (dataclasses.replace(job, p=0.03), job.with_(p=0.03)):
+            fresh = SolveJob(nu=6, p=0.03, landscape="random", method="power")
+            assert copy_.cache_key() == fresh.cache_key() != job.cache_key()
+            assert copy_.operator_key() == fresh.operator_key() != job.operator_key()
+        looser = dataclasses.replace(job, tol=1e-6)  # same keys, its own digests
+        before = len(hash_calls)
+        assert (looser.cache_key(), looser.operator_key()) == (job.cache_key(), job.operator_key())
+        assert len(hash_calls) == before + 2
+
+    def test_equality_hashing_and_pickles_ignore_the_memo(self):
+        job = SolveJob(nu=6, p=0.02, landscape="random", method="power")
+        twin = SolveJob(nu=6, p=0.02, landscape="random", method="power")
+        keys = (job.cache_key(), job.operator_key())
+        assert job == twin and hash(job) == hash(twin) and len({job, twin}) == 1
+        assert job.to_dict() == twin.to_dict()
+        assert pickle.dumps(job) == pickle.dumps(twin)
+        for clone in (pickle.loads(pickle.dumps(job)), copy.copy(job), copy.deepcopy(job)):
+            assert clone == job
+            assert not set(vars(clone)) & set(jobspec._KEY_MEMOS)
+            assert (clone.cache_key(), clone.operator_key()) == keys
 
 
 class TestRouteResolution:

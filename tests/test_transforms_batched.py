@@ -282,6 +282,20 @@ class TestChunkSizeInvariance:
                     for j in range(b):
                         assert np.array_equal(got[:, j], lone[j]), f"{where} column {j}"
 
+    def test_chunk_lists_are_reused_per_shape_and_chunk_size(self, monkeypatch):
+        """A product reuses each sweep's chunk list; a new ``_CHUNK_BYTES``
+        gets its own list, not the one built under the old size."""
+        nu, b = 12, 2
+        stage = max(fused_stage_plan(random_factors(nu)), key=lambda st: st.span)
+        first = kernel._chunks(1 << nu, b, stage)
+        assert kernel._chunks(1 << nu, b, stage) is first
+        monkeypatch.setattr(kernel, "_CHUNK_BYTES", 1024)
+        small = kernel._chunks(1 << nu, b, stage)
+        assert len(small) > len(first)
+        assert small == kernel._chunk_list.__wrapped__(1 << nu, b, stage.radix, stage.span, 1024)
+        monkeypatch.undo()
+        assert kernel._chunks(1 << nu, b, stage) is first
+
     def test_chunk_lists_keep_the_bit_rules(self, monkeypatch):
         """Every chunk list covers its sweep once, in order, with equal
         chunks; a ``z`` range is never one column wide nor cuts a
