@@ -118,10 +118,10 @@ def load_verification_report(path: str):
 def save_job_result(path: str, result) -> None:
     """Persist a :class:`~repro.service.jobspec.JobResult` (``.npz``).
 
-    This is the on-disk payload of the service result cache — one small
-    archive per content hash: the ν+1 class concentrations natively,
-    scalars through the JSON side channel (including the solve
-    tolerance, which the cache's tolerance-aware lookup inspects).
+    One result per archive: the ν+1 class concentrations natively,
+    scalars (including the solve tolerance) through the JSON side
+    channel.  The service result cache does not use it; its disk tier
+    writes many results per pack (:mod:`repro.service.cache`).
     """
     meta = {
         "kind": _JOB_RESULT_KIND,

@@ -16,17 +16,33 @@ repeats every previous solve.  The cache makes those repeats free:
 * **LRU accounting** — bounded in-memory capacity with
   least-recently-used eviction; every hit/miss/eviction/store is
   counted in :class:`CacheStats` for the batch reports.
-* **Disk tier** — an optional directory of one ``.npz`` archive per
-  content hash (via :func:`repro.io.save_job_result`), giving warm
-  restarts across processes: re-running a manifest against a warm disk
-  cache performs zero new solves.
+* **Disk tier** — an optional directory of append-only *pack* files,
+  giving warm restarts across processes: re-running a manifest against
+  a warm disk cache performs zero new solves.  Each store call writes
+  one ``<random hex>.pack.npz``: a ``meta`` member (the JSON list of each
+  entry's key, eigenvalue, iterations, residual, converged flag,
+  method, tol and slice bounds) and a ``concentrations`` member (every
+  entry's concentrations concatenated as float64).  A pack is written
+  under a temporary name and ``os.replace``-d into place, so readers
+  never see a partial pack and processes can share a directory.  The
+  cache indexes the packs' ``meta`` on its first disk access, keeps the
+  tightest ``tol`` per key, re-lists the directory on a miss only when
+  its mtime has moved, and reads a pack's ``concentrations`` on the
+  first hit in that pack.  An unreadable pack is skipped: its entries
+  are misses.  Superseded entries are not compacted away.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import time
+import zipfile
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.service.jobspec import JobResult, SolveJob
@@ -37,6 +53,30 @@ __all__ = ["CacheStats", "ResultCache"]
 MEMORY_HIT = "hit-memory"
 DISK_HIT = "hit-disk"
 MISS = "miss"
+
+#: file-name suffix of a disk-tier pack; anything else in the directory
+#: (a writer's temporary file, an old per-entry ``<key>.npz``) is ignored
+PACK_SUFFIX = ".pack.npz"
+
+#: a pack entry's result scalars, each with the type it is read back as
+_RESULT_FIELDS = {
+    "eigenvalue": float,
+    "iterations": int,
+    "residual": float,
+    "converged": bool,
+    "method": str,
+    "tol": float,
+}
+#: every field of a pack's ``meta`` entry: the result scalars, the cache
+#: key and the entry's slice of ``concentrations``
+_ENTRY_FIELDS = {"key": str, **_RESULT_FIELDS, "start": int, "stop": int}
+
+#: what reading a damaged pack raises; its entries then read as misses
+_PACK_ERRORS = (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile)
+
+#: a directory mtime this close to the wall clock may share its clock
+#: tick with a write still to come, so a listing taken then is redone
+_SETTLE_NS = 1_000_000_000
 
 
 @dataclass
@@ -86,10 +126,9 @@ class ResultCache:
         Maximum number of in-memory entries; the least recently used
         entry is evicted when full (disk entries are never evicted).
     disk_dir:
-        Optional directory for the persistent tier.  Created on first
-        store; safe to share between runs (filenames are content
-        hashes, so concurrent writers can only race to write identical
-        payloads).
+        Optional directory for the persistent pack tier.  Created on
+        first store; safe to share between processes (every pack gets a
+        unique name and appears atomically).
 
     Examples
     --------
@@ -106,6 +145,13 @@ class ResultCache:
         self.disk_dir = disk_dir
         self.stats = CacheStats()
         self._entries: OrderedDict[str, _Entry] = OrderedDict()
+        # disk tier: cache key -> (tol, pack, slot) of its tightest entry;
+        # every pack listed so far -> its meta (None when unreadable);
+        # every pack read or written -> its concentrations
+        self._index: dict[str, tuple[float, str, int]] = {}
+        self._metas: dict[str, list[dict] | None] = {}
+        self._arrays: dict[str, np.ndarray] = {}
+        self._listed_ns: int | None = None
 
     # -------------------------------------------------------------- basics
     def __len__(self) -> int:
@@ -137,8 +183,8 @@ class ResultCache:
             self._entries.move_to_end(key)
             self.stats.memory_hits += 1
             return entry.result, MEMORY_HIT
-        disk = self._load_disk(key)
-        if disk is not None and disk.tol <= job.tol:
+        disk = self._disk_result(key, job.tol)
+        if disk is not None:
             self._put_memory(key, _Entry(disk.tol, disk))
             self.stats.disk_hits += 1
             return disk, DISK_HIT
@@ -147,21 +193,29 @@ class ResultCache:
 
     # --------------------------------------------------------------- store
     def store(self, job: SolveJob, result: JobResult) -> None:
-        """File ``result`` under ``job``'s content hash.
+        """File ``result`` under ``job``'s content hash (one pack)."""
+        self.store_many([(job, result)])
+
+    def store_many(self, pairs) -> None:
+        """File each ``(job, result)`` pair; the disk tier gets one pack.
 
         A tighter-tolerance entry is never overwritten by a looser one;
         a tighter arrival replaces the looser entry in both tiers.
         """
-        key = job.cache_key()
-        existing = self._entries.get(key)
-        if existing is not None and existing.tol <= result.tol:
-            self._entries.move_to_end(key)
-            return
-        if existing is not None:
-            self.stats.replacements += 1
-        self._put_memory(key, _Entry(result.tol, result))
-        self.stats.stores += 1
-        self._store_disk(key, result)
+        fresh = []
+        for job, result in pairs:
+            key = job.cache_key()
+            existing = self._entries.get(key)
+            if existing is not None and existing.tol <= result.tol:
+                self._entries.move_to_end(key)
+                continue
+            if existing is not None:
+                self.stats.replacements += 1
+            self._put_memory(key, _Entry(result.tol, result))
+            self.stats.stores += 1
+            fresh.append((key, result))
+        if self.disk_dir is not None and fresh:
+            self._write_pack(fresh)
 
     def _put_memory(self, key: str, entry: _Entry) -> None:
         self._entries[key] = entry
@@ -171,32 +225,109 @@ class ResultCache:
             self.stats.evictions += 1
 
     # ---------------------------------------------------------- disk tier
-    def _disk_path(self, key: str) -> str | None:
+    def _disk_result(self, key: str, tol: float) -> JobResult | None:
+        """The disk tier's tightest entry for ``key`` if it meets ``tol``."""
         if self.disk_dir is None:
             return None
-        return os.path.join(self.disk_dir, f"{key}.npz")
-
-    def _load_disk(self, key: str) -> JobResult | None:
-        path = self._disk_path(key)
-        if path is None or not os.path.exists(path):
+        held = self._index.get(key)
+        if held is None or held[0] > tol:
+            self._refresh()
+            held = self._index.get(key)
+        if held is None or held[0] > tol:
             return None
-        from repro.io import load_job_result
+        _, pack, slot = held
+        concentrations = self._arrays.get(pack)
+        if concentrations is None:
+            concentrations = self._read_concentrations(pack)
+            if concentrations is None:
+                self._index = {k: v for k, v in self._index.items() if v[1] != pack}
+                return None
+            self._arrays[pack] = concentrations
+        entry = self._metas[pack][slot]
+        return JobResult(
+            concentrations=concentrations[entry["start"]:entry["stop"]].copy(),
+            **{name: entry[name] for name in _RESULT_FIELDS},
+        )
 
-        import zipfile
-
+    def _refresh(self) -> None:
+        """Index the packs not seen yet, unless the directory's mtime
+        still matches the last listing."""
         try:
-            return load_job_result(path)
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile, ValidationError):
-            return None  # a corrupt entry is a miss, not a crash
-
-    def _store_disk(self, key: str, result: JobResult) -> None:
-        path = self._disk_path(key)
-        if path is None:
+            mtime = os.stat(self.disk_dir).st_mtime_ns
+        except OSError:
+            return  # nothing stored yet
+        if mtime == self._listed_ns:
             return
-        existing = self._load_disk(key)
-        if existing is not None and existing.tol <= result.tol:
-            return
-        from repro.io import save_job_result
+        self._listed_ns = mtime if time.time_ns() - mtime > _SETTLE_NS else None
+        for name in os.listdir(self.disk_dir):
+            if name.endswith(PACK_SUFFIX) and name not in self._metas:
+                meta = self._read_meta(name)
+                self._metas[name] = meta
+                self._index_pack(name, meta or [])
 
+    def _index_pack(self, pack: str, meta: list[dict]) -> None:
+        for slot, entry in enumerate(meta):
+            held = self._index.get(entry["key"])
+            if held is None or entry["tol"] < held[0]:
+                self._index[entry["key"]] = (entry["tol"], pack, slot)
+
+    @contextmanager
+    def _open(self, pack: str):
+        # np.load leaves the file open when the archive fails to parse
+        with open(os.path.join(self.disk_dir, pack), "rb") as fh, np.load(fh) as archive:
+            yield archive
+
+    def _read_meta(self, pack: str) -> list[dict] | None:
+        try:
+            with self._open(pack) as archive:
+                raw = json.loads(archive["meta"].tobytes())
+            return [{name: cast(e[name]) for name, cast in _ENTRY_FIELDS.items()} for e in raw]
+        except _PACK_ERRORS:
+            return None
+
+    def _read_concentrations(self, pack: str) -> np.ndarray | None:
+        try:
+            with self._open(pack) as archive:
+                concentrations = archive["concentrations"]
+        except _PACK_ERRORS:
+            return None
+        stop = max(entry["stop"] for entry in self._metas[pack])
+        if concentrations.dtype != np.float64 or concentrations.shape != (stop,):
+            return None
+        return concentrations
+
+    def _write_pack(self, fresh: list[tuple[str, JobResult]]) -> None:
+        """Write the entries the index lacks at this tolerance as one pack."""
+        self._refresh()
+        fresh = [
+            (key, result)
+            for key, result in fresh
+            if (held := self._index.get(key)) is None or held[0] > result.tol
+        ]
+        if not fresh:
+            return
+        arrays = [np.asarray(r.concentrations, dtype=np.float64).ravel() for _, r in fresh]
+        meta, start = [], 0
+        for (key, result), values in zip(fresh, arrays):
+            entry = {name: cast(getattr(result, name)) for name, cast in _RESULT_FIELDS.items()}
+            meta.append(entry | {"key": key, "start": start, "stop": start + values.size})
+            start += values.size
+        concentrations = np.concatenate(arrays)
+        pack = os.urandom(16).hex() + PACK_SUFFIX
         os.makedirs(self.disk_dir, exist_ok=True)
-        save_job_result(path, result)
+        tmp = os.path.join(self.disk_dir, f".{pack}.tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                np.savez(
+                    fh,
+                    meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                    concentrations=concentrations,
+                )
+            os.replace(tmp, os.path.join(self.disk_dir, pack))
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
+        self._metas[pack] = meta
+        self._arrays[pack] = concentrations
+        self._index_pack(pack, meta)

@@ -255,11 +255,13 @@ class SolverService:
             singles = [u for u in to_solve if u not in covered]
             units = blocks + [plan.unique_jobs[u] for u in singles]
             slots = [u for block in blocks for u in block.indices] + singles
+            settled = []
             for uidx, (result, tele) in zip(slots, self.pool.run(units)):
                 results[uidx] = result
                 telemetry[uidx] = tele
                 if result is not None:
-                    self.cache.store(plan.unique_jobs[uidx], result)
+                    settled.append((plan.unique_jobs[uidx], result))
+            self.cache.store_many(settled)
 
         return BatchReport(
             jobs=plan.jobs,

@@ -8,6 +8,7 @@ solves.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.service import (
     load_manifest,
     run_manifest,
 )
+from repro.service.cache import PACK_SUFFIX
 
 
 def _manifest(tmp_path, options=None) -> str:
@@ -79,6 +81,30 @@ class TestSolverService:
         assert cold.n_solved == 2
         assert warm.n_solved == 0 and warm.n_cached == 2
         assert all(t.cache == "hit-disk" for t in warm.telemetry)
+
+    def test_cold_submit_writes_one_pack_and_warm_reads_it(self, tmp_path, monkeypatch):
+        disk = tmp_path / "cache"
+        disk.mkdir()
+        jobs = [SolveJob(nu=6, p=p) for p in (0.01, 0.02, 0.03, 0.04)]
+        cold = SolverService(kind="serial", cache_dir=str(disk)).submit(jobs)
+        assert cold.n_solved == len(jobs)
+        (pack,) = os.listdir(disk)  # one pack, no temp file, no per-entry files
+        assert pack.endswith(PACK_SUFFIX)
+
+        loads = []
+        real_load = np.load
+
+        def counting_load(file, *args, **kwargs):
+            loads.append(os.path.basename(getattr(file, "name", file)))
+            return real_load(file, *args, **kwargs)
+
+        monkeypatch.setattr(np, "load", counting_load)
+        warm = SolverService(kind="serial", cache_dir=str(disk)).submit(jobs)
+        assert warm.n_solved == 0 and all(t.cache == "hit-disk" for t in warm.telemetry)
+        # the pack is opened once for its index and once for its concentrations
+        assert loads == [pack, pack]
+        for a, b in zip(cold.results, warm.results):
+            assert a.concentrations.tobytes() == b.concentrations.tobytes()
 
     def test_failing_route_completes_via_fallback_with_named_failure(self):
         from repro.service import execute_job

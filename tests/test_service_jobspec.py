@@ -2,6 +2,8 @@
 
 import copy
 import dataclasses
+import hashlib
+import json
 import pickle
 
 import numpy as np
@@ -46,6 +48,71 @@ class TestCanonicalPayload:
         a = content_hash({"nu": 4, "p": 0.01})
         b = content_hash({"nu": 4, "p": 0.01})
         assert a == b and len(a) == 64
+
+
+def _reference_payload(obj):
+    """The recursive canonicalization every digest was first pinned with:
+    one call per element, no fast paths."""
+    if isinstance(obj, float):
+        return float(obj).hex()
+    if isinstance(obj, (int, str)) or obj is None:
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [_reference_payload(x) for x in obj]
+    if isinstance(obj, dict):
+        return {str(k): _reference_payload(v) for k, v in obj.items()}
+    if isinstance(obj, np.floating):
+        return float(obj).hex()
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [_reference_payload(x) for x in obj.tolist()]
+    raise ValidationError(f"cannot canonicalize {type(obj).__name__} for hashing")
+
+
+def _reference_json(obj) -> str:
+    return json.dumps(_reference_payload(obj), sort_keys=True, separators=(",", ":"))
+
+
+_INF, _NAN = float("inf"), float("nan")
+
+CANONICAL_CASES = [
+    True, False, None, 0, -7, 2**80, -(2**100), "x", "",
+    1.5, 0.1 + 0.2, 0.0, -0.0, _INF, -_INF, _NAN, 5e-324, 1.7976931348623157e308,
+    np.float64(0.5), np.float32(0.1), np.float16(-0.0), np.int64(7), np.uint8(255),
+    np.array([1.0, -0.0, _NAN]), np.arange(4), np.ones((2, 3)), np.array([]),
+    [], (), (1.0,) * 5, (1.7,) + (1.0,) * 20, [2.0, 1, 1, 1, 1],
+    (0.0, -0.0), (-0.0, 0.0, 1.0), (1.0, -0.0, 1.0), [0.0] * 3, (_NAN, _NAN, 1.0),
+    (_INF, -_INF, _INF), (1.0, True), (True, 1.0), (1.0, None), (np.float64(1.0), 1.0),
+    [1.0, [2.0, (3, "x")], {"a": -0.0, 1: None}], {"b": (1.0, 1.0), "a": [0.5, -0.0]},
+    {"nested": {"deep": [np.float64(-0.0), np.int32(3), (2.5, 2.5)]}},
+]
+
+
+class TestCanonicalPayloadMatchesReference:
+    """The fast paths emit the same JSON bytes, hence the same digests."""
+
+    @pytest.mark.parametrize("obj", CANONICAL_CASES, ids=repr)
+    def test_same_json_and_digest(self, obj):
+        ours = json.dumps(canonical_payload(obj), sort_keys=True, separators=(",", ":"))
+        assert ours == _reference_json(obj)
+        expected = hashlib.sha256(_reference_json(obj).encode("utf-8")).hexdigest()
+        assert content_hash(obj) == expected
+
+    def test_shared_float_objects(self):
+        one = 1.0
+        assert canonical_payload([one, -0.0, one]) == [one.hex(), "-0x0.0p+0", one.hex()]
+
+    @pytest.mark.parametrize(
+        "obj",
+        [object(), {1, 2}, b"x", 1j, np.bool_(True), [1.0, object()], (1.0, {2.0})],
+        ids=["object", "set", "bytes", "complex", "np.bool_", "list-of-object", "tuple-of-set"],
+    )
+    def test_rejected_types(self, obj):
+        with pytest.raises(ValidationError):
+            _reference_payload(obj)
+        with pytest.raises(ValidationError):
+            canonical_payload(obj)
 
 
 class TestSharedProblemSpec:
