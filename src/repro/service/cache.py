@@ -26,10 +26,12 @@ repeats every previous solve.  The cache makes those repeats free:
   under a temporary name and ``os.replace``-d into place, so readers
   never see a partial pack and processes can share a directory.  The
   cache indexes the packs' ``meta`` on its first disk access, keeps the
-  tightest ``tol`` per key, re-lists the directory on a miss only when
-  its mtime has moved, and reads a pack's ``concentrations`` on the
-  first hit in that pack.  An unreadable pack is skipped: its entries
-  are misses.  Superseded entries are not compacted away.
+  tightest ``tol`` per key, and re-lists the directory on a miss only
+  when its mtime has moved.  Only that index stays resident: a hit
+  reads its pack's ``meta`` and ``concentrations`` in one open, and the
+  last pack read is kept, so a batch of hits in one pack reads it once.
+  An unreadable pack is skipped: its entries are misses.  Superseded
+  entries are not compacted away.
 """
 
 from __future__ import annotations
@@ -146,11 +148,12 @@ class ResultCache:
         self.stats = CacheStats()
         self._entries: OrderedDict[str, _Entry] = OrderedDict()
         # disk tier: cache key -> (tol, pack, slot) of its tightest entry;
-        # every pack listed so far -> its meta (None when unreadable);
-        # every pack read or written -> its concentrations
+        # the name of every pack indexed so far; the pack read last, as
+        # (name, meta, concentrations), so a batch of hits in one pack
+        # reads it once while memory holds at most one pack
         self._index: dict[str, tuple[float, str, int]] = {}
-        self._metas: dict[str, list[dict] | None] = {}
-        self._arrays: dict[str, np.ndarray] = {}
+        self._packs: set[str] = set()
+        self._last_read: tuple[str, list[dict], np.ndarray] | None = None
         self._listed_ns: int | None = None
 
     # -------------------------------------------------------------- basics
@@ -236,14 +239,14 @@ class ResultCache:
         if held is None or held[0] > tol:
             return None
         _, pack, slot = held
-        concentrations = self._arrays.get(pack)
-        if concentrations is None:
-            concentrations = self._read_concentrations(pack)
-            if concentrations is None:
+        if self._last_read is None or self._last_read[0] != pack:
+            loaded = self._read_pack(pack)
+            if loaded is None:
                 self._index = {k: v for k, v in self._index.items() if v[1] != pack}
                 return None
-            self._arrays[pack] = concentrations
-        entry = self._metas[pack][slot]
+            self._last_read = (pack, *loaded)
+        _, meta, concentrations = self._last_read
+        entry = meta[slot]
         return JobResult(
             concentrations=concentrations[entry["start"]:entry["stop"]].copy(),
             **{name: entry[name] for name in _RESULT_FIELDS},
@@ -260,12 +263,11 @@ class ResultCache:
             return
         self._listed_ns = mtime if time.time_ns() - mtime > _SETTLE_NS else None
         for name in os.listdir(self.disk_dir):
-            if name.endswith(PACK_SUFFIX) and name not in self._metas:
-                meta = self._read_meta(name)
-                self._metas[name] = meta
-                self._index_pack(name, meta or [])
+            if name.endswith(PACK_SUFFIX) and name not in self._packs:
+                self._index_pack(name, self._read_meta(name) or [])
 
     def _index_pack(self, pack: str, meta: list[dict]) -> None:
+        self._packs.add(pack)
         for slot, entry in enumerate(meta):
             held = self._index.get(entry["key"])
             if held is None or entry["tol"] < held[0]:
@@ -277,24 +279,30 @@ class ResultCache:
         with open(os.path.join(self.disk_dir, pack), "rb") as fh, np.load(fh) as archive:
             yield archive
 
+    @staticmethod
+    def _parse_meta(archive) -> list[dict]:
+        raw = json.loads(archive["meta"].tobytes())
+        return [{name: cast(e[name]) for name, cast in _ENTRY_FIELDS.items()} for e in raw]
+
     def _read_meta(self, pack: str) -> list[dict] | None:
         try:
             with self._open(pack) as archive:
-                raw = json.loads(archive["meta"].tobytes())
-            return [{name: cast(e[name]) for name, cast in _ENTRY_FIELDS.items()} for e in raw]
+                return self._parse_meta(archive)
         except _PACK_ERRORS:
             return None
 
-    def _read_concentrations(self, pack: str) -> np.ndarray | None:
+    def _read_pack(self, pack: str) -> tuple[list[dict], np.ndarray] | None:
+        """A pack's meta and concentrations, from one open of its file."""
         try:
             with self._open(pack) as archive:
+                meta = self._parse_meta(archive)
                 concentrations = archive["concentrations"]
         except _PACK_ERRORS:
             return None
-        stop = max(entry["stop"] for entry in self._metas[pack])
+        stop = max((entry["stop"] for entry in meta), default=0)
         if concentrations.dtype != np.float64 or concentrations.shape != (stop,):
             return None
-        return concentrations
+        return meta, concentrations
 
     def _write_pack(self, fresh: list[tuple[str, JobResult]]) -> None:
         """Write the entries the index lacks at this tolerance as one pack."""
@@ -328,6 +336,4 @@ class ResultCache:
             if os.path.exists(tmp):
                 os.remove(tmp)
             raise
-        self._metas[pack] = meta
-        self._arrays[pack] = concentrations
         self._index_pack(pack, meta)

@@ -130,20 +130,14 @@ def canonical_payload(obj):
     """
     # Job payloads are mostly floats (a hamming job's class values), so
     # the Python types are tested before the NumPy ones, and a flat
-    # sequence of plain floats is hexed without recursing, each distinct
-    # value once (class values repeat the background fitness).  0.0 and
-    # -0.0 are equal dict keys with different hex forms, so a sequence
-    # holding a zero hexes every element.
+    # sequence of plain floats is hexed without recursing.
     if isinstance(obj, float):
         return float(obj).hex()
     if isinstance(obj, (int, str)) or obj is None:  # bool is an int
         return obj
     if isinstance(obj, (list, tuple)):
         if all(type(x) is float for x in obj):
-            hexes = {x: x.hex() for x in set(obj)}
-            if 0.0 in hexes:
-                return [x.hex() for x in obj]
-            return [hexes[x] for x in obj]
+            return [x.hex() for x in obj]
         return [canonical_payload(x) for x in obj]
     if isinstance(obj, dict):
         return {str(k): canonical_payload(v) for k, v in obj.items()}

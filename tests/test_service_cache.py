@@ -287,6 +287,25 @@ class TestPackTier:
         assert indexes[0] == indexes[1]
         assert len(indexes[0]) == 3
 
+    def test_memory_holds_the_index_and_one_pack(self, tmp_path):
+        disk = str(tmp_path / "cache")
+        cache = ResultCache(capacity=1, disk_dir=disk)
+        for pair in ((0.01, 0.11), (0.02, 0.12), (0.03, 0.13)):
+            cache.store_many([(_job(p), _result(p)) for p in pair])
+        assert cache._last_read is None  # written packs are not kept
+        loads = []
+        real = ResultCache._read_pack
+        cache._read_pack = lambda pack: loads.append(pack) or real(cache, pack)
+        for p in (0.01, 0.11, 0.02, 0.12, 0.03):
+            hit, status = cache.lookup(_job(p))
+            assert status == "hit-disk" and hit.eigenvalue == p
+        assert len(loads) == 3  # one read per pack, each pair of hits shares it
+        assert cache._last_read[0] == loads[-1]
+        assert set(cache.__dict__) == {
+            "capacity", "disk_dir", "stats", "_entries", "_index", "_packs",
+            "_last_read", "_listed_ns", "_read_pack",
+        }
+
     def test_round_trip_is_bit_exact(self, tmp_path):
         disk = str(tmp_path / "cache")
         result = JobResult(

@@ -101,7 +101,7 @@ class TestSolverService:
         monkeypatch.setattr(np, "load", counting_load)
         warm = SolverService(kind="serial", cache_dir=str(disk)).submit(jobs)
         assert warm.n_solved == 0 and all(t.cache == "hit-disk" for t in warm.telemetry)
-        # the pack is opened once for its index and once for its concentrations
+        # the pack is opened once for its index and once on its first hit
         assert loads == [pack, pack]
         for a, b in zip(cold.results, warm.results):
             assert a.concentrations.tobytes() == b.concentrations.tobytes()
