@@ -15,8 +15,8 @@ are duplicates (the ISSUE workload):
   cache must be at least **5× faster** (the acceptance criterion; in
   practice it is orders of magnitude);
 * **cold phase split** — where the timed cold submit spends its time:
-  planning (dedup, grouping, blocks), cache lookups, the pool phase and
-  the cache stores (``store_many``), each summed over its calls by
+  planning (dedup, blocks), cache lookups, the pool phase and
+  the cache stores (``store``), each summed over its calls by
   wrappers around exactly those calls (about a microsecond each); the
   rest of the submit is bookkeeping;
 * **disk tier** (reported, not gated) — a cold submit into an empty
@@ -78,7 +78,7 @@ def phase_split(service: SolverService):
         for name in ("plan_batch", "plan_batched_jobs"):
             mp.setattr(service_module, name, timed("plan", getattr(service_module, name)))
         mp.setattr(service.cache, "lookup", timed("lookups", service.cache.lookup))
-        mp.setattr(service.cache, "store_many", timed("stores", service.cache.store_many))
+        mp.setattr(service.cache, "store", timed("stores", service.cache.store))
         mp.setattr(service.pool, "run", timed("pool", service.pool.run))
         yield totals
 

@@ -16,6 +16,8 @@ True
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.exceptions import ValidationError
@@ -26,6 +28,7 @@ from repro.model.threshold import ThresholdSweep, sweep_error_rates
 from repro.mutation.base import MutationModel
 from repro.mutation.uniform import UniformMutation
 from repro.operators.base import FORMS
+from repro.operators.dense_w import convert_eigenvector
 from repro.operators.fmmp import Fmmp
 from repro.operators.shifted import ShiftedOperator, resolve_shift
 from repro.operators.smvp import Smvp
@@ -36,11 +39,25 @@ from repro.solvers.lanczos import Lanczos
 from repro.solvers.power import PowerIteration
 from repro.solvers.reduced import ReducedSolver
 from repro.solvers.result import SolveResult
+from repro.solvers.shift_invert import cg_inverse_iteration
 
-__all__ = ["QuasispeciesModel"]
+__all__ = ["METHODS", "OPERATORS", "QuasispeciesModel"]
 
-_METHODS = ("auto", "power", "dense", "reduced", "kronecker", "lanczos", "arnoldi")
-_OPERATORS = ("fmmp", "xmvp", "smvp")
+#: solver routes :meth:`QuasispeciesModel.solve` takes (``auto`` picks
+#: one from the problem's structure; ``shift-invert`` is the CG inverse
+#: iteration of :func:`repro.solvers.shift_invert.cg_inverse_iteration`)
+METHODS = (
+    "auto",
+    "power",
+    "dense",
+    "reduced",
+    "kronecker",
+    "lanczos",
+    "arnoldi",
+    "shift-invert",
+)
+#: implicit ``W`` operators :meth:`QuasispeciesModel.build_operator` builds
+OPERATORS = ("fmmp", "xmvp", "smvp")
 
 
 class QuasispeciesModel:
@@ -128,8 +145,8 @@ class QuasispeciesModel:
             (``None`` → ``REPRO_NUM_THREADS`` or 1); the baselines
             (``xmvp``/``smvp``) are serial and ignore it.
         """
-        if operator not in _OPERATORS:
-            raise ValidationError(f"operator must be one of {_OPERATORS}, got {operator!r}")
+        if operator not in OPERATORS:
+            raise ValidationError(f"operator must be one of {OPERATORS}, got {operator!r}")
         if form not in FORMS:
             raise ValidationError(f"form must be one of {FORMS}, got {form!r}")
         if operator == "fmmp":
@@ -168,9 +185,13 @@ class QuasispeciesModel:
         iterative ``fmmp`` routes; it changes wall time, never the bits
         of the result.  The structural routes (kronecker / reduced /
         dense) are unaffected.
+
+        ``"shift-invert"`` runs CG inverse iteration on the symmetric
+        ``fmmp`` form (symmetric mutation models only), whatever
+        ``operator`` and ``form`` say.
         """
-        if method not in _METHODS:
-            raise ValidationError(f"method must be one of {_METHODS}, got {method!r}")
+        if method not in METHODS:
+            raise ValidationError(f"method must be one of {METHODS}, got {method!r}")
         auto = method == "auto"
         if auto:
             method = self._auto_method()
@@ -201,6 +222,21 @@ class QuasispeciesModel:
             return Arnoldi(op, tol=tol).solve(
                 self.landscape.start_vector(), landscape=self.landscape, form=form
             )
+        if method == "shift-invert":
+            if not self.mutation.is_symmetric:
+                raise ValidationError(
+                    "shift-invert (CG inverse iteration) needs the symmetric form, "
+                    "which exists only for symmetric mutation models"
+                )
+            res = cg_inverse_iteration(
+                Fmmp(self.mutation, self.landscape, form="symmetric"),
+                start=np.sqrt(self.landscape.values()),
+                mu=self.landscape.fmax * 1.05,
+                tol=max(tol, 1e-13),
+                max_outer=min(max_iterations, 200),
+            )
+            conc = convert_eigenvector(res.eigenvector, self.landscape, "symmetric")
+            return replace(res, concentrations=conc)
 
         # Auto mode shifts by default (see resolve_shift).
         mu = resolve_shift(self.mutation, self.landscape, shift, auto=auto)
@@ -222,8 +258,10 @@ class QuasispeciesModel:
         )
 
     # ------------------------------------------------------------ readouts
-    def class_concentrations(self, result: SolveResult) -> np.ndarray:
-        """``[Γ_k]`` from a full-vector solve result."""
+    def class_concentrations(self, result: SolveResult | KroneckerSolveResult) -> np.ndarray:
+        """``[Γ_k]`` from any route's solve result."""
+        if isinstance(result, KroneckerSolveResult):
+            return result.eigenvector.class_concentrations()
         if result.concentrations.shape[0] == self.nu + 1:
             return result.concentrations  # reduced solver: already classes
         return class_concentrations(result.concentrations, self.nu)

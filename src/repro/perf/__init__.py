@@ -28,7 +28,6 @@ from repro.perf.costs import (
     xmvp_costs,
     smvp_costs,
     xmvp_mask_count,
-    operator_costs,
 )
 from repro.operators.batched import plan_costs
 from repro.perf.model import (
@@ -46,7 +45,6 @@ __all__ = [
     "xmvp_costs",
     "smvp_costs",
     "xmvp_mask_count",
-    "operator_costs",
     "predict_matvec_time",
     "predict_power_iteration_time",
     "PipelineCostModel",

@@ -34,7 +34,7 @@ from repro.operators.base import OperatorCosts
 from repro.operators.batched import plan_costs
 from repro.transforms.batched import fused_stage_plan
 
-__all__ = ["fmmp_costs", "xmvp_costs", "smvp_costs", "xmvp_mask_count", "operator_costs"]
+__all__ = ["fmmp_costs", "xmvp_costs", "smvp_costs", "xmvp_mask_count"]
 
 
 def _check(nu: int) -> int:
@@ -92,16 +92,3 @@ def smvp_costs(nu: int) -> OperatorCosts:
         bytes_moved=8.0 * (n * n + 2.0 * n),
         storage_bytes=8.0 * n * n,
     )
-
-
-def operator_costs(kind: str, nu: int, dmax: int | None = None) -> OperatorCosts:
-    """Dispatch by operator name (``"fmmp"``/``"xmvp"``/``"smvp"``)."""
-    if kind == "fmmp":
-        return fmmp_costs(nu)
-    if kind == "xmvp":
-        if dmax is None:
-            raise ValidationError("xmvp costs need dmax")
-        return xmvp_costs(nu, dmax)
-    if kind == "smvp":
-        return smvp_costs(nu)
-    raise ValidationError(f"unknown operator kind {kind!r}")

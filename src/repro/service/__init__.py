@@ -12,8 +12,8 @@ comparisons):
     Content-addressed result cache — in-memory LRU plus an optional
     on-disk tier — with tolerance-aware lookup and full accounting.
 :mod:`repro.service.scheduler`
-    Batch planner: dedup identical jobs, group jobs sharing a mutation
-    operator, order reduced (ν+1) jobs ahead of full 2^ν jobs.
+    Batch planner: dedup identical jobs (first-seen order), then gather
+    the batchable power jobs that share a mutation operator into blocks.
 :mod:`repro.service.pool`
     Worker pool with per-job timeouts, bounded retries with backoff,
     graceful route degradation, and structured telemetry.
@@ -49,8 +49,6 @@ from repro.service.pool import (
 from repro.service.scheduler import (
     BatchPlan,
     BatchedSolveJob,
-    JobGroup,
-    estimate_cost,
     is_batchable,
     plan_batch,
     plan_batched_jobs,
@@ -71,7 +69,6 @@ __all__ = [
     "BatchReport",
     "BatchedSolveJob",
     "CacheStats",
-    "JobGroup",
     "JobResult",
     "JobTelemetry",
     "ProblemSpec",
@@ -81,7 +78,6 @@ __all__ = [
     "WorkerPool",
     "canonical_payload",
     "content_hash",
-    "estimate_cost",
     "execute_job",
     "execute_batched_job",
     "fallback_routes",

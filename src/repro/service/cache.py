@@ -195,12 +195,9 @@ class ResultCache:
         return None, MISS
 
     # --------------------------------------------------------------- store
-    def store(self, job: SolveJob, result: JobResult) -> None:
-        """File ``result`` under ``job``'s content hash (one pack)."""
-        self.store_many([(job, result)])
-
-    def store_many(self, pairs) -> None:
-        """File each ``(job, result)`` pair; the disk tier gets one pack.
+    def store(self, pairs) -> None:
+        """File each ``(job, result)`` pair under the job's content hash;
+        the disk tier gets one pack per call.
 
         A tighter-tolerance entry is never overwritten by a looser one;
         a tighter arrival replaces the looser entry in both tiers.

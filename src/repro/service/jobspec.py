@@ -25,8 +25,8 @@ Two layers of description live here:
     knobs (``tol``/``max_iterations``/``tag``) so the result cache can
     serve a *tighter* cached solve to a *looser* request, and
     :meth:`SolveJob.operator_key` identifies jobs that share the same
-    mutation operator (ν, p, mutation family, seed) so Q-factor tables
-    and FWHT plans are built once per group.
+    mutation operator (ν, p, mutation family, seed), so the batched power
+    route can solve them as the columns of one block.
 
 :class:`JobResult`
     The service-level result payload: dominant eigenvalue plus the
@@ -52,6 +52,9 @@ from repro.landscapes import (
     SinglePeakLandscape,
 )
 from repro.landscapes.base import FitnessLandscape
+# a job's routes are exactly the model's (see SolveJob.resolved_method)
+from repro.model.quasispecies import METHODS as JOB_METHODS
+from repro.model.quasispecies import OPERATORS
 from repro.mutation import (
     GroupedMutation,
     MutationModel,
@@ -59,6 +62,7 @@ from repro.mutation import (
     UniformMutation,
     site_factor,
 )
+from repro.operators.base import FORMS
 from repro.util.rng import as_generator
 from repro.util.validation import check_chain_length, check_error_rate
 
@@ -76,23 +80,6 @@ __all__ = [
 
 LANDSCAPE_KINDS = ("single-peak", "linear", "flat", "random", "kronecker")
 MUTATION_KINDS = ("uniform", "persite", "grouped")
-
-#: solver routes a job may request (``auto`` defers to the model's
-#: structural dispatch; ``shift-invert`` is the CG inverse-iteration
-#: route of :func:`repro.solvers.shift_invert.cg_inverse_iteration`).
-JOB_METHODS = (
-    "auto",
-    "power",
-    "dense",
-    "reduced",
-    "kronecker",
-    "lanczos",
-    "arnoldi",
-    "shift-invert",
-)
-
-_OPERATORS = ("fmmp", "xmvp", "smvp")
-_FORMS = ("right", "left", "symmetric")
 
 #: landscape kinds whose class structure admits the exact (ν+1) reduction
 _ERROR_CLASS_KINDS = ("single-peak", "linear", "flat", "hamming")
@@ -354,10 +341,10 @@ class SolveJob:
             )
         if self.method not in JOB_METHODS:
             raise ValidationError(f"method must be one of {JOB_METHODS}, got {self.method!r}")
-        if self.operator not in _OPERATORS:
-            raise ValidationError(f"operator must be one of {_OPERATORS}, got {self.operator!r}")
-        if self.form not in _FORMS:
-            raise ValidationError(f"form must be one of {_FORMS}, got {self.form!r}")
+        if self.operator not in OPERATORS:
+            raise ValidationError(f"operator must be one of {OPERATORS}, got {self.operator!r}")
+        if self.form not in FORMS:
+            raise ValidationError(f"form must be one of {FORMS}, got {self.form!r}")
         if self.dmax is not None and not 1 <= int(self.dmax) <= self.nu:
             raise ValidationError(f"dmax must be in [1, {self.nu}], got {self.dmax}")
         if not isinstance(self.shift, bool) and not isinstance(self.shift, (int, float)):
@@ -416,16 +403,16 @@ class SolveJob:
         return self._memo("_cache_key", lambda: self._problem_payload() | self._route_payload())
 
     def operator_key(self) -> str:
-        """Hash identifying jobs that share operator construction.
+        """Hash identifying jobs that share one mutation operator.
 
         Jobs with equal keys use the same mutation operator (same ν, p,
-        mutation family, seed), so Q-factor tables / FWHT plans built
-        for one serve the whole group; reduced jobs group separately
-        (they share the (ν+1) machinery instead).  The uniform model
-        ignores the seed (``Q`` depends on ν and p only), so uniform
-        jobs group *across* seeds — a random-landscape grid over many
-        seeds is a single operator group, i.e. one batched butterfly
-        stream.
+        mutation family, seed), so batchable power jobs among them can
+        ride one :class:`~repro.operators.batched.BatchedFmmp` block
+        (:func:`repro.service.scheduler.plan_batched_jobs`); reduced
+        jobs key separately.  The uniform model ignores the seed (``Q``
+        depends on ν and p only), so uniform jobs share a key *across*
+        seeds — a random-landscape grid over many seeds is one batched
+        butterfly stream.
         """
         return self._memo("_operator_key", self._operator_payload)
 
@@ -465,16 +452,19 @@ class SolveJob:
     def resolved_method(self) -> str:
         """The concrete route ``auto`` dispatches to (for planning).
 
-        Mirrors the model's structural dispatch: the exact (ν+1)
-        reduction whenever the landscape is Hamming-structured and the
-        mutation uniform, otherwise the full-size power route.
+        Mirrors :meth:`QuasispeciesModel.solve`'s structural dispatch
+        without building anything: Kronecker decoupling for every
+        Kronecker landscape (each mutation family a job builds fits its
+        :func:`split_groups` blocks), the exact (ν+1) reduction for a
+        Hamming-structured landscape under uniform mutation, otherwise
+        the full-size power route.
         """
         if self.method != "auto":
             return self.method
+        if self.landscape == "kronecker":
+            return "kronecker"
         if self.mutation == "uniform" and self.landscape in _ERROR_CLASS_KINDS:
             return "reduced"
-        if self.landscape == "kronecker" and self.mutation == "grouped":
-            return "kronecker"
         return "power"
 
     @property

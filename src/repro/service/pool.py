@@ -181,58 +181,16 @@ def _same_route(a: SolveJob, b: SolveJob) -> bool:
     )
 
 
-def _result_gamma(res, nu: int) -> np.ndarray:
-    """Error-class concentrations from any route's result object."""
-    from repro.model.concentrations import class_concentrations
-    from repro.solvers.kron_solver import KroneckerSolveResult
-
-    if isinstance(res, KroneckerSolveResult):
-        return res.eigenvector.class_concentrations()
-    conc = np.asarray(res.concentrations)
-    if conc.shape[0] == nu + 1:
-        return conc
-    return class_concentrations(conc, nu)
-
-
-def _solve_shift_invert(job: SolveJob) -> JobResult:
-    from repro.model.concentrations import class_concentrations
-    from repro.operators.dense_w import convert_eigenvector
-    from repro.operators.fmmp import Fmmp
-    from repro.solvers.shift_invert import cg_inverse_iteration
-
-    mutation, landscape = job.build_mutation(), job.build_landscape()
-    if not mutation.is_symmetric:
-        raise ValidationError(
-            "shift-invert (CG inverse iteration) needs the symmetric form, "
-            "which exists only for symmetric mutation models"
-        )
-    op = Fmmp(mutation, landscape, form="symmetric")
-    res = cg_inverse_iteration(
-        op,
-        start=np.sqrt(landscape.values()),
-        mu=landscape.fmax * 1.05,
-        tol=max(job.tol, 1e-13),
-        max_outer=min(job.max_iterations, 200),
-    )
-    conc = convert_eigenvector(res.eigenvector, landscape, "symmetric")
-    return JobResult(
-        eigenvalue=float(res.eigenvalue),
-        concentrations=class_concentrations(conc, job.nu),
-        method=res.method,
-        iterations=res.iterations,
-        residual=res.residual,
-        converged=res.converged,
-        tol=job.tol,
-    )
-
-
 def execute_job(job: SolveJob, *, threads: int | None = None) -> JobResult:
     """Solve one job synchronously (the pool's default worker body).
 
-    Module-level and picklable, so it crosses process boundaries; the
-    reduced route reproduces
-    :class:`~repro.solvers.reduced.ReducedSolver` output bit-for-bit
-    (the parallel sweep's regression tests rely on it).
+    Builds the job's landscape and mutation model and hands the route to
+    :meth:`QuasispeciesModel.solve`, the one place that maps a method to
+    a solver.  The result keeps that solver's label, iterations and
+    residual, with its concentrations contracted to the ν+1 error
+    classes; a reduced job gets
+    :class:`~repro.solvers.reduced.ReducedSolver`'s output bit for bit.
+    Module-level and picklable, so it crosses process boundaries.
 
     ``threads`` (pool-level, **not** part of the job's content hash —
     thread count must never change what a job computes, only how fast)
@@ -241,29 +199,8 @@ def execute_job(job: SolveJob, *, threads: int | None = None) -> JobResult:
     pickles into process workers.
     """
     from repro.model.quasispecies import QuasispeciesModel
-    from repro.solvers.reduced import ReducedSolver
 
-    method = job.resolved_method()
-    if method == "reduced":
-        if job.landscape == "hamming":
-            target = np.asarray(job.class_values, dtype=np.float64)
-        else:
-            target = job.build_landscape()
-        res = ReducedSolver(job.nu, float(job.p), target).solve()
-        return JobResult(
-            eigenvalue=float(res.eigenvalue),
-            concentrations=res.concentrations,
-            method=res.method,
-            iterations=res.iterations,
-            residual=res.residual,
-            converged=res.converged,
-            tol=job.tol,
-        )
-    if method == "shift-invert":
-        return _solve_shift_invert(job)
-
-    mutation, landscape = job.build_mutation(), job.build_landscape()
-    model = QuasispeciesModel(landscape, mutation)
+    model = QuasispeciesModel(job.build_landscape(), job.build_mutation())
     res = model.solve(
         job.method,
         operator=job.operator,
@@ -276,11 +213,11 @@ def execute_job(job: SolveJob, *, threads: int | None = None) -> JobResult:
     )
     return JobResult(
         eigenvalue=float(res.eigenvalue),
-        concentrations=_result_gamma(res, job.nu),
-        method=getattr(res, "method", method),
-        iterations=int(getattr(res, "iterations", 0)),
-        residual=float(getattr(res, "residual", 0.0)),
-        converged=bool(getattr(res, "converged", True)),
+        concentrations=model.class_concentrations(res),
+        method=res.method,
+        iterations=int(res.iterations),
+        residual=float(res.residual),
+        converged=bool(res.converged),
         tol=job.tol,
     )
 

@@ -240,8 +240,7 @@ class SolverService:
         telemetry: list[JobTelemetry | None] = [None] * plan.n_unique
 
         to_solve: list[int] = []
-        for uidx in plan.order:
-            job = plan.unique_jobs[uidx]
+        for uidx, job in enumerate(plan.unique_jobs):
             cached, status = self.cache.lookup(job)
             if cached is not None:
                 results[uidx] = cached
@@ -261,7 +260,7 @@ class SolverService:
                 telemetry[uidx] = tele
                 if result is not None:
                     settled.append((plan.unique_jobs[uidx], result))
-            self.cache.store_many(settled)
+            self.cache.store(settled)
 
         return BatchReport(
             jobs=plan.jobs,
@@ -272,12 +271,6 @@ class SolverService:
             cache_stats=self.cache.stats.to_dict(),
             wall_seconds=time.perf_counter() - t0,
         )
-
-    # ------------------------------------------------------------ manifest
-    def run_manifest(self, path: str) -> BatchReport:
-        """Execute the jobs of a JSON/YAML manifest file."""
-        jobs, _ = load_manifest(path)
-        return self.submit(jobs)
 
 
 def _parse_manifest_text(text: str, path: str) -> dict:

@@ -170,15 +170,31 @@ class KroneckerSolveResult:
         The implicit :class:`KroneckerEigenvector`.
     sub_results:
         The per-group :class:`SolveResult` objects.
+
+    Like a :class:`SolveResult` it also reads ``method``,
+    ``iterations``, ``residual`` and ``converged``, each over the
+    subproblems.
     """
 
     eigenvalue: float
     eigenvector: KroneckerEigenvector
     sub_results: list[SolveResult] = field(repr=False, default_factory=list)
 
+    method = "Kronecker"
+
     @property
     def converged(self) -> bool:
         return all(r.converged for r in self.sub_results)
+
+    @property
+    def iterations(self) -> int:
+        """Iterations summed over the subproblems (0 when all are dense)."""
+        return sum(r.iterations for r in self.sub_results)
+
+    @property
+    def residual(self) -> float:
+        """The largest subproblem residual."""
+        return max((r.residual for r in self.sub_results), default=0.0)
 
 
 class KroneckerSolver:

@@ -8,11 +8,10 @@ aggregate determines the process exit code.
 Spec lists are routed through the service layer's batch planner
 (:func:`repro.service.scheduler.plan_batch`): duplicate specs are
 verified once and share a single :class:`SpecReport`, and unique specs
-run in the planner's cheap-first order (reduced ν+1 problems before full
-2^ν ones) so failures in fast configurations surface early.  Each unique
-spec gets its own probe-vector stream derived deterministically from
-``(seed, spec content hash)``, which keeps reruns byte-identical *and*
-makes the per-spec results independent of grid order or duplication.
+run in first-seen order.  Each unique spec gets its own probe-vector
+stream derived deterministically from ``(seed, spec content hash)``,
+which keeps reruns byte-identical *and* makes the per-spec results
+independent of grid order or duplication.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ def verify_specs(
 
     The list is planned by :func:`repro.service.scheduler.plan_batch`:
     duplicates collapse onto one verification run (sharing the report
-    object) and unique specs execute in scheduler order.  Returned
+    object) and unique specs execute in first-seen order.  Returned
     reports are aligned with the *original* ``specs`` list.  The
     ``progress`` callback fires once per unique spec with
     ``(done, n_unique, report)``.
@@ -69,19 +68,15 @@ def verify_specs(
 
     registry = registry or default_registry()
     plan = plan_batch([SolveJob.from_problem(spec) for spec in specs])
-    # plan.unique_jobs[k] came from the first spec whose job hashed to
-    # slot k; recover that spec so landscape objects build identically.
-    first_spec: dict[int, ProblemSpec] = {}
-    for i, uidx in enumerate(plan.index_map):
-        first_spec.setdefault(uidx, specs[i])
-
-    unique_reports: dict[int, SpecReport] = {}
-    for done, uidx in enumerate(plan.order, start=1):
-        spec = first_spec[uidx]
-        rep = registry.run_spec(spec, rng=spec_rng(spec, seed), solvers=solvers)
-        unique_reports[uidx] = rep
-        if progress is not None:
-            progress(done, plan.n_unique, rep)
+    # unique jobs are numbered in first-seen order, so a spec whose
+    # index is the next unused one is the first of its kind
+    unique_reports: list[SpecReport] = []
+    for spec, uidx in zip(specs, plan.index_map):
+        if uidx == len(unique_reports):
+            rep = registry.run_spec(spec, rng=spec_rng(spec, seed), solvers=solvers)
+            unique_reports.append(rep)
+            if progress is not None:
+                progress(len(unique_reports), plan.n_unique, rep)
     return [unique_reports[uidx] for uidx in plan.index_map]
 
 

@@ -16,7 +16,6 @@ from repro.perf import (
     fmmp_costs,
     measure_operator_matvec,
     measure_series,
-    operator_costs,
     plan_costs,
     predict,
     predict_matvec_time,
@@ -53,13 +52,6 @@ class TestCosts:
 
     def test_smvp_quadratic(self):
         assert smvp_costs(10).flops == 2.0 * (1 << 10) ** 2
-
-    def test_dispatch(self):
-        assert operator_costs("fmmp", 8).flops == fmmp_costs(8).flops
-        with pytest.raises(ValidationError):
-            operator_costs("xmvp", 8)  # missing dmax
-        with pytest.raises(ValidationError):
-            operator_costs("gemm", 8)
 
     def test_fmmp_scales_n_log_n(self):
         r = fmmp_costs(20).flops / fmmp_costs(10).flops

@@ -3,7 +3,7 @@
 The contract: every Fmmp byte/flop count is ``plan_costs`` of a
 ``FusedStage`` plan.  ``Fmmp.costs``, ``BatchedFmmp.costs`` and
 ``TransposedFmmp.costs`` count the plan their own product runs; the
-paper model (``fmmp_costs``, ``operator_costs("fmmp")``) and
+paper model (``fmmp_costs``) and
 ``DistributedFmmp``'s compute time count the radix-2 plan, and must
 equal the closed forms they replaced exactly.
 """
@@ -19,7 +19,7 @@ from repro.mutation import GroupedMutation, PerSiteMutation, UniformMutation, si
 from repro.operators import BatchedFmmp, Fmmp
 from repro.operators.base import OperatorCosts
 from repro.operators.batched import form_scales
-from repro.perf import fmmp_costs, operator_costs, plan_costs
+from repro.perf import fmmp_costs, plan_costs
 from repro.solvers import TransposedFmmp
 from repro.transforms.batched import fused_stage_count, fused_stage_plan
 
@@ -225,7 +225,6 @@ class TestPaperModelParity:
         assert fused.bytes_moved == want.bytes_moved - scale_passes * 16.0 * n
         if scale_passes == 1:
             assert fmmp_costs(nu) == want
-            assert operator_costs("fmmp", nu) == want
 
     @pytest.mark.parametrize("nu", range(1, 26))
     def test_distributed_compute_time_equals_closed_form(self, nu):

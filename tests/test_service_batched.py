@@ -322,12 +322,21 @@ class TestSlicedBlocks:
             assert rt.concentrations.tobytes() == rs.concentrations.tobytes()
 
 
+#: auto jobs on Kronecker landscapes under one uniform Q: the Kronecker
+#: route serves them one by one, never as a power block
+KRONECKER_JOBS = [SolveJob(nu=NU, p=0.02, landscape="kronecker", seed=s) for s in (1, 2)]
+
+
 class TestServiceBatched:
     @pytest.mark.service_smoke
-    def test_batched_and_scalar_services_agree(self):
-        jobs = sharing_jobs(4)
+    @pytest.mark.parametrize(
+        "jobs, n_batched",
+        [(sharing_jobs(4), 4), (KRONECKER_JOBS, 0)],
+        ids=["power", "kronecker-auto"],
+    )
+    def test_batched_and_scalar_services_agree(self, jobs, n_batched):
         batched = SolverService(kind="serial").submit(jobs)
-        assert batched.passed and batched.n_batched == 4
+        assert batched.passed and batched.n_batched == n_batched
         for job, rb in zip(jobs, batched.results):
             lone = SolverService(kind="serial").submit([job])
             assert lone.passed and lone.n_batched == 0

@@ -40,10 +40,10 @@ class TestLRU:
     def test_eviction_is_least_recently_used(self):
         cache = ResultCache(capacity=2)
         a, b, c = _job(0.01), _job(0.02), _job(0.03)
-        cache.store(a, _result(1.0))
-        cache.store(b, _result(2.0))
+        cache.store([(a, _result(1.0))])
+        cache.store([(b, _result(2.0))])
         cache.lookup(a)  # touch a → b is now least recent
-        cache.store(c, _result(3.0))  # evicts b
+        cache.store([(c, _result(3.0))])  # evicts b
         assert cache.lookup(a)[1] == "hit-memory"
         assert cache.lookup(b)[1] == "miss"
         assert cache.lookup(c)[1] == "hit-memory"
@@ -52,14 +52,14 @@ class TestLRU:
     def test_keys_ordered_lru_to_mru(self):
         cache = ResultCache(capacity=3)
         a, b = _job(0.01), _job(0.02)
-        cache.store(a, _result(1.0))
-        cache.store(b, _result(2.0))
+        cache.store([(a, _result(1.0))])
+        cache.store([(b, _result(2.0))])
         cache.lookup(a)
         assert cache.keys() == [b.cache_key(), a.cache_key()]
 
     def test_clear_keeps_stats(self):
         cache = ResultCache(capacity=2)
-        cache.store(_job(0.01), _result(1.0))
+        cache.store([(_job(0.01), _result(1.0))])
         cache.clear()
         assert len(cache) == 0 and cache.stats.stores == 1
 
@@ -67,34 +67,34 @@ class TestLRU:
 class TestToleranceAwareness:
     def test_tighter_cached_serves_looser_request(self):
         cache = ResultCache()
-        cache.store(_job(0.01, tol=1e-12), _result(1.0, tol=1e-12))
+        cache.store([(_job(0.01, tol=1e-12), _result(1.0, tol=1e-12))])
         hit, status = cache.lookup(_job(0.01, tol=1e-6))
         assert status == "hit-memory" and hit.tol == 1e-12
 
     def test_looser_cached_misses_tighter_request(self):
         cache = ResultCache()
-        cache.store(_job(0.01, tol=1e-6), _result(1.0, tol=1e-6))
+        cache.store([(_job(0.01, tol=1e-6), _result(1.0, tol=1e-6))])
         hit, status = cache.lookup(_job(0.01, tol=1e-12))
         assert hit is None and status == "miss"
 
     def test_tighter_store_replaces_looser(self):
         cache = ResultCache()
-        cache.store(_job(0.01, tol=1e-6), _result(1.0, tol=1e-6))
-        cache.store(_job(0.01, tol=1e-12), _result(2.0, tol=1e-12))
+        cache.store([(_job(0.01, tol=1e-6), _result(1.0, tol=1e-6))])
+        cache.store([(_job(0.01, tol=1e-12), _result(2.0, tol=1e-12))])
         hit, _ = cache.lookup(_job(0.01, tol=1e-12))
         assert hit.eigenvalue == 2.0
         assert cache.stats.replacements == 1
 
     def test_looser_store_never_overwrites_tighter(self):
         cache = ResultCache()
-        cache.store(_job(0.01, tol=1e-12), _result(1.0, tol=1e-12))
-        cache.store(_job(0.01, tol=1e-6), _result(9.0, tol=1e-6))
+        cache.store([(_job(0.01, tol=1e-12), _result(1.0, tol=1e-12))])
+        cache.store([(_job(0.01, tol=1e-6), _result(9.0, tol=1e-6))])
         hit, _ = cache.lookup(_job(0.01, tol=1e-12))
         assert hit.eigenvalue == 1.0
 
     def test_contains_respects_tol(self):
         cache = ResultCache()
-        cache.store(_job(0.01, tol=1e-8), _result(1.0, tol=1e-8))
+        cache.store([(_job(0.01, tol=1e-8), _result(1.0, tol=1e-8))])
         assert _job(0.01, tol=1e-6) in cache
         assert _job(0.01, tol=1e-10) not in cache
 
@@ -112,7 +112,7 @@ class TestDiskTier:
     def test_warm_restart_across_instances(self, tmp_path):
         disk = str(tmp_path / "cache")
         first = ResultCache(capacity=8, disk_dir=disk)
-        first.store(_job(0.01), _result(1.0))
+        first.store([(_job(0.01), _result(1.0))])
         # a brand-new cache (fresh process in real life) hits the disk tier
         second = ResultCache(capacity=8, disk_dir=disk)
         hit, status = second.lookup(_job(0.01))
@@ -125,8 +125,8 @@ class TestDiskTier:
         disk = str(tmp_path / "cache")
         cache = ResultCache(capacity=1, disk_dir=disk)
         a, b = _job(0.01), _job(0.02)
-        cache.store(a, _result(1.0))
-        cache.store(b, _result(2.0))  # evicts a from memory
+        cache.store([(a, _result(1.0))])
+        cache.store([(b, _result(2.0))])  # evicts a from memory
         hit, status = cache.lookup(a)
         assert status == "hit-disk" and hit.eigenvalue == 1.0
 
@@ -150,8 +150,8 @@ class TestPackTier:
 
     def test_tighter_later_pack_wins_in_a_fresh_instance(self, tmp_path):
         disk = str(tmp_path / "cache")
-        ResultCache(disk_dir=disk).store(_job(0.01, tol=1e-6), _result(1.0, tol=1e-6))
-        ResultCache(disk_dir=disk).store(_job(0.01, tol=1e-12), _result(2.0, tol=1e-12))
+        ResultCache(disk_dir=disk).store([(_job(0.01, tol=1e-6), _result(1.0, tol=1e-6))])
+        ResultCache(disk_dir=disk).store([(_job(0.01, tol=1e-12), _result(2.0, tol=1e-12))])
         assert len(_packs(disk)) == 2
         fresh = ResultCache(disk_dir=disk)
         for tol in (1e-12, 1e-6):
@@ -160,10 +160,10 @@ class TestPackTier:
 
     def test_looser_later_pack_never_masks_a_tighter_one(self, tmp_path):
         disk = str(tmp_path / "cache")
-        ResultCache(disk_dir=disk).store(_job(0.01, tol=1e-12), _result(2.0, tol=1e-12))
+        ResultCache(disk_dir=disk).store([(_job(0.01, tol=1e-12), _result(2.0, tol=1e-12))])
         # a process that never saw the tighter entry wrote a looser one
         elsewhere = tmp_path / "elsewhere"
-        ResultCache(disk_dir=str(elsewhere)).store(_job(0.01, tol=1e-6), _result(1.0, tol=1e-6))
+        ResultCache(disk_dir=str(elsewhere)).store([(_job(0.01, tol=1e-6), _result(1.0, tol=1e-6))])
         (pack,) = _packs(elsewhere)
         os.replace(elsewhere / pack, os.path.join(disk, pack))
         assert len(_packs(disk)) == 2
@@ -172,39 +172,39 @@ class TestPackTier:
 
     def test_store_skips_entries_the_index_holds_as_tight(self, tmp_path):
         disk = str(tmp_path / "cache")
-        ResultCache(disk_dir=disk).store(_job(0.01, tol=1e-12), _result(2.0, tol=1e-12))
+        ResultCache(disk_dir=disk).store([(_job(0.01, tol=1e-12), _result(2.0, tol=1e-12))])
         second = ResultCache(disk_dir=disk)
-        second.store(_job(0.01, tol=1e-12), _result(2.0, tol=1e-12))
-        second.store(_job(0.01, tol=1e-6), _result(1.0, tol=1e-6))
+        second.store([(_job(0.01, tol=1e-12), _result(2.0, tol=1e-12))])
+        second.store([(_job(0.01, tol=1e-6), _result(1.0, tol=1e-6))])
         assert len(_packs(disk)) == 1
 
     def test_built_index_finds_a_pack_written_afterwards(self, tmp_path):
         disk = str(tmp_path / "cache")
         writer = ResultCache(disk_dir=disk)
-        writer.store(_job(0.01), _result(1.0))
+        writer.store([(_job(0.01), _result(1.0))])
         reader = ResultCache(disk_dir=disk)
         assert reader.lookup(_job(0.01))[1] == "hit-disk"  # index built
         assert reader.lookup(_job(0.02))[1] == "miss"
-        writer.store(_job(0.02), _result(2.0))
+        writer.store([(_job(0.02), _result(2.0))])
         hit, status = reader.lookup(_job(0.02))
         assert status == "hit-disk" and hit.eigenvalue == 2.0
 
     def test_pack_written_in_the_listing_clock_tick_is_found(self, tmp_path):
         disk = tmp_path / "cache"
         writer = ResultCache(disk_dir=str(disk))
-        writer.store(_job(0.01), _result(1.0))
+        writer.store([(_job(0.01), _result(1.0))])
         tick = time.time_ns()
         os.utime(disk, ns=(tick, tick))
         reader = ResultCache(disk_dir=str(disk))
         assert reader.lookup(_job(0.02))[1] == "miss"  # lists at mtime == tick
-        writer.store(_job(0.02), _result(2.0))
+        writer.store([(_job(0.02), _result(2.0))])
         os.utime(disk, ns=(tick, tick))  # a coarse clock gives the write the same mtime
         hit, status = reader.lookup(_job(0.02))
         assert status == "hit-disk" and hit.eigenvalue == 2.0
 
     def test_settled_listing_is_not_redone(self, tmp_path, monkeypatch):
         disk = tmp_path / "cache"
-        ResultCache(disk_dir=str(disk)).store(_job(0.01), _result(1.0))
+        ResultCache(disk_dir=str(disk)).store([(_job(0.01), _result(1.0))])
         past = os.stat(disk).st_mtime_ns - 10**10
         os.utime(disk, ns=(past, past))
         cache = ResultCache(disk_dir=str(disk))
@@ -218,7 +218,7 @@ class TestPackTier:
     @pytest.mark.parametrize("kind", ["empty", "garbage", "zip-head", "npy", "no-meta"])
     def test_unreadable_pack_is_a_miss(self, tmp_path, kind):
         disk = tmp_path / "cache"
-        ResultCache(disk_dir=str(disk)).store(_job(0.01), _result(1.0))
+        ResultCache(disk_dir=str(disk)).store([(_job(0.01), _result(1.0))])
         broken = disk / f"broken{PACK_SUFFIX}"
         if kind == "npy":
             with broken.open("wb") as fh:
@@ -235,7 +235,7 @@ class TestPackTier:
 
     def test_truncated_pack_is_a_miss(self, tmp_path):
         disk = tmp_path / "cache"
-        ResultCache(disk_dir=str(disk)).store(_job(0.01), _result(1.0))
+        ResultCache(disk_dir=str(disk)).store([(_job(0.01), _result(1.0))])
         (pack,) = _packs(disk)
         data = (disk / pack).read_bytes()
         (disk / pack).write_bytes(data[: len(data) // 2])
@@ -243,7 +243,7 @@ class TestPackTier:
 
     def test_pack_damaged_after_indexing_is_a_miss(self, tmp_path):
         disk = tmp_path / "cache"
-        ResultCache(disk_dir=str(disk)).store(_job(0.01), _result(1.0))
+        ResultCache(disk_dir=str(disk)).store([(_job(0.01), _result(1.0))])
         cache = ResultCache(disk_dir=str(disk))
         assert cache.lookup(_job(0.02))[1] == "miss"  # meta indexed
         (pack,) = _packs(disk)
@@ -252,24 +252,24 @@ class TestPackTier:
 
     def test_leftover_temp_file_is_ignored(self, tmp_path):
         disk = tmp_path / "cache"
-        ResultCache(disk_dir=str(disk)).store(_job(0.01), _result(1.0))
+        ResultCache(disk_dir=str(disk)).store([(_job(0.01), _result(1.0))])
         (pack,) = _packs(disk)
         # a writer killed between its write and its rename
         (disk / f".{pack}.tmp").write_bytes((disk / pack).read_bytes()[:40])
         cache = ResultCache(disk_dir=str(disk))
         assert cache.lookup(_job(0.01))[1] == "hit-disk"
         assert cache.lookup(_job(0.02))[1] == "miss"
-        cache.store(_job(0.02), _result(2.0))
+        cache.store([(_job(0.02), _result(2.0))])
         assert len(_packs(disk)) == 2
 
-    def test_store_and_store_many_build_the_same_index(self, tmp_path):
+    def test_one_store_per_pair_and_one_for_all_build_the_same_index(self, tmp_path):
         pairs = [(_job(p, tol=tol), _result(p * 100, tol=tol))
                  for p, tol in ((0.01, 1e-8), (0.02, 1e-12), (0.01, 1e-12), (0.03, 1e-6))]
         one = ResultCache(disk_dir=str(tmp_path / "one"))
         for job, result in pairs:
-            one.store(job, result)
+            one.store([(job, result)])
         many = ResultCache(disk_dir=str(tmp_path / "many"))
-        many.store_many(pairs)
+        many.store(pairs)
         assert len(_packs(tmp_path / "one")) == 4 and len(_packs(tmp_path / "many")) == 1
         assert one.stats.to_dict() == many.stats.to_dict()
         assert one.keys() == many.keys()
@@ -291,7 +291,7 @@ class TestPackTier:
         disk = str(tmp_path / "cache")
         cache = ResultCache(capacity=1, disk_dir=disk)
         for pair in ((0.01, 0.11), (0.02, 0.12), (0.03, 0.13)):
-            cache.store_many([(_job(p), _result(p)) for p in pair])
+            cache.store([(_job(p), _result(p)) for p in pair])
         assert cache._last_read is None  # written packs are not kept
         loads = []
         real = ResultCache._read_pack
@@ -318,7 +318,7 @@ class TestPackTier:
             tol=1e-10,
         )
         job = _job(0.01, tol=1e-10)
-        ResultCache(disk_dir=disk).store_many([(job, result), (_job(0.02), _result(2.0))])
+        ResultCache(disk_dir=disk).store([(job, result), (_job(0.02), _result(2.0))])
         hit, _ = ResultCache(disk_dir=disk).lookup(job)
         assert hit.concentrations.tobytes() == result.concentrations.tobytes()
         assert hit.concentrations.dtype == np.float64 and hit.concentrations.flags.owndata
@@ -332,7 +332,7 @@ class TestStats:
     def test_counts_add_up(self):
         cache = ResultCache()
         cache.lookup(_job(0.01))  # miss
-        cache.store(_job(0.01), _result(1.0))
+        cache.store([(_job(0.01), _result(1.0))])
         cache.lookup(_job(0.01))  # hit
         stats = cache.stats
         assert (stats.misses, stats.memory_hits, stats.stores) == (1, 1, 1)

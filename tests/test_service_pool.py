@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
+from repro.model.quasispecies import QuasispeciesModel
 from repro.service import (
+    LANDSCAPE_KINDS,
     MAX_DENSE_NU,
+    MUTATION_KINDS,
     SolveJob,
     WorkerPool,
     execute_job,
@@ -95,6 +98,27 @@ class TestExecuteJob:
         assert result.converged and built
         gc.collect()
         assert all(ref() is None for ref in built)
+
+
+#: how the label of each route ``auto`` can take begins
+_AUTO_LABELS = {"reduced": "Reduced(", "kronecker": "Kronecker", "power": "Pi(Fmmp"}
+
+
+class TestAutoRoute:
+    """``auto`` names one route, whether the planner, the model or the
+    pool asks, and the pool's result carries the label of that route."""
+
+    @pytest.mark.parametrize("mutation", MUTATION_KINDS)
+    @pytest.mark.parametrize("landscape", [*LANDSCAPE_KINDS, "hamming"])
+    def test_planner_model_and_pool_agree(self, landscape, mutation):
+        values = (2.5, 1.5, 1.2, 1.0, 1.0, 1.0, 1.0) if landscape == "hamming" else None
+        job = SolveJob(nu=6, p=0.02, landscape=landscape, mutation=mutation, class_values=values)
+        model = QuasispeciesModel(job.build_landscape(), job.build_mutation())
+        route = model._auto_method()
+        assert job.resolved_method() == route
+        result = execute_job(job)
+        assert result.method.startswith(_AUTO_LABELS[route])
+        assert result.method == model.solve().method
 
 
 class _Poisoned:

@@ -1,8 +1,6 @@
-"""Tests for the batch planner: dedup, grouping, cost ordering."""
+"""Tests for the batch planner: dedup in first-seen order."""
 
-import pytest
-
-from repro.service import SolveJob, estimate_cost, plan_batch
+from repro.service import SolveJob, plan_batch
 
 
 def _reduced(p: float, **kw) -> SolveJob:
@@ -20,7 +18,6 @@ class TestDedup:
         plan = plan_batch(jobs)
         assert plan.n_unique == 2 and plan.n_duplicates == 1
         assert plan.index_map == [0, 1, 0]
-        assert plan.multiplicity(0) == 2 and plan.multiplicity(1) == 1
 
     def test_tol_differences_are_distinct_jobs(self):
         # dedup keys on the full content hash: different tol = different job
@@ -29,72 +26,24 @@ class TestDedup:
 
     def test_empty_batch(self):
         plan = plan_batch([])
-        assert plan.n_jobs == 0 and plan.order == []
+        assert plan.n_jobs == 0 and plan.unique_jobs == [] and plan.index_map == []
 
 
 class TestOrdering:
-    def test_reduced_groups_run_first(self):
-        jobs = [_full(0.01), _reduced(0.02), _full(0.03)]
-        plan = plan_batch(jobs)
-        order = plan.order
-        # the reduced job (unique index 1) must come before both full jobs
-        assert order.index(1) == 0
-
-    def test_cheaper_groups_first_within_tier(self):
-        small = SolveJob(nu=4, p=0.01, landscape="random", method="power")
+    def test_unique_jobs_in_first_seen_order(self):
         big = SolveJob(nu=10, p=0.01, landscape="random", method="power")
-        plan = plan_batch([big, small])
-        assert plan.order == [1, 0]
+        jobs = [_full(0.01), big, _reduced(0.02), _full(0.01), _reduced(0.02)]
+        plan = plan_batch(jobs)
+        assert plan.unique_jobs == jobs[:3]
+        assert plan.index_map == [0, 1, 2, 0, 2]
 
     def test_deterministic(self):
         jobs = [_full(0.01), _reduced(0.02), _full(0.03), _reduced(0.02)]
         a, b = plan_batch(jobs), plan_batch(jobs)
-        assert a.order == b.order and a.index_map == b.index_map
+        assert a.unique_jobs == b.unique_jobs and a.index_map == b.index_map
 
 
-class TestGrouping:
-    def test_shared_operator_one_group(self):
-        # same ν, p, mutation family, seed → one operator group
-        a = _full(0.02, mutation="persite", seed=3)
-        b = _full(0.02, mutation="persite", seed=3, operator="fmmp", form="left")
-        plan = plan_batch([a, b])
-        assert len(plan.groups) == 1
-        assert sorted(plan.groups[0].indices) == [0, 1]
-
-    def test_different_p_different_groups(self):
-        plan = plan_batch([_full(0.02), _full(0.03)])
-        assert len(plan.groups) == 2
-
-    def test_group_of(self):
-        plan = plan_batch([_full(0.02), _reduced(0.01)])
-        assert plan.group_of(0).reduced is False
-        assert plan.group_of(1).reduced is True
-        with pytest.raises(IndexError):
-            plan.group_of(99)
-
+class TestSummary:
     def test_to_dict_summary(self):
         plan = plan_batch([_reduced(0.01), _reduced(0.01), _full(0.02)])
-        summary = plan.to_dict()
-        assert summary["jobs"] == 3
-        assert summary["unique_jobs"] == 2
-        assert summary["duplicates"] == 1
-        assert summary["reduced_jobs"] == 1
-
-
-class TestCostModel:
-    def test_reduced_far_cheaper_than_full(self):
-        assert estimate_cost(_reduced(0.01)) < estimate_cost(_full(0.01)) / 100
-
-    def test_dense_scales_with_n_cubed(self):
-        small = SolveJob(nu=4, p=0.01, landscape="random", method="dense")
-        big = SolveJob(nu=8, p=0.01, landscape="random", method="dense")
-        assert estimate_cost(big) / estimate_cost(small) == pytest.approx(16.0**3)
-
-    def test_kronecker_cheaper_than_dense(self):
-        kron = SolveJob(nu=8, p=0.01, landscape="kronecker", mutation="grouped")
-        dense = SolveJob(nu=8, p=0.01, landscape="random", method="dense")
-        assert estimate_cost(kron) < estimate_cost(dense)
-
-    def test_xmvp_dmax_defaults(self):
-        job = SolveJob(nu=6, p=0.01, landscape="random", method="power", operator="xmvp")
-        assert estimate_cost(job) > 0
+        assert plan.to_dict() == {"jobs": 3, "unique_jobs": 2, "duplicates": 1}
