@@ -2,8 +2,8 @@
 
 Times one block-power sweep split into **kernel** time (the fused
 ``matmat`` product) and **loop** time (everything else the
-sweep does: the shift, the 1-norm eigenvalue estimate, the
-normalisation and the residual).  Two points:
+sweep does: pass A's scale and shift with the 1-norm eigenvalue
+estimate, and the sampled lower bound on the residual).  Two points:
 
 * ν = 18, B = 16 — ``BlockPowerIteration`` on a per-column
   ``BatchedFmmp`` (the ``block-nu18-b16`` perfbench workload's loop);
@@ -16,11 +16,16 @@ the result building and the concentration conversion cancel out: the
 solve runs ``SWEEPS`` and then 1 sweep (the tolerance is out of reach,
 so no column deflates), the operator's product is timed inside both,
 and ``loop = (Δ total − Δ kernel) / (SWEEPS − 1)``.  The median of
-``REPEATS`` such pairs is reported.
+``REPEATS`` such pairs is reported.  At that tolerance the sampled bound
+never comes within ``2·tol``, so every timed sweep but the last skips
+the residual's full pass; the last allowed sweep always runs it, once in
+each solve, so it cancels in the 6-vs-1 difference.
 
 The bench **fails** if the ν = 18, B = 16 loop time exceeds
 ``MAX_LOOP_SHARE`` of the kernel time measured in the same process.
-Before the power loop's epilogue was tiled, that ratio read about 0.95.
+Before the power loop's epilogue was tiled, that ratio read about 0.95;
+with two tiled passes per sweep, about 0.42–0.47; with one, about
+0.25–0.29.
 Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1``)
 when recording.
 

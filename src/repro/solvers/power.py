@@ -40,6 +40,9 @@ __all__ = ["PowerIteration", "BlockPowerIteration", "BlockSolveResult", "column_
 #: strided partial sums per column in :func:`column_sums`
 _PARTIALS = 64
 
+#: row stride of the sample behind the residual's lower bound
+_SAMPLE_STRIDE = 64
+
 #: bytes of one ``(rows, B)`` row tile in :func:`_tiled_sums`; the tiles
 #: of the iterate, the product and the reduction buffer stay in L2
 _TILE_BYTES = 128 << 10
@@ -62,24 +65,24 @@ def _row_tile(coef: np.ndarray, rows: int) -> np.ndarray:
     return np.repeat(coef[None, :], rows, axis=0)  # a broadcast fill is the slow loop again
 
 
-def _tiled_sums(step, *blocks: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
+def _tiled_sums(step, *blocks: np.ndarray, coefs: tuple[np.ndarray, ...] = ()) -> np.ndarray:
     """Per-column sums of ``step`` over ``(n, B)`` blocks, in the fixed
     order of :func:`column_sums`.
 
     ``step(out, *tiles)`` gets the same rows of every block and writes
     their elementwise values into ``out``; it may also update the tiles
-    in place.  Per-column coefficients ``coef`` (shape ``(B,)``) reach
-    ``step`` as one more tile argument (:func:`_row_tile`).  The rows are
-    walked in tiles of :func:`_tile_rows` rows, so the values never leave
-    the cache.  Each tile is written below the running partials (row 0
-    of the buffer) and the buffer is reduced along its rows, so every
-    partial still adds its rows one by one in row order, exactly as one
-    reduction of the whole block.
+    in place.  Per-column coefficients ``coefs`` (each of shape ``(B,)``)
+    reach ``step`` as more tile arguments (:func:`_row_tile`).  The rows
+    are walked in tiles of :func:`_tile_rows` rows, so the values never
+    leave the cache.  Each tile is written below the running partials
+    (row 0 of the buffer) and the buffer is reduced along its rows, so
+    every partial still adds its rows one by one in row order, exactly as
+    one reduction of the whole block.
     """
     n, b = blocks[0].shape
     p = min(_PARTIALS, n & -n)
     rows = min(n, _tile_rows(b)) if p == _PARTIALS else n
-    coefs = () if coef is None else (_row_tile(coef, rows),)
+    coefs = tuple(_row_tile(c, rows) for c in coefs)
     if p < 2:  # odd n: no fixed order (never the case for N = 2**ν)
         out = np.empty((n, b))
         step(out, *blocks, *coefs)
@@ -113,24 +116,39 @@ def _abs(out, x):
     np.abs(x, out=out)
 
 
-def _shift_abs(out, y, x, mu=None):
-    """Pass A: ``y −= μ∘x`` in place (no shift without ``mu``); ``out = |y|``."""
-    if mu is not None:
-        y -= np.multiply(x, mu, out=out)
+def _scale_shift_abs(out, y, x, s, mus=None):
+    """Pass A: ``y ← s∘y − (μs)∘x`` in place (no shift without ``mus``);
+    ``out = |y|``."""
+    np.multiply(y, s, out=y)
+    if mus is not None:
+        y -= np.multiply(x, mus, out=out)
     np.abs(y, out=out)
 
 
-def _scale_residual(out, y, x, lam):
-    """Pass B: ``y /= λ`` in place; ``out = (y − x)²``."""
-    y /= lam
-    np.subtract(y, x, out=out)
+def _residual(out, y, x, c):
+    """The residual step, read-only on the blocks: ``out = (y − c∘x)²``.
+    With ``c = λs`` this is the square of ``W x̃ − λ x̃`` at ``x̃ = s∘x``."""
+    np.multiply(x, c, out=out)
+    np.subtract(y, out, out=out)
     np.multiply(out, out, out=out)
 
 
-def _front(buf: np.ndarray, cols: int) -> np.ndarray:
-    """The first ``n·cols`` doubles of a C-contiguous block, as ``(n, cols)``."""
-    n = buf.shape[0]
-    return buf.reshape(-1)[: n * cols].reshape(n, cols)
+def _residual_bound(sample, y, x, c):
+    """Per-column lower bound on the residual ``‖y − c∘x‖₂`` from every
+    ``_SAMPLE_STRIDE``-th row, written through the ``(rows, B)`` buffer
+    ``sample``.  Its terms are the full pass's own values for those rows,
+    bit for bit, and a subset of nonnegative terms sums to no more than
+    all of them; only the two sums' rounding (≤ nε each) can lift it above
+    the full residual, which the loop's factor 2 covers."""
+    _residual(sample, y[::_SAMPLE_STRIDE], x[::_SAMPLE_STRIDE], c)
+    return np.sqrt(np.add.reduce(sample))
+
+
+def _front(buf: np.ndarray, cols: int, rows: int | None = None) -> np.ndarray:
+    """The first ``rows·cols`` doubles of a C-contiguous block, as
+    ``(rows, cols)``; ``rows`` defaults to the block's own."""
+    rows = buf.shape[0] if rows is None else rows
+    return buf.reshape(-1)[: rows * cols].reshape(rows, cols)
 
 
 class _PowerLoop:
@@ -159,9 +177,13 @@ class _PowerLoop:
         (so every ``Fmmp``) writes into the loop's three blocks (iterate,
         product and its ping-pong scratch), and deflation compacts their
         fronts; any other operator's ``matmat`` returns a fresh product.
-        Each sweep's epilogue is two tiled passes (:func:`_tiled_sums`):
-        the shift and the 1-norm λ, then the normalisation and the
-        residual.
+
+        The iterate is ``x̃ = s∘x``: the last product ``x`` and a
+        per-column scale ``s = 1/λ``, so no pass normalizes a block.  Each
+        sweep's one full pass (:func:`_tiled_sums`) scales and shifts the
+        product and sums the 1-norm λ.  The residual's full pass runs only
+        when the lower bound from a strided row sample is within ``2·tol``,
+        when the history is recorded, or on the last allowed sweep.
         """
         b = x.shape[1]
         recycle = isinstance(op, BatchedFmmp)
@@ -172,6 +194,11 @@ class _PowerLoop:
             j = int(bad[0])
             raise ValidationError(f"start column {j} must have finite nonzero mass, got {mass[j]}")
         x /= mass
+        s = np.ones(b)
+        # The residual bound's rows live in the front of the kernel's scratch
+        # block, which is idle between products: the sample allocates nothing.
+        rows = -(-x.shape[0] // _SAMPLE_STRIDE)
+        samples = scratch if recycle else np.empty((rows, b))
 
         active = np.arange(b)
         lam, residual, iterations = np.zeros(b), np.zeros(b), np.zeros(b, dtype=int)
@@ -187,10 +214,11 @@ class _PowerLoop:
                 y = op.matmat(x, columns=columns, out=spare, scratch=scratch)
             else:
                 y = op.matmat(x)
-            # Pass A: shift, then the 1-norm estimate (y > 0 near the fixed point)
-            lam_act = _tiled_sums(_shift_abs, y, x, coef=mu[active] if shifted else None)
+            # Pass A: y ← (W − μ)x̃, then the 1-norm estimate (y > 0 near the fixed point)
+            coefs = (s, mu[active] * s) if shifted else (s,)
+            lam_act = _tiled_sums(_scale_shift_abs, y, x, coefs=coefs)
             # Fail fast: a NaN/inf iterate never recovers.  A finite λ > 0
-            # also keeps the residual finite, as x is normalized.
+            # also keeps the residual finite, as x̃ has unit 1-norm.
             if not (lam_act.min() > 0.0 and lam_act.max() < np.inf):
                 k = int(np.flatnonzero(~((lam_act > 0.0) & (lam_act < np.inf)))[0])
                 raise ConvergenceError(
@@ -200,37 +228,40 @@ class _PowerLoop:
                     iterations=sweeps,
                     residual=float("nan"),
                 )
-            # Pass B: normalize; residual of the *normalized* pair,
-            # ‖W x − λ x‖₂ = λ‖y − x‖₂.
-            sq = _tiled_sums(_scale_residual, y, x, coef=lam_act)
-            res_act = lam_act * np.sqrt(sq)
+            # Residual of the normalized pair, ‖W x̃ − λ x̃‖₂ = ‖y − (λs)∘x‖₂.
+            c = lam_act * s
+            full = self.record_history or sweeps == self.max_iterations
+            if not full:  # a NaN bound takes the full pass
+                bound = _residual_bound(_front(samples, active.size, rows), y, x, c)
+                full = not bound.min() >= 2.0 * self.tol
+            if full:
+                res_act = np.sqrt(_tiled_sums(_residual, y, x, coefs=(c,)))
+                if self.record_history:
+                    for k, j in enumerate(active):
+                        histories[j].append(
+                            IterationRecord(sweeps, float(lam_act[k] + mu[j]), float(res_act[k]))
+                        )
 
-            if self.record_history:
-                for k, j in enumerate(active):
-                    histories[j].append(
-                        IterationRecord(sweeps, float(lam_act[k] + mu[j]), float(res_act[k]))
-                    )
-
-            if res_act.min() >= self.tol:
-                x, spare = y, (x if recycle else None)
+            if not full or res_act.min() >= self.tol:
+                x, s, spare = y, 1.0 / lam_act, (x if recycle else None)
                 continue
             # Deflation: freeze converged columns, shrink the block in place.
             done = res_act < self.tol
             for k in np.flatnonzero(done):
                 j = active[k]
-                finals[j] = y[:, k].copy()
+                finals[j] = y[:, k] / lam_act[k]
                 lam[j], residual[j], iterations[j] = lam_act[k], res_act[k], sweeps
             keep = np.flatnonzero(~done)
             active, lam_act, res_act = active[keep], lam_act[keep], res_act[keep]
             if not keep.size:
                 break
-            x = np.take(y, keep, axis=1, out=_front(x, keep.size), mode="clip")
+            x, s = np.take(y, keep, axis=1, out=_front(x, keep.size), mode="clip"), 1.0 / lam_act
             if recycle:
                 spare, scratch = _front(y, keep.size), _front(scratch, keep.size)
 
-        del y, spare, scratch  # release the blocks before building results
-        for k, j in enumerate(active):  # stragglers keep their last iterate
-            finals[j] = x[:, k].copy()
+        del y, spare, scratch, samples  # release the blocks before building results
+        for k, j in enumerate(active):  # stragglers keep their last iterate, s∘x
+            finals[j] = x[:, k] * s[k]
             lam[j], residual[j], iterations[j] = lam_act[k], res_act[k], sweeps
         del x
 

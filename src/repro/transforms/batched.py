@@ -296,7 +296,9 @@ def _apply_fused(src: np.ndarray, dst: np.ndarray, sweep: FusedStage | _Sweep) -
     is a stack of small ``(r, r) × (r, z)`` products.  When ``z == 1``
     (the span-1 sweep of a one-column block) that stack would be
     separate matrix–vector products, so the chunk instead runs as one
-    2-D GEMM ``(groups, r) × Mᵀ`` over its rows.
+    2-D GEMM ``(groups, r) × Mᵀ`` over its rows, with ``Mᵀ`` copied
+    C-contiguous once per sweep: the transposed view sends OpenBLAS to a
+    kernel that took over twice as long for the same bits.
 
     NumPy sends a one-row product to its matrix–vector path, whose
     summation order differs from the GEMM kernel's; the single group of
@@ -319,6 +321,7 @@ def _apply_fused(src: np.ndarray, dst: np.ndarray, sweep: FusedStage | _Sweep) -
         pre = pre.reshape(g, r, h, -1)
     if post is not None:
         post = post.reshape(g, r, h, -1)
+    mt = np.ascontiguousarray(m.T) if z == 1 else None
     for q0, q1, h0, h1 in chunks:
         x, y = src3[q0:q1, :, h0 * b : h1 * b], dst3[q0:q1, :, h0 * b : h1 * b]
         groups = q1 - q0
@@ -328,11 +331,11 @@ def _apply_fused(src: np.ndarray, dst: np.ndarray, sweep: FusedStage | _Sweep) -
         if z > 1:
             np.matmul(m, x, out=y)
         elif groups >= 2:
-            np.matmul(x.reshape(groups, r), m.T, out=y.reshape(groups, r))
+            np.matmul(x.reshape(groups, r), mt, out=y.reshape(groups, r))
         else:
             pad = np.zeros((2, r))
             pad[0] = x.reshape(r)
-            y.reshape(r)[:] = (pad @ m.T)[0]
+            y.reshape(r)[:] = (pad @ mt)[0]
         if post is not None:
             y4 = y.reshape(groups, r, h1 - h0, b)
             np.multiply(y4, post[q0:q1, :, h0:h1], out=y4)

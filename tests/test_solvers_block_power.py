@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConvergenceError, ValidationError
 from repro.landscapes import RandomLandscape, SinglePeakLandscape
@@ -250,23 +252,23 @@ def _old_column_sums(block):
     return sums[:b] + sums[b:]
 
 
-def _old_epilogue(x, y, mu):
-    """The whole-block chain the tiled passes replaced: shift, |y| sums,
-    divide, (y − x)² sums.  Returns ``(λ, squared residual sums, y)``."""
+def _old_epilogue(x, y, s, mus):
+    """The whole-block chain of the power loop's ufuncs: pass A
+    (``y ← s∘y − (μs)∘x``, |y| sums) and the residual step
+    (``(y − c∘x)²`` sums at ``c = λs``).  Returns ``(λ, squared residual
+    sums, y)``."""
     y = y.copy()
     scratch = np.empty_like(x)
-    if mu is not None:
-        y -= np.multiply(x, mu, out=scratch)
+    np.multiply(y, s, out=y)
+    if mus is not None:
+        y -= np.multiply(x, mus, out=scratch)
     lam = _old_column_sums(np.abs(y, out=scratch))
-    y /= lam
-    diff = np.subtract(y, x, out=scratch)
+    diff = np.subtract(y, np.multiply(x, lam * s, out=scratch), out=scratch)
     return lam, _old_column_sums(np.multiply(diff, diff, out=diff)), y
 
 
-def _tiled_epilogue(x, y, mu, counter=None):
-    """Passes A and B of the power loop on a copy of ``y``."""
-    from functools import partial
-
+def _tiled_epilogue(x, y, s, mus, counter=None):
+    """Pass A and the residual pass of the power loop on a copy of ``y``."""
     from repro.solvers import power
 
     def counted(step):
@@ -278,19 +280,20 @@ def _tiled_epilogue(x, y, mu, counter=None):
         return wrapped
 
     y = y.copy()
-    lam = power._tiled_sums(counted(partial(power._shift_abs, mu=mu)), y, x)
-    sq = power._tiled_sums(counted(partial(power._scale_residual, lam=lam)), y, x)
+    coefs = (s,) if mus is None else (s, mus)
+    lam = power._tiled_sums(counted(power._scale_shift_abs), y, x, coefs=coefs)
+    sq = power._tiled_sums(counted(power._residual), y, x, coefs=(lam * s,))
     return lam, sq, y
 
 
-def _assert_same_epilogue(x, y, mu, counter=None):
-    for got, want in zip(_tiled_epilogue(x, y, mu, counter), _old_epilogue(x, y, mu)):
+def _assert_same_epilogue(x, y, s, mus, counter=None):
+    for got, want in zip(_tiled_epilogue(x, y, s, mus, counter), _old_epilogue(x, y, s, mus)):
         np.testing.assert_array_equal(got, want)
 
 
 class TestTiledReducer:
-    """The power loop's two tiled passes are bitwise the old whole-block
-    chain, however the rows are tiled."""
+    """The power loop's tiled passes are bitwise the whole-block chain of
+    the same ufuncs, however the rows are tiled."""
 
     @pytest.mark.parametrize("b", [1, 2, 3, 5, 16])
     def test_matches_whole_block_chain(self, b):
@@ -301,8 +304,9 @@ class TestTiledReducer:
         for n in sizes:
             x = rng.random((n, b))
             y = 3.0 * rng.random((n, b)) - 0.5
-            for mu in (None, 0.3 * rng.random(b)):
-                _assert_same_epilogue(x, y, mu)
+            s = 0.5 + rng.random(b)
+            for mus in (None, 0.3 * rng.random(b)):
+                _assert_same_epilogue(x, y, s, mus)
             np.testing.assert_array_equal(column_sums(x), _old_column_sums(x))
 
     @pytest.mark.parametrize("b", [1, 3, 16])
@@ -317,7 +321,7 @@ class TestTiledReducer:
         rows = {1: n, 2: n // 2, "many": power._PARTIALS}[tiles]
         monkeypatch.setattr(power, "_TILE_BYTES", 8 * b * rows)
         counter = []
-        _assert_same_epilogue(x, y, 0.3 * rng.random(b), counter)
+        _assert_same_epilogue(x, y, 0.5 + rng.random(b), 0.3 * rng.random(b), counter)
         assert counter == [rows] * (2 * n // rows)
 
     def test_partial_last_tile(self, monkeypatch):
@@ -328,14 +332,14 @@ class TestTiledReducer:
         x, y = rng.random((n, b)), rng.random((n, b))
         monkeypatch.setattr(power, "_TILE_BYTES", 8 * b * 256)
         counter = []
-        _assert_same_epilogue(x, y, None, counter)
+        _assert_same_epilogue(x, y, 0.5 + rng.random(b), None, counter)
         assert counter == [256, 192] * 2
 
     @pytest.mark.parametrize("b", [1, 2, 3, 16])
     def test_row_tiled_coefficients_match_whole_block_chain(self, monkeypatch, b):
-        """μ and λ handed over as ``coef=`` (row tiles for B ≥ 2), as the
-        power loop does, give the old chain's bits, partial last tiles
-        and odd n included."""
+        """``s``, ``μs`` and ``λs`` handed over as ``coefs=`` (row tiles for
+        B ≥ 2), as the power loop does, give the whole-block chain's bits,
+        partial last tiles and odd n included."""
         from repro.solvers import power
 
         monkeypatch.setattr(power, "_TILE_BYTES", 8 * b * 256)
@@ -343,12 +347,11 @@ class TestTiledReducer:
         for n in (3, 64, 7 * 64, 1 << 12):
             x = rng.random((n, b))
             y = 3.0 * rng.random((n, b)) - 0.5
-            for mu in (None, 0.3 * rng.random(b)):
-                got_y = y.copy()
-                lam = power._tiled_sums(power._shift_abs, got_y, x, coef=mu)
-                sq = power._tiled_sums(power._scale_residual, got_y, x, coef=lam)
-                for got, want in zip((lam, sq, got_y), _old_epilogue(x, y, mu)):
-                    np.testing.assert_array_equal(got, want)
+            s = 0.5 + rng.random(b)
+            for mus in (None, 0.3 * rng.random(b)):
+                got = _tiled_epilogue(x, y, s, mus)
+                for g, want in zip(got, _old_epilogue(x, y, s, mus)):
+                    np.testing.assert_array_equal(g, want)
 
     def test_nan_in_last_tile_names_sweep_and_column(self, monkeypatch):
         from repro.solvers import power
@@ -395,3 +398,185 @@ class TestTiledReducer:
             ).solve(lands[j].start_vector(), landscape=lands[j])
             assert _same_bits(alone, block[j]), f"column {j}"
             assert alone.history == block[j].history
+
+
+def _count_full_residuals(monkeypatch):
+    """Count the power loop's full residual passes (not the sampled bound)."""
+    from repro.solvers import power
+
+    calls = []
+    tiled = power._tiled_sums
+
+    def counted(step, *blocks, **kwargs):
+        if step is power._residual:
+            calls.append(blocks[0].shape[1])
+        return tiled(step, *blocks, **kwargs)
+
+    monkeypatch.setattr(power, "_tiled_sums", counted)
+    return calls
+
+
+def _same_bits_as_history_run(solver_cls, op, solve_args, **options):
+    """``solver_cls(op, **options)`` gives the same bits with and without
+    ``record_history`` (which runs the full residual pass every sweep)."""
+    gated = solver_cls(op, **options).solve(*solve_args, raise_on_fail=False)
+    full = solver_cls(op, record_history=True, **options).solve(
+        *solve_args, raise_on_fail=False
+    )
+    pairs = zip(gated, full) if isinstance(gated, BlockSolveResult) else [(gated, full)]
+    for g, f in pairs:
+        assert _same_bits(g, f)
+        if not f.converged:  # a cap exit reports the last sweep's full residual
+            assert g.residual == f.history[-1].residual
+    return gated
+
+
+class TestResidualGate:
+    """The residual's full pass runs only near convergence, on the last
+    allowed sweep, or when the history is recorded; skipping it never
+    changes a result."""
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["unshifted", "shifted"])
+    @pytest.mark.parametrize("form", ["right", "symmetric", "left"])
+    def test_gate_never_changes_a_result(self, form, shifted):
+        for nu in range(1, 11):
+            mutation = UniformMutation(nu, 0.03)
+            lands = [RandomLandscape(nu, c=4.0, sigma=0.5 + 0.09 * s, seed=s) for s in range(16)]
+            shifts = [0.3 * land.fmin if shifted else 0.0 for land in lands]
+            op = Fmmp(mutation, lands[0], form=form)
+            if shifted:
+                op = ShiftedOperator(op, shifts[0])
+            _same_bits_as_history_run(
+                PowerIteration, op, (lands[0].start_vector(),), tol=1e-13, max_iterations=400
+            )
+            for b in (1, 3, 16):
+                block = _same_bits_as_history_run(
+                    BlockPowerIteration,
+                    BatchedFmmp(mutation, lands[:b], form=form),
+                    (),
+                    shifts=shifts[:b],
+                    tol=1e-13,
+                    max_iterations=400,
+                )
+                if b == 16 and nu >= 4:
+                    assert len({r.iterations for r in block}) > 1, f"nu={nu}: no deflation"
+
+    def test_gate_never_changes_a_result_on_another_operator(self):
+        from repro.operators import Smvp
+
+        nu = 8
+        mutation = UniformMutation(nu, 0.02)
+        land = RandomLandscape(nu, c=4.0, sigma=1.0, seed=3)
+        op = Smvp(mutation, land)
+        assert not isinstance(op, BatchedFmmp)
+        for mu in (0.0, conservative_shift(mutation, land)):
+            shifted = ShiftedOperator(op, mu) if mu else op
+            result = _same_bits_as_history_run(
+                PowerIteration, shifted, (land.start_vector(),), tol=1e-12
+            )
+            assert result.converged
+            starts = np.stack([land.start_vector(), np.ones(1 << nu)], axis=1)
+            _same_bits_as_history_run(BlockPowerIteration, op, (starts,), shifts=mu, tol=1e-12)
+
+    @pytest.mark.parametrize("cap", [1, 2, 7])
+    def test_cap_exit_reports_the_history_runs_last_residual(self, cap):
+        op, mutation, lands = make_operator()
+        shifts = [conservative_shift(mutation, land) for land in lands]
+        options = dict(shifts=shifts, tol=1e-300, max_iterations=cap)
+        gated = _same_bits_as_history_run(BlockPowerIteration, op, (), **options)
+        assert not gated.converged and gated.sweeps == cap
+        full = BlockPowerIteration(op, record_history=True, **options).solve(raise_on_fail=False)
+        with pytest.raises(ConvergenceError) as exc_info:
+            BlockPowerIteration(op, **options).solve()
+        worst = max(r.history[-1].residual for r in full)
+        assert exc_info.value.residual == worst
+        assert f"worst residual={worst:.3e}" in str(exc_info.value)
+
+    def test_gate_stays_effective(self, monkeypatch):
+        """A ν = 12 shifted solve at tol 1e-10 runs 25 sweeps; at most 3
+        of them may need the full residual pass."""
+        calls = _count_full_residuals(monkeypatch)
+        nu = 12
+        mutation = UniformMutation(nu, 0.01)
+        land = RandomLandscape(nu, c=4.0, sigma=1.0, seed=0)
+        op = ShiftedOperator(Fmmp(mutation, land), conservative_shift(mutation, land))
+        result = PowerIteration(op, tol=1e-10).solve(land.start_vector(), landscape=land)
+        assert result.converged and result.iterations > 20
+        assert 1 <= len(calls) <= 3
+
+    @pytest.mark.parametrize("bound", [0.0, np.nan], ids=["hidden", "nan"])
+    def test_small_or_nan_bound_takes_the_full_pass(self, monkeypatch, bound):
+        """A residual the sample misses (bound 0) or a NaN bound runs the
+        full pass on every sweep, with the same result."""
+        from repro.solvers import power
+
+        op, mutation, lands = make_operator()
+        want = BlockPowerIteration(op, tol=1e-12).solve()
+        calls = _count_full_residuals(monkeypatch)
+        monkeypatch.setattr(
+            power, "_residual_bound", lambda sample, y, x, c: np.full(y.shape[1], bound)
+        )
+        got = BlockPowerIteration(op, tol=1e-12).solve()
+        assert len(calls) == got.sweeps
+        for g, w in zip(got, want):
+            assert _same_bits(g, w)
+
+
+class TestResidualBound:
+    """The sampled bound never exceeds the full residual."""
+
+    @given(
+        log_n=st.integers(0, 13),
+        b=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1.0, 1e-6, 1e-12, 1e-15]),
+    )
+    @settings(max_examples=150)
+    def test_bound_never_exceeds_the_full_residual(self, log_n, b, seed, scale):
+        from repro.solvers import power
+
+        rng = np.random.default_rng(seed)
+        n = 1 << log_n
+        x = rng.random((n, b))
+        c = 0.5 + rng.random(b)
+        # near convergence y ≈ c∘x, so the terms cancel to a few ulps
+        y = c * x * (1.0 + scale * rng.standard_normal((n, b)))
+        full = np.sqrt(power._tiled_sums(power._residual, y, x, coefs=(c,)))
+        sample = np.empty((-(-n // power._SAMPLE_STRIDE), b))
+        bound = power._residual_bound(sample, y, x, c)
+        assert np.all(bound <= full * (1.0 + 1e-9))
+
+    def test_residual_on_unsampled_rows_gives_bound_zero(self):
+        from repro.solvers import power
+
+        rng = np.random.default_rng(1)
+        n, b = 1 << 10, 3
+        x = rng.random((n, b))
+        c = 0.5 + rng.random(b)
+        y = c * x
+        y[1::power._SAMPLE_STRIDE] *= 1.5  # rows the sample never reads
+        full = np.sqrt(power._tiled_sums(power._residual, y, x, coefs=(c,)))
+        sample = np.empty((n // power._SAMPLE_STRIDE, b))
+        assert np.all(power._residual_bound(sample, y, x, c) == 0.0)
+        assert np.all(full > 0.0)
+
+    @given(row=st.integers(0, (1 << 10) - 1), sweep=st.integers(1, 4))
+    @settings(max_examples=25)
+    def test_nan_iterate_fails_fast(self, row, sweep):
+        class NaNAt(BatchedFmmp):
+            calls = 0
+
+            def matmat(self, block, **kwargs):
+                out = super().matmat(block, **kwargs)
+                self.calls += 1
+                if self.calls == sweep:
+                    out[row, 1] = np.nan
+                return out
+
+        nu = 10
+        mutation = UniformMutation(nu, 0.01)
+        lands = [RandomLandscape(nu, c=4.0, sigma=1.0, seed=s) for s in range(3)]
+        with pytest.raises(ConvergenceError, match="not finite and positive") as exc_info:
+            BlockPowerIteration(NaNAt(mutation, lands), tol=1e-15).solve()
+        assert f"column 1 at sweep {sweep}:" in str(exc_info.value)
+        assert exc_info.value.iterations == sweep
