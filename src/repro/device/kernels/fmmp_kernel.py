@@ -11,8 +11,11 @@ One launch of ``N/2`` work items performs one butterfly stage of span
 The index identity ``2·ID − (ID & (i−1)) = 2·i·⌊ID/i⌋ + ID mod i`` (valid
 because ``i`` is a power of two) is the paper's bit trick for replacing a
 modulo with an AND; it is property-tested in
-tests/test_device_kernels.py.  The host drives the ``log₂ N`` stage loop
-(see :mod:`repro.device.pipeline`).
+tests/test_device_kernels.py.  The host drives the stage loop:
+:func:`plan_launcher` turns a mutation model's radix-2 plan
+(:meth:`~repro.mutation.base.MutationModel.plan` with ``max_radix=2``)
+into one launch per stage, for :mod:`repro.device.pipeline` and the
+verification oracles alike.
 
 Cost per work item: 4 memory operations on f64 (2 loads + 2 stores) and
 6 flops (4 multiplies + 2 adds) — the ratio that makes the kernel
@@ -21,12 +24,17 @@ bandwidth-bound, as the paper observes.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable, Sequence
+
 import numpy as np
 
 from repro.device.kernel import Kernel, KernelCosts
-from repro.exceptions import DeviceError
+from repro.device.kernels.group_kernel import make_group4_stage_kernel
+from repro.exceptions import DeviceError, ValidationError
+from repro.transforms.batched import FusedStage
 
-__all__ = ["fmmp_stage_kernel"]
+__all__ = ["fmmp_stage_kernel", "plan_launcher"]
 
 
 def _params(params) -> tuple[int, float, float, float, float]:
@@ -74,3 +82,36 @@ fmmp_stage_kernel = Kernel(
     costs=KernelCosts(bytes_per_item=32.0, flops_per_item=6.0),
     buffer_names=("v",),
 )
+
+
+def plan_launcher(plan: Sequence[FusedStage]) -> Callable[..., None]:
+    """Algorithm 2's host stage loop over ``plan``, built once.
+
+    Returns ``launch(device, buffer)``, which runs every stage in order,
+    in place on the named device buffer: a radix-2 stage is one
+    :data:`fmmp_stage_kernel` launch of ``N/2`` items, a radix-4 stage (a
+    2-bit group block) one launch of ``N/4`` items of the
+    :func:`~repro.device.kernels.group_kernel.make_group4_stage_kernel`
+    kernel built here for it.  A wider stage has no device kernel and
+    raises :class:`~repro.exceptions.ValidationError`.
+    """
+    n = math.prod(stage.radix for stage in plan)
+    launches = []
+    for stage in plan:
+        m = stage.matrix
+        if stage.radix == 2:
+            params = {"m00": m[0, 0], "m01": m[0, 1], "m10": m[1, 0], "m11": m[1, 1]}
+            launches.append((fmmp_stage_kernel, n // 2, {"span": stage.span, **params}))
+        elif stage.radix == 4:
+            launches.append((make_group4_stage_kernel(m), n // 4, {"span": stage.span}))
+        else:
+            raise ValidationError(
+                f"device kernels cover radix-2 and radix-4 stages (groups of 1 and "
+                f"2 bits); a radix-{stage.radix} stage needs a dedicated kernel"
+            )
+
+    def launch(device, buffer: str) -> None:
+        for kernel, items, params in launches:
+            device.launch(kernel, items, params, binding={"v": buffer})
+
+    return launch

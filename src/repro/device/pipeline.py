@@ -29,13 +29,13 @@ from repro.device.kernels.elementwise import (
     multiply_into_kernel,
     scale_kernel,
 )
-from repro.device.kernels.fmmp_kernel import fmmp_stage_kernel
+from repro.device.kernels.fmmp_kernel import plan_launcher
 from repro.device.kernels.reduce_kernel import tree_reduce_sum
 from repro.device.kernels.xmvp_kernel import xmvp_pass_kernel
 from repro.device.runtime import Device
 from repro.exceptions import ConvergenceError, DeviceError, ValidationError
 from repro.landscapes.base import FitnessLandscape
-from repro.mutation.persite import PerSiteMutation
+from repro.mutation.base import MutationModel
 from repro.mutation.uniform import UniformMutation
 from repro.solvers.result import IterationRecord, SolveResult
 
@@ -87,9 +87,11 @@ class DevicePowerIteration:
     device:
         The simulated :class:`~repro.device.runtime.Device`.
     mutation:
-        :class:`UniformMutation` or :class:`PerSiteMutation` (the
-        butterfly kernels need per-bit 2×2 factors; grouped models would
-        need a dedicated kernel).
+        The mutation model.  ``"fmmp"`` launches its radix-2 plan
+        (:meth:`~repro.mutation.base.MutationModel.plan` with
+        ``max_radix=2``) stage by stage; a stage above radix 4 (a group
+        of three or more bits) has no device kernel and raises
+        :class:`~repro.exceptions.ValidationError`.
     landscape:
         The fitness landscape.
     operator:
@@ -110,7 +112,7 @@ class DevicePowerIteration:
     def __init__(
         self,
         device: Device,
-        mutation: "UniformMutation | PerSiteMutation | GroupedMutation",
+        mutation: MutationModel,
         landscape: FitnessLandscape,
         *,
         operator: str = "fmmp",
@@ -120,27 +122,12 @@ class DevicePowerIteration:
         shift: float = 0.0,
         fused_xmvp: bool = False,
     ):
-        from repro.mutation.grouped import GroupedMutation
-
-        if not isinstance(mutation, (UniformMutation, PerSiteMutation, GroupedMutation)):
-            raise ValidationError(
-                "device pipeline supports uniform, per-site, and grouped "
-                "(block size <= 4) mutation models"
-            )
         if mutation.nu != landscape.nu:
             raise ValidationError("mutation and landscape chain lengths disagree")
         if operator not in ("fmmp", "xmvp"):
             raise ValidationError(f"operator must be 'fmmp' or 'xmvp', got {operator!r}")
         if operator == "xmvp" and not isinstance(mutation, UniformMutation):
             raise ValidationError("xmvp requires the uniform mutation model")
-        if isinstance(mutation, GroupedMutation):
-            if operator != "fmmp":
-                raise ValidationError("grouped models run through the butterfly path only")
-            if any(g > 2 for g in mutation.group_sizes):
-                raise ValidationError(
-                    "device kernels cover group sizes 1 and 2 (bits); larger "
-                    "blocks need a dedicated kernel"
-                )
         self.device = device
         self.mutation = mutation
         self.landscape = landscape
@@ -154,24 +141,9 @@ class DevicePowerIteration:
         self.max_iterations = int(max_iterations)
         self.shift = float(shift)
         self.fused_xmvp = bool(fused_xmvp)
-        # Butterfly stage plan: (kind, span, payload) from the LSB up.
-        # kind "2": radix-2 stage with a 2x2 factor (Algorithm 2);
-        # kind "4": radix-4 stage with a 4x4 group kernel.
-        self._stage_plan: list[tuple[str, int, object]] = []
-        if isinstance(mutation, GroupedMutation):
-            from repro.device.kernels.group_kernel import make_group4_stage_kernel
-
-            lo = 0
-            for block, g in zip(reversed(mutation.blocks()), reversed(mutation.group_sizes)):
-                if g == 1:
-                    self._stage_plan.append(("2", 1 << lo, np.asarray(block)))
-                else:
-                    self._stage_plan.append(("4", 1 << lo, make_group4_stage_kernel(block)))
-                lo += g
+        if operator == "fmmp":
+            self._launch_q = plan_launcher(mutation.plan(max_radix=2))
         else:
-            for s, f in enumerate(mutation.factors_per_bit()):
-                self._stage_plan.append(("2", 1 << s, np.asarray(f)))
-        if operator == "xmvp":
             self._masks = masks_up_to_distance(self.nu, self.dmax)
             self._q_class = mutation.class_values()
             if self.fused_xmvp:
@@ -184,28 +156,6 @@ class DevicePowerIteration:
                 self._fused_kernel = make_fused_xmvp_kernel(all_masks, weights)
 
     # -------------------------------------------------------------- helpers
-    def _apply_q_fmmp(self, buf: str) -> None:
-        """The butterfly: one launch per stage (radix 2 or 4)."""
-        for kind, span, payload in self._stage_plan:
-            if kind == "2":
-                m = payload
-                self.device.launch(
-                    fmmp_stage_kernel,
-                    self.n // 2,
-                    {
-                        "span": span,
-                        "m00": m[0, 0],
-                        "m01": m[0, 1],
-                        "m10": m[1, 0],
-                        "m11": m[1, 1],
-                    },
-                    binding={"v": buf},
-                )
-            else:
-                self.device.launch(
-                    payload, self.n // 4, {"span": span}, binding={"v": buf}
-                )
-
     def _apply_q_xmvp(self, src: str, dst: str) -> None:
         """Accumulate XOR passes: ``dst = Σ_k QΓ_k Σ_m src[· ^ m]``."""
         # dst = QΓ_0 · src  (the k = 0 identity mask)
@@ -270,7 +220,7 @@ class DevicePowerIteration:
             dev.launch(multiply_into_kernel, n, binding={"dst": "w", "a": "x", "b": "f"})
             # prod = Q·w
             if self.operator == "fmmp":
-                self._apply_q_fmmp("w")
+                self._launch_q(dev, "w")
             elif self.fused_xmvp:
                 dev.launch(self._fused_kernel, n, binding={"y": "acc", "w": "w"})
             else:

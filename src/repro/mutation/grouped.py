@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.mutation.base import MutationModel, check_column_stochastic
-from repro.transforms.batched import batched_butterfly_transform, grouped_stage_plan
+from repro.transforms.batched import MAX_RADIX, FusedStage, grouped_stage_plan
 from repro.util.validation import check_chain_length, check_power_of_two
 
 __all__ = ["GroupedMutation"]
@@ -73,7 +73,6 @@ class GroupedMutation(MutationModel):
         # on the 2**nu-sized operations.
         self.nu = check_chain_length(sum(self._group_bits), max_nu=10_000)
         self.n = 1 << self.nu
-        self._plan = grouped_stage_plan(self._blocks)
 
     # ----------------------------------------------------------- structure
     @property
@@ -89,20 +88,17 @@ class GroupedMutation(MutationModel):
     def is_symmetric(self) -> bool:
         return all(np.allclose(b, b.T, atol=1e-14) for b in self._blocks)
 
+    def _plan_factors(self) -> list[np.ndarray]:
+        return self._blocks
+
+    def _stage_plan(
+        self, factors: list[np.ndarray], variant: str = "eq9", max_radix: int = MAX_RADIX
+    ) -> list[FusedStage]:
+        """One radix-``2^{g_i}`` sweep per group block, ``Θ(N · Σᵢ 2^{g_i})``
+        (the butterfly cost when all groups are single sites)."""
+        return grouped_stage_plan(factors, variant=variant)
+
     # ----------------------------------------------------------- operations
-    def apply(self, v: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
-        """``Q · v``: one fused sweep per group block.
-
-        ``Θ(N · Σᵢ 2^{g_i})`` — reduces to the butterfly cost when all
-        groups are single sites.
-        """
-        v = self.check_vector(v)
-        res = batched_butterfly_transform(v.reshape(self.n, 1), self._plan).reshape(self.n)
-        if out is not None:
-            out[:] = res
-            return out
-        return res
-
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
         """``Q⁻¹ · v`` via per-block inverses (``(A⊗B)⁻¹ = A⁻¹⊗B⁻¹``)."""
         invs = []
@@ -111,8 +107,7 @@ class GroupedMutation(MutationModel):
                 invs.append(np.linalg.inv(b))
             except np.linalg.LinAlgError as exc:
                 raise ValidationError(f"group block {idx} is singular") from exc
-        v = self.check_vector(v).reshape(self.n, 1)
-        return batched_butterfly_transform(v, grouped_stage_plan(invs)).reshape(self.n)
+        return self._run_plan(self._stage_plan(invs), v)
 
     def eigenvalues(self) -> np.ndarray:
         """All ``N`` eigenvalues: Kronecker products of block spectra.

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.mutation.base import MutationModel, check_column_stochastic
-from repro.transforms.butterfly import butterfly_transform
 from repro.util.validation import check_chain_length
 
 __all__ = ["PerSiteMutation", "site_factor"]
@@ -103,18 +102,10 @@ class PerSiteMutation(MutationModel):
     def is_symmetric(self) -> bool:
         return all(abs(f[0, 1] - f[1, 0]) < 1e-15 for f in self._factors)
 
-    # ----------------------------------------------------------- operations
-    def apply(self, v: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
-        """Fast ``Q · v`` via the per-bit butterfly — same ``Θ(N log₂ N)``
-        cost as the uniform model (the paper's key generality claim)."""
-        v = self.check_vector(v)
-        in_place = out is v
-        res = butterfly_transform(v, self._factors, in_place=in_place)
-        if out is not None and not in_place:
-            out[:] = res
-            return out
-        return res
+    def _plan_factors(self) -> list[np.ndarray]:
+        return self._factors
 
+    # ----------------------------------------------------------- operations
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
         """``Q⁻¹ · v`` via per-factor 2×2 inverses (requires all factors
         nonsingular, i.e. ``a_s + b_s != 1`` for every site)."""
@@ -124,8 +115,7 @@ class PerSiteMutation(MutationModel):
             if abs(det) < 1e-300:
                 raise ValidationError(f"site factor {s} is singular; Q has no inverse")
             invs.append(np.array([[f[1, 1], -f[0, 1]], [-f[1, 0], f[0, 0]]]) / det)
-        v = self.check_vector(v)
-        return butterfly_transform(v, invs)
+        return self._run_plan(self._stage_plan(invs), v)
 
     def eigenvalues(self) -> np.ndarray:
         """All ``N`` eigenvalues as Kronecker combinations of the per-site

@@ -17,7 +17,6 @@ import numpy as np
 from repro.bitops.popcount import distance_to_master, hamming_matrix
 from repro.exceptions import ValidationError
 from repro.mutation.base import MutationModel
-from repro.transforms.butterfly import butterfly_transform
 from repro.util.validation import check_chain_length, check_error_rate
 
 __all__ = ["UniformMutation"]
@@ -76,20 +75,10 @@ class UniformMutation(MutationModel):
     def is_symmetric(self) -> bool:
         return True
 
+    def _plan_factors(self) -> list[np.ndarray]:
+        return self.factors_per_bit()
+
     # ----------------------------------------------------------- operations
-    def apply(self, v: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
-        """Fast ``Q · v`` via the ν-stage butterfly — ``Θ(N log₂ N)``.
-
-        If ``out`` is ``v`` itself the transform runs in situ.
-        """
-        v = self.check_vector(v)
-        in_place = out is v
-        res = butterfly_transform(v, self.factors_per_bit(), in_place=in_place)
-        if out is not None and not in_place:
-            out[:] = res
-            return out
-        return res
-
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
         """Fast ``Q⁻¹ · v``.
 
@@ -100,8 +89,7 @@ class UniformMutation(MutationModel):
             raise ValidationError("Q is singular at p = 1/2; inverse undefined")
         p = self.p
         inv = np.array([[1.0 - p, -p], [-p, 1.0 - p]]) / (1.0 - 2.0 * p)
-        v = self.check_vector(v)
-        return butterfly_transform(v, [inv] * self.nu)
+        return self._run_plan(self._stage_plan([inv] * self.nu), v)
 
     def eigenvalues(self) -> np.ndarray:
         """All ``N`` eigenvalues ``(1−2p)^{dH(i,0)}`` (Hadamard order)."""

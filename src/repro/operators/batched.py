@@ -2,8 +2,9 @@
 
 ``W·V = form(Q, F)·V`` for an ``(N, B)`` block ``V``, exact, in
 ``Θ(N log₂ N)`` per column and with no matrix storage: the Kronecker
-factorization of ``Q`` is one fused stage plan (:func:`mutation_plan`),
-built once at construction and run by
+factorization of ``Q`` is one fused stage plan
+(:meth:`~repro.mutation.base.MutationModel.plan`), built once at
+construction and run by
 :func:`repro.transforms.batched.batched_butterfly_transform` — with
 ``threads > 1`` on that many participants, with the same bits — with the
 ``F`` / ``F^{1/2}`` scalings of the forms (Eqs. 3–5) folded in as pre-
@@ -27,13 +28,12 @@ Every butterfly product is a case of this class:
 The power loop drives every case through :meth:`~BatchedFmmp.matmat`
 on its own blocks (``out=``, ``scratch=``).
 
-The module also holds the one plan builder :func:`mutation_plan` (2×2
-factors or the group blocks of Eq. 11, optionally transposed) and the
-one cost function :func:`plan_costs`, which counts bytes and flops from
-the same :class:`~repro.transforms.batched.FusedStage` list the kernel
-runs.  The paper's stage-by-stage model
-(:func:`repro.perf.costs.fmmp_costs`) and the distributed model
-(:class:`repro.distributed.fmmp.DistributedFmmp`) cost the radix-2 plan.
+The module also holds the one cost function :func:`plan_costs`, which
+counts bytes and flops from the same
+:class:`~repro.transforms.batched.FusedStage` list the kernel runs.
+The paper's stage-by-stage model (:func:`repro.perf.costs.fmmp_costs`)
+and the distributed model (:class:`repro.distributed.fmmp.DistributedFmmp`)
+cost the radix-2 plan.
 """
 
 from __future__ import annotations
@@ -46,19 +46,11 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.landscapes.base import FitnessLandscape
 from repro.mutation.base import MutationModel
-from repro.mutation.grouped import GroupedMutation
-from repro.mutation.persite import PerSiteMutation
-from repro.mutation.uniform import UniformMutation
 from repro.operators.base import FORMS, ImplicitOperator, OperatorCosts
-from repro.transforms.batched import (
-    FusedStage,
-    batched_butterfly_transform,
-    fused_stage_plan,
-    grouped_stage_plan,
-)
+from repro.transforms.batched import FusedStage, batched_butterfly_transform
 from repro.transforms.parallel import resolve_threads
 
-__all__ = ["BatchedFmmp", "mutation_plan", "plan_costs"]
+__all__ = ["BatchedFmmp", "plan_costs"]
 
 #: Smallest block (``N·B`` doubles) whose products :meth:`BatchedFmmp.matmat`
 #: shares among its ``threads``; below it the per-sweep barriers cost more
@@ -80,26 +72,6 @@ def form_scales(form: str, f, sqrt_f):
     if form == "symmetric":
         return sqrt_f, sqrt_f
     return None, f  # left
-
-
-def mutation_plan(
-    mutation: MutationModel, variant: str = "eq9", *, transpose: bool = False
-) -> list[FusedStage]:
-    """The fused plan of ``Q`` (of ``Qᵀ = ⊗ M_iᵀ`` with ``transpose=True``):
-    :func:`~repro.transforms.batched.fused_stage_plan` of the per-bit 2×2
-    factors, or :func:`~repro.transforms.batched.grouped_stage_plan` of the
-    group blocks (Eq. 11).  Any other model raises, naming its type."""
-    if isinstance(mutation, (UniformMutation, PerSiteMutation)):
-        factors = mutation.factors_per_bit()
-        build = fused_stage_plan
-    elif isinstance(mutation, GroupedMutation):
-        factors = mutation.blocks()
-        build = grouped_stage_plan
-    else:
-        raise ValidationError(
-            f"no butterfly plan for mutation model {type(mutation).__name__}"
-        )
-    return build([f.T for f in factors] if transpose else factors, variant=variant)
 
 
 def plan_costs(
@@ -153,8 +125,10 @@ class BatchedFmmp(ImplicitOperator):
     Parameters
     ----------
     mutation:
-        The shared mutation model ``Q``: uniform, per-site or grouped;
-        any other model raises :class:`~repro.exceptions.ValidationError`.
+        The shared mutation model ``Q``; its
+        :meth:`~repro.mutation.base.MutationModel.plan` is the butterfly
+        (a model without one raises
+        :class:`~repro.exceptions.ValidationError`).
     landscapes:
         Either a single :class:`FitnessLandscape` (shared by every
         column) or a sequence of ``B`` landscapes (one per column).
@@ -232,7 +206,7 @@ class BatchedFmmp(ImplicitOperator):
         self._gathered = None
 
         self.threads = resolve_threads(threads)
-        self._plan = mutation_plan(mutation, variant, transpose=self._transpose)
+        self._plan = mutation.plan(variant, transpose=self._transpose)
 
     # --------------------------------------------------------------- state
     @property

@@ -6,7 +6,7 @@ butterfly (Eq. 9 / Eq. 10, Algorithm 1).  Works unchanged for the
 generalized mutation models of Sec. 2.2: per-site 2×2 factors fuse into
 radix ≤ 8 sweeps, and each ``2^g×2^g`` group block of Eq. 11 is one
 radix-``2^g`` sweep of the same plan
-(:func:`repro.operators.batched.mutation_plan`), run by the same kernel.
+(:meth:`repro.mutation.base.MutationModel.plan`), run by the same kernel.
 
 ``Fmmp`` is the shared-landscape case of the one butterfly operator,
 :class:`~repro.operators.batched.BatchedFmmp`: its :meth:`Fmmp.matvec`

@@ -55,13 +55,11 @@ class Smvp(ImplicitOperator, FormMixin):
         return self.form == "symmetric" and self.mutation.is_symmetric
 
     def costs(self) -> OperatorCosts:
-        """``2N²`` flops; the matrix itself dominates the traffic."""
-        n = float(self.n)
-        return OperatorCosts(
-            flops=2.0 * n * n,
-            bytes_moved=8.0 * (n * n + 2.0 * n),
-            storage_bytes=8.0 * n * n,
-        )
+        """``2N²`` flops; the matrix itself dominates the traffic
+        (:func:`repro.perf.costs.smvp_costs`)."""
+        from repro.perf.costs import smvp_costs
+
+        return smvp_costs(self.mutation.nu)
 
     def to_dense(self, *, max_n: int = 1 << 13) -> np.ndarray:
         return self._w.copy()

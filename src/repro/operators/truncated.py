@@ -31,7 +31,8 @@ from repro.exceptions import ValidationError
 from repro.landscapes.base import FitnessLandscape
 from repro.mutation.uniform import UniformMutation
 from repro.operators.base import FormMixin, ImplicitOperator, OperatorCosts
-from repro.transforms.fwht import fwht
+from repro.operators.batched import plan_costs
+from repro.transforms.fwht import fwht, fwht_plan
 from repro.util.binomial import binomial_row
 
 __all__ = ["TruncatedWalsh"]
@@ -107,19 +108,20 @@ class TruncatedWalsh(ImplicitOperator, FormMixin):
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = self.check(v)
-        if self.form == "left":
-            return self._f * self._q_truncated(v.copy())
         return self._apply_form(v, self._q_truncated)
 
     def costs(self) -> OperatorCosts:
-        """Two FWHT passes + the spectral diagonal + the form scaling."""
+        """Two transforms, each :func:`~repro.operators.batched.plan_costs`
+        of the :func:`~repro.transforms.fwht.fwht_plan` it runs plus its
+        orthonormal scaling (read and write the vector), then the
+        spectral diagonal and the form's scales (read the vector and the
+        diagonal, write the result)."""
         n = float(self.n)
-        nu = float(self.mutation.nu)
-        scale_passes = 2.0 if self.form == "symmetric" else 1.0
-        fwht_flops = 2.0 * (n / 2.0) * nu * 2.0  # two transforms
+        transform = plan_costs(fwht_plan(self.mutation.nu), self.n)
+        diagonals = 1.0 + (2.0 if self.form == "symmetric" else 1.0)
         return OperatorCosts(
-            flops=fwht_flops + n + scale_passes * n,
-            bytes_moved=8.0 * (4.0 * (n / 2.0) * nu * 2.0 + 3.0 * n + 3.0 * scale_passes * n),
+            flops=2.0 * (transform.flops + n) + diagonals * n,
+            bytes_moved=2.0 * (transform.bytes_moved + 16.0 * n) + diagonals * 24.0 * n,
             storage_bytes=8.0 * n,
         )
 

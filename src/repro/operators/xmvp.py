@@ -75,7 +75,6 @@ class Xmvp(ImplicitOperator, FormMixin):
         self._init_form(landscape, form)
         self._q_class = mutation.class_values()
         self._masks = masks_up_to_distance(mutation.nu, self.dmax)
-        self._mask_count = int(sum(len(m) for m in self._masks))
         self._idx = np.arange(self.n, dtype=np.int64)
 
     # ------------------------------------------------------------- product
@@ -105,13 +104,9 @@ class Xmvp(ImplicitOperator, FormMixin):
         return self.dmax == self.mutation.nu
 
     def costs(self) -> OperatorCosts:
-        """One gather + add pass of length N per mask: the paper's
+        """One gather + add pass of length N per mask, plus the diagonal
+        pass: :func:`repro.perf.costs.xmvp_costs`, the paper's
         ``Θ(N · Σ_{k≤dmax} C(ν,k))``."""
-        n = float(self.n)
-        passes = float(self._mask_count)
-        return OperatorCosts(
-            flops=2.0 * n * passes + 2.0 * n,
-            # each pass: read w (gathered) + read/write accumulator
-            bytes_moved=8.0 * n * (3.0 * passes + 2.0),
-            storage_bytes=8.0 * passes + 8.0 * n,
-        )
+        from repro.perf.costs import xmvp_costs
+
+        return xmvp_costs(self.mutation.nu, self.dmax)

@@ -1,10 +1,10 @@
 """Closed-form per-matvec cost formulas.
 
-These mirror the :meth:`~repro.operators.base.ImplicitOperator.costs`
-methods but are computable for *any* ν without building an operator (the
-mask tables of an ``Xmvp(5)`` at ν = 25 alone would be ~54k entries; the
-dense ``Smvp`` at ν = 25 would be 9 PB — which is rather the point of
-the paper).
+``Xmvp.costs()`` and ``Smvp.costs()`` return these.  They are
+computable for *any* ν without building an operator (the mask tables
+of an ``Xmvp(5)`` at ν = 25 alone would be ~54k entries; the dense
+``Smvp`` at ν = 25 would be 9 PB — which is rather the point of the
+paper).
 
 The formulas (matching Secs. 1.2/2.1):
 
@@ -71,8 +71,10 @@ def fmmp_costs(nu: int) -> OperatorCosts:
 
 
 def xmvp_costs(nu: int, dmax: int) -> OperatorCosts:
-    """Xmvp(dmax) per-matvec costs: one gather-add pass per mask, plus
-    one diagonal pass."""
+    """Xmvp(dmax) per-matvec costs: one gather-add pass per mask (read
+    the gathered vector, read and write the accumulator: ``24·N`` bytes),
+    plus one diagonal pass that reads the vector and the scale and
+    writes the product (``24·N`` bytes, as in :func:`fmmp_costs`)."""
     nu = _check(nu)
     passes = float(xmvp_mask_count(nu, dmax))
     n = float(1 << nu)

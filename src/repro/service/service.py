@@ -175,7 +175,8 @@ class SolverService:
     pool:
         An explicit :class:`~repro.service.pool.WorkerPool` — or
         ``None`` to build one from ``workers``/``kind``/``timeout``/
-        ``retries``/``backoff``/``solve_fn``.
+        ``retries``/``backoff``/``threads`` (a pool built by hand also
+        takes the ``solve_fn``/``batched_solve_fn`` injection hooks).
     threads:
         Panel-engine threads per worker for the fmmp routes (``None``
         → ``REPRO_NUM_THREADS`` or 1).  An execution knob only: it
@@ -204,8 +205,6 @@ class SolverService:
         timeout: float | None = None,
         retries: int = 1,
         backoff: float = 0.05,
-        solve_fn=None,
-        batched_solve_fn=None,
         threads: int | None = None,
     ):
         self.cache = cache or ResultCache(capacity, disk_dir=cache_dir)
@@ -215,8 +214,6 @@ class SolverService:
             timeout=timeout,
             retries=retries,
             backoff=backoff,
-            solve_fn=solve_fn,
-            batched_solve_fn=batched_solve_fn,
             threads=threads,
         )
 

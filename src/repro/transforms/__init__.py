@@ -18,7 +18,10 @@ semantics:
   cache-sized chunks, diagonal scalings riding on the first and last
   sweep, one scratch block) that backs every mutation product, 2×2
   factors and grouped blocks alike: ``butterfly_transform``, ``fwht``,
-  ``Fmmp.matvec`` and the batched ``matmat`` operators,
+  ``MutationModel.apply``, ``Fmmp.matvec`` and the batched ``matmat``
+  operators, each running a plan of :class:`FusedStage` sweeps (a
+  mutation model's own, from
+  :meth:`repro.mutation.base.MutationModel.plan`),
 * :mod:`repro.transforms.parallel` — the thread rule and the engines
   on which the fused kernel shares each sweep's chunks among
   ``threads`` participants, bit-identical to one participant.
@@ -40,7 +43,7 @@ from repro.transforms.parallel import (
     borrow_engine,
     shutdown_engines,
 )
-from repro.transforms.fwht import fwht, fwht_inverse, fwht_matrix
+from repro.transforms.fwht import fwht, fwht_plan, fwht_inverse, fwht_matrix
 from repro.transforms.kronecker import kron_matvec, kron_vector, kron_diagonal
 
 __all__ = [
@@ -55,6 +58,7 @@ __all__ = [
     "borrow_engine",
     "shutdown_engines",
     "fwht",
+    "fwht_plan",
     "fwht_inverse",
     "fwht_matrix",
     "kron_matvec",

@@ -38,9 +38,12 @@ Walsh-spectrum block):
   block and a single reusable ``(N, B)`` scratch buffer.
 * **one plan** — :func:`fused_stage_plan` (2×2 factors) or
   :func:`grouped_stage_plan` (the ``2^g×2^g`` group blocks of Eq. 11)
-  builds the list of :class:`FusedStage` sweeps once per operator; the
-  kernel only runs it, and :func:`repro.operators.batched.plan_costs`
-  counts its bytes and flops from it.
+  builds the list of :class:`FusedStage` sweeps; a mutation model picks
+  the builder for its own factors
+  (:meth:`repro.mutation.base.MutationModel.plan`), once per operator.
+  The kernel only runs it, :func:`repro.operators.batched.plan_costs`
+  counts its bytes and flops from it, and the simulated device launches
+  its radix-2 form stage by stage.
 * **threads share every sweep** — with ``threads = T > 1`` participant
   ``t`` runs the contiguous share ``t·c/T … (t+1)·c/T`` of each sweep's
   ``c`` chunks on an engine of :mod:`repro.transforms.parallel`, with

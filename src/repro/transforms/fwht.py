@@ -16,10 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.transforms.butterfly import butterfly_transform
+from repro.transforms.batched import FusedStage, batched_butterfly_transform, fused_stage_plan
 from repro.util.validation import check_power_of_two
 
-__all__ = ["fwht", "fwht_inverse", "fwht_matrix"]
+__all__ = ["fwht", "fwht_plan", "fwht_inverse", "fwht_matrix"]
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]])
 
@@ -27,6 +27,12 @@ _H = np.array([[1.0, 1.0], [1.0, -1.0]])
 def _nu_of(n: int) -> int:
     check_power_of_two(n, "len(v)")
     return int(n).bit_length() - 1
+
+
+def fwht_plan(nu: int) -> list[FusedStage]:
+    """The fused plan :func:`fwht` runs: ν Hadamard factors ``[[1, 1], [1, −1]]``
+    in radix ≤ 8 sweeps (:func:`~repro.transforms.batched.fused_stage_plan`)."""
+    return fused_stage_plan([_H] * nu)
 
 
 def _validate_in_place(v) -> np.ndarray:
@@ -55,9 +61,10 @@ def fwht(v: np.ndarray, *, ortho: bool = True, in_place: bool = False) -> np.nda
     ----------
     v:
         Real input vector of length ``N = 2**ν``, or an ``(N, B)`` block
-        whose ``B`` columns are transformed independently through the
-        stage-fused batched kernel
-        (:func:`repro.transforms.batched.batched_butterfly_transform`).
+        whose ``B`` columns are transformed independently.  Both run
+        :func:`fwht_plan` through the stage-fused batched kernel
+        (:func:`repro.transforms.batched.batched_butterfly_transform`),
+        a vector as a one-column block.
     ortho:
         If true (default), scale by ``2^{−ν/2}`` so the transform matrix
         is the symmetric orthogonal ``V(ν)`` of the paper and
@@ -77,27 +84,18 @@ def fwht(v: np.ndarray, *, ortho: bool = True, in_place: bool = False) -> np.nda
     if in_place:
         v = _validate_in_place(v)
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 2:
-        from repro.transforms.batched import batched_butterfly_transform, fused_stage_plan
-
-        nu = _nu_of(v.shape[0])
-        if nu == 0:
-            raise ValidationError("fwht needs at least 2 elements")
-        out = batched_butterfly_transform(v, fused_stage_plan([_H] * nu))
-        if ortho:
-            out *= 2.0 ** (-nu / 2.0)
-        if in_place:
-            v[:] = out
-            return v
-        return out
-    if v.ndim != 1:
+    if v.ndim not in (1, 2):
         raise ValidationError(f"fwht expects a 1-D vector or (N, B) block, got shape {v.shape}")
-    nu = _nu_of(len(v))
+    nu = _nu_of(v.shape[0])
     if nu == 0:
         raise ValidationError("fwht needs at least 2 elements")
-    out = butterfly_transform(v, [_H] * nu, in_place=in_place)
+    # a vector is a one-column block of the same call
+    out = batched_butterfly_transform(v.reshape(v.shape[0], -1), fwht_plan(nu)).reshape(v.shape)
     if ortho:
         out *= 2.0 ** (-nu / 2.0)
+    if in_place:
+        v[:] = out
+        return v
     return out
 
 

@@ -345,7 +345,7 @@ def _chk_mean_fitness(spec: ProblemSpec, rng: np.random.Generator):
 
 
 def _chk_device(spec: ProblemSpec, rng: np.random.Generator):
-    from repro.device.kernels.fmmp_kernel import fmmp_stage_kernel
+    from repro.device.kernels.fmmp_kernel import plan_launcher
     from repro.device.profile import TESLA_C2050
     from repro.device.runtime import Device
 
@@ -355,13 +355,7 @@ def _chk_device(spec: ProblemSpec, rng: np.random.Generator):
     dev.alloc("v", spec.n)
     try:
         dev.to_device("v", v)
-        for s, m in enumerate(mutation.factors_per_bit()):
-            dev.launch(
-                fmmp_stage_kernel,
-                spec.n // 2,
-                {"span": 1 << s, "m00": m[0, 0], "m01": m[0, 1], "m10": m[1, 0], "m11": m[1, 1]},
-                binding={"v": "v"},
-            )
+        plan_launcher(mutation.plan(max_radix=2))(dev, "v")
         device_out = dev.from_device("v")
     finally:
         dev.free("v")
@@ -408,6 +402,15 @@ def _chk_power_batch_width(spec: ProblemSpec, rng: np.random.Generator):
 # ----------------------------------------------------------- applicability
 def _is_2x2_factored(spec: ProblemSpec) -> bool:
     return spec.mutation in ("uniform", "persite")
+
+
+def device_applies(spec: ProblemSpec) -> bool:
+    """Small enough to densify, and no stage of the model's radix-2 plan
+    is wider than the radix-4 device kernel (the ``device`` invariant's
+    and product oracle's applicability)."""
+    if spec.nu > DENSE_NU:
+        return False
+    return max(stage.radix for stage in spec.build_mutation().plan(max_radix=2)) <= 4
 
 
 def _dense_ok(spec: ProblemSpec) -> bool:
@@ -546,7 +549,7 @@ INVARIANTS: tuple[Invariant, ...] = (
         equation="Sec. 4, Algorithm 2",
         description="device stage kernels reproduce the host butterfly",
         tolerance=EXACT_TOL,
-        applies=lambda s: _is_2x2_factored(s) and s.nu <= DENSE_NU,
+        applies=device_applies,
         run=_chk_device,
     ),
     Invariant(

@@ -21,13 +21,15 @@ every pair must agree to machine precision on arbitrary probe vectors:
 * ``xmvp`` — the XOR-based product of [10] with ``dmax = ν``,
 * ``smvp`` — the dense ``Θ(N²)`` baseline (small ν),
 * ``spectral`` — ``Q·v = V Λ V v`` via the FWHT (uniform model),
-* ``device`` — the Algorithm-2 stage kernels on the simulated device,
+* ``device`` — the model's radix-2 plan launched stage by stage on the
+  simulated device (Algorithm-2 and radix-4 group kernels), whenever
+  no stage of that plan is wider than radix 4,
 * ``distributed`` — the hypercube butterfly over partitioned blocks.
 
 Every ``fmmp-*`` oracle runs the one fused stage plan, so the ``device``
-oracle (one launch per radix-2 stage) and the ``distributed`` oracle
-(explicit cross-rank stages) are the butterfly references that do not
-run it end to end.
+oracle (one launch per stage of the radix-2 plan) and the
+``distributed`` oracle (explicit cross-rank stages) are the butterfly
+references that do not run it end to end.
 
 **Solver oracles** — full eigenpair routes.  Direct routes (dense,
 reduced, Kronecker) agree to eigendecomposition accuracy; any pair
@@ -51,13 +53,12 @@ from repro.model.concentrations import class_concentrations
 from repro.model.quasispecies import QuasispeciesModel
 from repro.mutation.spectral import apply_uniform_q_spectral
 from repro.mutation.uniform import UniformMutation
-from repro.operators.batched import mutation_plan
 from repro.operators.fmmp import Fmmp
 from repro.operators.smvp import Smvp
 from repro.operators.xmvp import Xmvp
 from repro.solvers.kron_solver import KroneckerSolveResult
 from repro.transforms.batched import batched_butterfly_transform
-from repro.verify.invariants import DENSE_NU, relative_error
+from repro.verify.invariants import DENSE_NU, device_applies, relative_error
 from repro.verify.report import CheckResult
 from repro.verify.spec import ProblemSpec
 
@@ -133,8 +134,8 @@ def product_oracles(spec: ProblemSpec) -> list[ProductOracle]:
         oracles.append(ProductOracle("smvp", Smvp(mutation, landscape).matvec))
     if spec.mutation in ("uniform", "persite"):
         oracles.append(ProductOracle("distributed", _distributed_matvec(mutation, f)))
-        if spec.nu <= DENSE_NU:
-            oracles.append(ProductOracle("device", _device_matvec(mutation, f)))
+    if device_applies(spec):
+        oracles.append(ProductOracle("device", _device_matvec(mutation, f)))
     return oracles
 
 
@@ -167,7 +168,7 @@ def _parallel_matvec(mutation, landscape) -> Callable[[np.ndarray], np.ndarray]:
     serial kernels to machine precision (sharing's own contract is
     stronger: bitwise).
     """
-    plan = mutation_plan(mutation)
+    plan = mutation.plan()
     f = landscape.values()
 
     def matvec(v: np.ndarray) -> np.ndarray:
@@ -194,11 +195,11 @@ def _distributed_matvec(mutation, f: np.ndarray) -> Callable[[np.ndarray], np.nd
 
 
 def _device_matvec(mutation, f: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    from repro.device.kernels.fmmp_kernel import fmmp_stage_kernel
+    from repro.device.kernels.fmmp_kernel import plan_launcher
     from repro.device.profile import TESLA_C2050
     from repro.device.runtime import Device
 
-    factors = mutation.factors_per_bit()
+    launch = plan_launcher(mutation.plan(max_radix=2))
     n = mutation.n
 
     def matvec(v: np.ndarray) -> np.ndarray:
@@ -206,19 +207,7 @@ def _device_matvec(mutation, f: np.ndarray) -> Callable[[np.ndarray], np.ndarray
         dev.alloc("v", n)
         try:
             dev.to_device("v", f * np.asarray(v, dtype=np.float64))
-            for s, m in enumerate(factors):
-                dev.launch(
-                    fmmp_stage_kernel,
-                    n // 2,
-                    {
-                        "span": 1 << s,
-                        "m00": m[0, 0],
-                        "m01": m[0, 1],
-                        "m10": m[1, 0],
-                        "m11": m[1, 1],
-                    },
-                    binding={"v": "v"},
-                )
+            launch(dev, "v")
             return dev.from_device("v")
         finally:
             dev.free("v")
@@ -322,7 +311,7 @@ def solver_routes(model: QuasispeciesModel) -> list[SolverRoute]:
 def _identity_mutation(mutation) -> bool:
     """True when ``Q = I`` exactly (the error-free corner ``p = 0``): every
     stage of its plan is an identity."""
-    return all(np.array_equal(s.matrix, np.eye(s.radix)) for s in mutation_plan(mutation))
+    return all(np.array_equal(s.matrix, np.eye(s.radix)) for s in mutation.plan())
 
 
 def _perron_degenerate(model: QuasispeciesModel) -> bool:

@@ -163,3 +163,121 @@ class TestValidationErrors:
             Device(TESLA_C2050), mut, ls, tol=1e-15, max_iterations=2
         ).run(raise_on_fail=False)
         assert not rep.result.converged
+
+
+def _grouped(sizes, seed=0):
+    """A grouped model with random column-stochastic blocks of ``sizes`` bits."""
+    from repro.mutation import GroupedMutation
+
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for g in sizes:
+        b = rng.random((1 << g, 1 << g)) + 0.1
+        blocks.append(b / b.sum(axis=0, keepdims=True))
+    return GroupedMutation(blocks)
+
+
+_DEVICE_MODELS = {
+    "uniform": lambda: UniformMutation(7, 0.02),
+    "persite": lambda: PerSiteMutation.from_error_rates([0.01 * (s + 1) for s in range(7)]),
+    "grouped-1-2": lambda: _grouped([2, 1, 2, 1, 1]),
+    "grouped-2": lambda: _grouped([2, 2, 2], seed=1),
+}
+
+
+def _old_stage_launcher(mutation, n):
+    """The device's stage list as it was built before the model's plan
+    drove it: ``(kind, span, payload)`` from the LSB up, launched in order."""
+    from repro.device.kernels.fmmp_kernel import fmmp_stage_kernel
+    from repro.device.kernels.group_kernel import make_group4_stage_kernel
+    from repro.mutation import GroupedMutation
+
+    stages = []
+    if isinstance(mutation, GroupedMutation):
+        lo = 0
+        for block, g in zip(reversed(mutation.blocks()), reversed(mutation.group_sizes)):
+            if g == 1:
+                stages.append(("2", 1 << lo, np.asarray(block)))
+            else:
+                stages.append(("4", 1 << lo, make_group4_stage_kernel(block)))
+            lo += g
+    else:
+        for s, f in enumerate(mutation.factors_per_bit()):
+            stages.append(("2", 1 << s, np.asarray(f)))
+
+    def launch(device, buf):
+        for kind, span, payload in stages:
+            if kind == "2":
+                m = payload
+                device.launch(
+                    fmmp_stage_kernel,
+                    n // 2,
+                    {"span": span, "m00": m[0, 0], "m01": m[0, 1], "m10": m[1, 0], "m11": m[1, 1]},
+                    binding={"v": buf},
+                )
+            else:
+                device.launch(payload, n // 4, {"span": span}, binding={"v": buf})
+
+    return launch
+
+
+class TestDeviceRunsModelPlan:
+    """The device butterfly is the model's radix-2 plan, launched stage by
+    stage, with the bits of the stage list it replaced."""
+
+    @pytest.mark.parametrize("kind", sorted(_DEVICE_MODELS))
+    def test_one_matvec_launches_the_plan(self, kind, monkeypatch):
+        mut = _DEVICE_MODELS[kind]()
+        ls = RandomLandscape(mut.nu, seed=3)
+        seen = []
+        launch = Device.launch
+
+        def spy(self, kernel, global_size, params=None, binding=None):
+            seen.append((kernel.name, global_size, (params or {}).get("span")))
+            return launch(self, kernel, global_size, params, binding)
+
+        monkeypatch.setattr(Device, "launch", spy)
+        dev = Device(TESLA_C2050)
+        DevicePowerIteration(dev, mut, ls, max_iterations=1).run(raise_on_fail=False)
+        names = {2: "fmmp_stage", 4: "group4_stage"}
+        want = [(names[st.radix], mut.n // st.radix, st.span) for st in mut.plan(max_radix=2)]
+        assert [s for s in seen if s[0] in ("fmmp_stage", "group4_stage")] == want
+        recorded = [r.kernel for r in dev.accounting.records if r.kernel in names.values()]
+        assert recorded == [name for name, _, _ in want]
+
+    @pytest.mark.parametrize("kind", sorted(_DEVICE_MODELS))
+    def test_run_is_bitwise_the_old_stage_list(self, kind):
+        mut = _DEVICE_MODELS[kind]()
+        ls = RandomLandscape(mut.nu, c=5.0, sigma=1.0, seed=4)
+        reports = []
+        for old in (False, True):
+            it = DevicePowerIteration(Device(TESLA_C2050), mut, ls, tol=1e-13, shift=0.25)
+            if old:
+                it._launch_q = _old_stage_launcher(mut, mut.n)
+            reports.append(it.run())
+        new, old = reports
+        assert new.result.eigenvalue == old.result.eigenvalue
+        np.testing.assert_array_equal(new.result.eigenvector, old.result.eigenvector)
+        assert new.launches == old.launches
+        assert new.modeled_total_s == old.modeled_total_s
+        assert new.result.iterations == old.result.iterations > 1
+
+    def test_wide_stage_rejected_by_the_plan(self):
+        """A 3-bit group is a radix-8 stage of the plan: no device kernel."""
+        mut = _grouped([1, 3])
+        with pytest.raises(ValidationError, match="radix-8"):
+            DevicePowerIteration(Device(TESLA_C2050), mut, RandomLandscape(4, seed=0))
+
+    def test_model_without_a_plan_rejected_by_name(self):
+        from repro.mutation.base import MutationModel
+
+        class IdentityMutation(MutationModel):
+            nu, n, is_symmetric = 3, 8, True
+
+            def dense(self):
+                return np.eye(self.n)
+
+        with pytest.raises(ValidationError, match="IdentityMutation"):
+            DevicePowerIteration(
+                Device(TESLA_C2050), IdentityMutation(), RandomLandscape(3, seed=0)
+            )

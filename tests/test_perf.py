@@ -7,7 +7,7 @@ from repro.device import Device, DevicePowerIteration, TESLA_C2050
 from repro.exceptions import ValidationError
 from repro.landscapes import RandomLandscape
 from repro.mutation import UniformMutation
-from repro.operators import Fmmp, Xmvp
+from repro.operators import Fmmp, Smvp, TruncatedWalsh, Xmvp
 from repro.perf import (
     ComplexityLaw,
     PipelineCostModel,
@@ -48,7 +48,28 @@ class TestCosts:
         assert fmmp_costs(nu).bytes_moved == sweeps.bytes_moved + 24.0 * n
         assert fmmp_costs(nu).flops == sweeps.flops + n
         assert Fmmp(mut, ls).costs() == fused
-        assert xmvp_costs(nu, 4).flops == Xmvp(mut, ls, 4).costs().flops
+        for dmax in (1, 4, nu):
+            assert Xmvp(mut, ls, dmax).costs() == xmvp_costs(nu, dmax)
+        assert Smvp(mut, ls).costs() == smvp_costs(nu)
+
+    @pytest.mark.parametrize("form", ["right", "symmetric", "left"])
+    def test_truncated_walsh_counts_the_plan_fwht_runs(self, form):
+        """Two fused Hadamard transforms (radix ≤ 8 sweeps, not ν radix-2
+        stages), their orthonormal scalings, the spectral diagonal and
+        the form's scales."""
+        from repro.transforms.fwht import fwht_plan
+
+        nu = 9
+        n = 1 << nu
+        op = TruncatedWalsh(UniformMutation(nu, 0.01), RandomLandscape(nu, seed=0), 4, form)
+        plan = fwht_plan(nu)
+        assert [stage.radix for stage in plan] == [8, 8, 8]
+        transform = plan_costs(plan, n)
+        diagonals = 3 if form == "symmetric" else 2
+        assert op.costs().flops == 2 * (transform.flops + n) + diagonals * n
+        assert op.costs().bytes_moved == (
+            2 * (transform.bytes_moved + 16.0 * n) + diagonals * 24.0 * n
+        )
 
     def test_smvp_quadratic(self):
         assert smvp_costs(10).flops == 2.0 * (1 << 10) ** 2

@@ -21,6 +21,7 @@ from repro.service import (
     BatchReport,
     SolveJob,
     SolverService,
+    WorkerPool,
     is_batchable,
     load_manifest,
     run_manifest,
@@ -115,7 +116,9 @@ class TestSolverService:
                 raise RuntimeError("injected lanczos failure")
             return execute_job(job)
 
-        service = SolverService(kind="serial", retries=0, solve_fn=broken_lanczos)
+        service = SolverService(
+            pool=WorkerPool(1, kind="serial", retries=0, solve_fn=broken_lanczos)
+        )
         job = SolveJob(nu=5, p=0.02, landscape="random", method="lanczos", tol=1e-10)
         report = service.submit([job])
         assert report.passed
@@ -126,7 +129,9 @@ class TestSolverService:
         def always_broken(job):
             raise RuntimeError("dead backend")
 
-        service = SolverService(kind="serial", retries=0, solve_fn=always_broken)
+        service = SolverService(
+            pool=WorkerPool(1, kind="serial", retries=0, solve_fn=always_broken)
+        )
         with pytest.raises(ValidationError, match="dead backend"):
             service.solve(SolveJob(nu=5, p=0.02))
 

@@ -59,7 +59,7 @@ class TestTransposedOperator:
 
     def test_is_the_one_butterfly_operator(self, asymmetric):
         from repro.operators import BatchedFmmp, Fmmp
-        from repro.operators.batched import mutation_plan, plan_costs
+        from repro.operators.batched import plan_costs
 
         mut, ls = asymmetric
         op = TransposedFmmp(mut, ls)
@@ -67,7 +67,7 @@ class TestTransposedOperator:
         assert isinstance(Fmmp(mut, ls), BatchedFmmp)
         # right form: Wᵀ = F·Qᵀ, the F scale moves after the product
         n = mut.n
-        assert op.costs() == plan_costs(mutation_plan(mut, transpose=True), n, 1, None, (n,))
+        assert op.costs() == plan_costs(mut.plan(transpose=True), n, 1, None, (n,))
 
     def test_bad_form(self, asymmetric):
         mut, ls = asymmetric

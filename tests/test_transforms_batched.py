@@ -6,7 +6,6 @@ import pytest
 import repro.transforms.batched as kernel
 from repro.exceptions import ValidationError
 from repro.mutation import GroupedMutation, PerSiteMutation, UniformMutation
-from repro.operators.batched import mutation_plan
 from repro.transforms import (
     batched_butterfly_transform,
     butterfly_transform,
@@ -256,7 +255,7 @@ class TestChunkSizeInvariance:
         rng = np.random.default_rng(len(kind) + len(form))
         for nu in range(1, 13):
             variant = ("eq9", "eq10")[nu % 2]
-            plan = mutation_plan(chunk_test_mutation(kind, nu, rng), variant)
+            plan = chunk_test_mutation(kind, nu, rng).plan(variant)
             n = 1 << nu
             for b in self.WIDTHS if nu <= 9 else (1, 16):
                 block = rng.standard_normal((n, b))
@@ -306,7 +305,7 @@ class TestChunkSizeInvariance:
         for nu in range(1, 11):
             for b in (1, 2, 3):
                 mutation = chunk_test_mutation(("persite", "grouped")[nu % 2], nu, rng)
-                for stage in mutation_plan(mutation, "eq10"):
+                for stage in mutation.plan("eq10"):
                     r, h = stage.radix, stage.span
                     g = (1 << nu) // (r * h)
                     chunks = kernel._chunks(1 << nu, b, stage)

@@ -22,7 +22,6 @@ from repro.exceptions import ValidationError
 from repro.landscapes import RandomLandscape
 from repro.mutation import GroupedMutation, PerSiteMutation, UniformMutation, site_factor
 from repro.operators import Fmmp
-from repro.operators.batched import mutation_plan
 from repro.transforms import batched_butterfly_transform, fused_stage_plan
 from repro.transforms.parallel import (
     PanelEngine,
@@ -125,7 +124,7 @@ class TestBitIdentity:
         }[form]
         shared = batched_butterfly_transform(
             v.reshape(-1, 1),
-            mutation_plan(mutation),
+            mutation.plan(),
             pre_scale=pre,
             post_scale=post,
             threads=threads,
@@ -262,7 +261,7 @@ class TestChunkSizeInvariance:
                 mutation = GroupedMutation([blk / blk.sum(axis=0) for blk in blocks])
             else:
                 mutation = build_mutation(kind, nu, float(rng.uniform(1e-3, 0.4)), nu)
-            plan = mutation_plan(mutation, ("eq9", "eq10")[nu % 2])
+            plan = mutation.plan(("eq9", "eq10")[nu % 2])
             n, b = 1 << nu, (1, 2, 3, 5, 16)[nu % 5]
             block = rng.standard_normal((n, b))
             f = rng.uniform(0.5, 2.0, (n, b) if nu % 3 else n)

@@ -172,6 +172,28 @@ class TestFaultInjection:
         failed = {c.name for c in checks if not c.passed}
         assert "shift-safety" in failed
 
+    @pytest.mark.parametrize(
+        "nu,mutation,device",
+        [
+            (1, "grouped", True),
+            (2, "grouped", True),
+            (5, "grouped", False),
+            (4, "uniform", True),
+            (4, "persite", True),
+        ],
+    )
+    def test_device_oracle_follows_the_radix2_plan(self, nu, mutation, device):
+        """The device oracle runs whenever the model's radix-2 plan has no
+        stage above radix 4: small grouped specs (2-bit groups) too, not
+        the 3-bit group of ν = 5."""
+        from repro.verify.oracles import product_oracles
+
+        spec = ProblemSpec(nu=nu, p=0.03, landscape="random", mutation=mutation, seed=3)
+        labels = [o.label for o in product_oracles(spec)]
+        assert ("device" in labels) is device
+        checks = run_product_oracles(spec, as_generator(0))
+        assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
+
     def test_broken_backend_exception_is_reported_not_raised(self, monkeypatch):
         from repro.operators import xmvp as xmvp_mod
 
